@@ -8,9 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use tgdkit_chase::{
-    chase, chase_configured, entails, is_weakly_acyclic, ChaseBudget, ChaseVariant, TriggerSearch,
-};
+use tgdkit_chase::{chase, entails, is_weakly_acyclic, ChaseBudget, ChaseVariant};
 use tgdkit_core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit_instance::InstanceGen;
 
@@ -142,8 +140,7 @@ fn bench_entailment(c: &mut Criterion) {
 /// recursive full set forces many rounds over a growing instance; the
 /// per-round cost is now O(|Δ|) index maintenance instead of an O(|I|)
 /// rebuild. `ChaseStats` asserts the invariant (exactly one full build per
-/// run) while the wall time quantifies the win; the serial/parallel split
-/// isolates the trigger-search fan-out.
+/// run) while the wall time quantifies the win.
 fn bench_incremental_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("chase/incremental");
     group.warm_up_time(Duration::from_millis(300));
@@ -161,28 +158,22 @@ fn bench_incremental_rounds(c: &mut Criterion) {
     );
     for size in [16usize, 32, 64] {
         let start = InstanceGen::new(set.schema().clone(), 7).generate(size, 0.25);
-        for (search, label) in [
-            (TriggerSearch::Serial, "serial"),
-            (TriggerSearch::Parallel(0), "parallel"),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(label, size),
-                &(set.clone(), start.clone()),
-                |b, (set, start)| {
-                    b.iter(|| {
-                        let result = chase_configured(
-                            start,
-                            set.tgds(),
-                            ChaseVariant::Restricted,
-                            ChaseBudget::large(),
-                            search,
-                        );
-                        assert_eq!(result.stats.index_rebuilds, 1, "incremental path regressed");
-                        black_box(result)
-                    })
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("chase", size),
+            &(set.clone(), start),
+            |b, (set, start)| {
+                b.iter(|| {
+                    let result = chase(
+                        start,
+                        set.tgds(),
+                        ChaseVariant::Restricted,
+                        ChaseBudget::large(),
+                    );
+                    assert_eq!(result.stats.index_rebuilds, 1, "incremental path regressed");
+                    black_box(result)
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -12,9 +12,8 @@
 
 use tgdkit_bench::{fmt_count, fmt_duration, timed, Table};
 use tgdkit_chase::{
-    chase, chase_configured, chase_sharded, entails, entails_auto, is_weakly_acyclic,
-    satisfies_tgds, shard_stats, shards_from_env, CancelToken, ChaseBudget, ChaseResult,
-    ChaseVariant, EntailCache, Entailment, TriggerSearch,
+    chase, chase_sharded, entails, entails_auto, is_weakly_acyclic, satisfies_tgds, shard_stats,
+    shards_from_env, CancelToken, ChaseBudget, ChaseResult, ChaseVariant, EntailCache, Entailment,
 };
 use tgdkit_core::characterize::recover_tgds;
 use tgdkit_core::enumerate::{
@@ -532,9 +531,8 @@ fn e10_synthesis() {
 
 /// The shard-scaling workload: transitive closure over a pseudo-random
 /// graph with `degree` out-edges per node. Dense enough that the closure
-/// dwarfs the seed (the regime the sharded engine targets), deterministic
-/// so every run — legacy or sharded, any shard count — chases the same
-/// instance.
+/// dwarfs the seed, deterministic so every run, at any shard count,
+/// chases the same instance.
 fn tc_workload(nodes: u32, degree: u64) -> (Vec<Tgd>, tgdkit_instance::Instance) {
     let mut schema = Schema::default();
     let tgds = parse_tgds(&mut schema, "E(x,y), E(y,z) -> E(x,z).").expect("TC parses");
@@ -564,22 +562,23 @@ fn tc_budget() -> ChaseBudget {
     }
 }
 
-/// Asserts the sharded run reproduced the legacy run bit-for-bit: same
-/// instance, outcome, round count, nulls, and trigger tally.
-fn assert_shard_identical(legacy: &ChaseResult, sharded: &ChaseResult, shards: usize) {
+/// Asserts the sharded run reproduced the one-shard run bit-for-bit: same
+/// instance, outcome, round count, nulls, and trigger tallies.
+fn assert_shard_identical(one: &ChaseResult, sharded: &ChaseResult, shards: usize) {
     assert_eq!(
-        sharded.instance, legacy.instance,
-        "sharded chase ({shards} shards) diverged from unsharded"
+        sharded.instance, one.instance,
+        "chase at {shards} shards diverged from one shard"
+    );
+    assert_eq!(sharded.outcome, one.outcome, "outcome at {shards} shards");
+    assert_eq!(sharded.rounds, one.rounds, "rounds at {shards} shards");
+    assert_eq!(sharded.nulls, one.nulls, "nulls at {shards} shards");
+    assert_eq!(
+        sharded.stats.triggers_found, one.stats.triggers_found,
+        "found triggers at {shards} shards"
     );
     assert_eq!(
-        sharded.outcome, legacy.outcome,
-        "outcome at {shards} shards"
-    );
-    assert_eq!(sharded.rounds, legacy.rounds, "rounds at {shards} shards");
-    assert_eq!(sharded.nulls, legacy.nulls, "nulls at {shards} shards");
-    assert_eq!(
-        sharded.stats.triggers_found, legacy.stats.triggers_found,
-        "trigger tally at {shards} shards"
+        sharded.stats.triggers_fired, one.stats.triggers_fired,
+        "fired triggers at {shards} shards"
     );
 }
 
@@ -670,40 +669,25 @@ fn e11_chase_scaling() {
     print!("{}", micro.render());
     let _ = Entailment::Proved;
 
-    // Shard-scaling block: the hash-partitioned engine against the legacy
-    // serial engine on a closure-dominated workload. Output is asserted
-    // byte-identical at every shard count, so the only thing that moves
-    // is wall time.
-    println!("\nsharded chase scaling (transitive closure, output asserted identical):");
+    // Shard-scaling block: the chase at 1, 2 and 4 shards on a
+    // closure-dominated workload. Output is asserted byte-identical at
+    // every shard count; the shards run one after another on one thread,
+    // so the table shows the cost of the partitioned layout, not a
+    // parallel speed-up.
+    println!("\nsharded chase (transitive closure, output asserted identical):");
     let (tc_tgds, tc_inst) = tc_workload(160, 3);
-    let (legacy, legacy_time) = timed(|| {
-        chase_configured(
-            &tc_inst,
-            &tc_tgds,
-            ChaseVariant::Restricted,
-            tc_budget(),
-            TriggerSearch::Serial,
-        )
-    });
     let mut shard_table = Table::new(&[
-        "engine",
         "shards",
         "chase facts",
+        "triggers found",
+        "triggers fired",
         "exchanged",
         "skew",
         "time",
-        "speedup",
     ]);
-    shard_table.row(&[
-        "legacy".into(),
-        "-".into(),
-        fmt_count(legacy.instance.fact_count() as f64),
-        "-".into(),
-        "-".into(),
-        fmt_duration(legacy_time),
-        "1.00x".into(),
-    ]);
+    let mut one_shard: Option<ChaseResult> = None;
     for shards in [1usize, 2, 4] {
+        tgdkit_chase::reset_shard_stats();
         let (result, time) = timed(|| {
             chase_sharded(
                 &tc_inst,
@@ -713,19 +697,26 @@ fn e11_chase_scaling() {
                 shards,
             )
         });
-        assert_shard_identical(&legacy, &result, shards);
+        let one = one_shard.get_or_insert_with(|| result.clone());
+        assert_shard_identical(one, &result, shards);
+        // Shard telemetry covers multi-shard runs only.
         let stats = shard_stats();
+        let (exchanged, skew) = if shards > 1 {
+            (
+                fmt_count(stats.exchanged_tuples as f64),
+                format!("{:.3}", stats.skew_max_over_min),
+            )
+        } else {
+            ("-".into(), "-".into())
+        };
         shard_table.row(&[
-            "sharded".into(),
             shards.to_string(),
             fmt_count(result.instance.fact_count() as f64),
-            fmt_count(stats.exchanged_tuples as f64),
-            format!("{:.3}", stats.skew_max_over_min),
+            fmt_count(result.stats.triggers_found as f64),
+            fmt_count(result.stats.triggers_fired as f64),
+            exchanged,
+            skew,
             fmt_duration(time),
-            format!(
-                "{:.2}x",
-                legacy_time.as_secs_f64() / time.as_secs_f64().max(1e-9)
-            ),
         ]);
     }
     print!("{}", shard_table.render());
@@ -1317,55 +1308,25 @@ fn bench_rewrite_json(smoke: bool) {
         fmt_duration(repl_failover_time),
     );
 
-    // Shard probe: the hash-partitioned chase against the legacy engine on
-    // a closure-dominated workload, asserted byte-identical. The shard
-    // count honors TGDKIT_SHARDS (the CI matrix sets 1/2/4); an unset or
-    // =1 environment still probes at 4 shards so the recorded speedup
-    // always measures the sharded engine at scale against the baseline.
+    // Shard probe: the chase at the TGDKIT_SHARDS count (the CI matrix
+    // sets 1/2/4; an unset or =1 environment probes at 4 shards) against
+    // the one-shard chase on a closure-dominated workload, asserted
+    // byte-identical. Shard telemetry is reset first, so the recorded
+    // counters cover exactly the sharded run.
     let env_shards = shards_from_env();
     let probe_shards = if env_shards > 1 { env_shards } else { 4 };
     let (tc_tgds, tc_inst) = tc_workload(if smoke { 140 } else { 200 }, 3);
-    // Each engine is timed as the fastest of three *interleaved* reps
-    // (legacy, sharded, legacy, sharded, ...) — the same min-of-reps
-    // discipline the candidates_per_sec floor uses, interleaved so both
-    // engines sample the same allocator/cache conditions and the ratio
-    // gates the engines, not scheduler noise. Shard telemetry is reset
-    // per sharded rep, so the recorded counters cover exactly one run —
-    // they are deterministic, so every rep reports the same figures.
-    let mut shard_legacy_time = std::time::Duration::MAX;
-    let mut shard_legacy = None;
-    let mut shard_time = std::time::Duration::MAX;
-    let mut shard_result = None;
-    for _ in 0..3 {
-        let (result, time) = timed(|| {
-            chase_configured(
-                &tc_inst,
-                &tc_tgds,
-                ChaseVariant::Restricted,
-                tc_budget(),
-                TriggerSearch::Serial,
-            )
-        });
-        shard_legacy_time = shard_legacy_time.min(time);
-        shard_legacy = Some(result);
-        tgdkit_chase::reset_shard_stats();
-        let (result, time) = timed(|| {
-            chase_sharded(
-                &tc_inst,
-                &tc_tgds,
-                ChaseVariant::Restricted,
-                tc_budget(),
-                probe_shards,
-            )
-        });
-        shard_time = shard_time.min(time);
-        shard_result = Some(result);
-    }
-    let shard_legacy = shard_legacy.expect("legacy probe ran");
-    let shard_result = shard_result.expect("sharded probe ran");
-    assert_shard_identical(&shard_legacy, &shard_result, probe_shards);
+    let shard_one = chase(&tc_inst, &tc_tgds, ChaseVariant::Restricted, tc_budget());
+    tgdkit_chase::reset_shard_stats();
+    let shard_result = chase_sharded(
+        &tc_inst,
+        &tc_tgds,
+        ChaseVariant::Restricted,
+        tc_budget(),
+        probe_shards,
+    );
+    assert_shard_identical(&shard_one, &shard_result, probe_shards);
     let shard_probe = shard_stats();
-    let shard_speedup = shard_legacy_time.as_secs_f64() / shard_time.as_secs_f64().max(1e-9);
 
     let rate = |n: usize, t: std::time::Duration| n as f64 / t.as_secs_f64().max(1e-9);
     let hit_rate = |hits: usize, misses: usize| {
@@ -1396,7 +1357,7 @@ fn bench_rewrite_json(smoke: bool) {
          \"plan_cache_hits\": {}\n  }},\n  \"shards\": {{\n    \
          \"shard_count\": {},\n    \"exchanged_tuples\": {},\n    \
          \"broadcasts\": {},\n    \"rekeyed_probes\": {},\n    \
-         \"skew_max_over_min\": {:.4},\n    \"speedup\": {:.2}\n  }},\n  \
+         \"skew_max_over_min\": {:.4}\n  }},\n  \
          \"memory\": {{\n    \
          \"peak_bytes\": {},\n    \"trips\": {},\n    \"resumes\": {},\n    \
          \"evictions\": {}\n  }},\n  \"serve\": {{\n    \
@@ -1448,7 +1409,6 @@ fn bench_rewrite_json(smoke: bool) {
         shard_probe.broadcasts,
         shard_probe.rekeyed_probes,
         shard_probe.skew_max_over_min,
-        shard_speedup,
         mem_stats.mem_peak_bytes.max(mem_clean_stats.mem_peak_bytes),
         mem_stats.mem_trips,
         mem_resumes,
@@ -1529,10 +1489,11 @@ fn bench_rewrite_json(smoke: bool) {
         serve_report.small_p99_us(),
     );
     println!(
-        "shard probe ({} shards over {} facts): {:.2}x vs legacy; {} tuples exchanged, {} broadcasts, {} rekeyed probes, skew {:.3}; output byte-identical",
+        "shard probe ({} shards over {} facts): {} of {} live triggers fired; {} tuples exchanged, {} broadcasts, {} rekeyed probes, skew {:.3}; output byte-identical",
         shard_probe.shard_count,
         shard_result.instance.fact_count(),
-        shard_speedup,
+        shard_result.stats.triggers_fired,
+        shard_result.stats.triggers_found,
         shard_probe.exchanged_tuples,
         shard_probe.broadcasts,
         shard_probe.rekeyed_probes,

@@ -35,7 +35,7 @@ use crate::faults::FaultSite;
 use crate::govern::CancelToken;
 use crate::linear::entails_linear_governed;
 use crate::memory::MemoryAccountant;
-use crate::stats::{ChaseStats, TriggerSearch};
+use crate::stats::ChaseStats;
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -635,14 +635,8 @@ pub fn evaluate_group(
         if verdict == Entailment::Unknown && !token.is_cancelled() {
             if shared.is_none() {
                 let frozen = freeze_body(schema, cand);
-                let result = chase_governed(
-                    &frozen,
-                    sigma,
-                    ChaseVariant::Restricted,
-                    budget,
-                    TriggerSearch::Auto,
-                    token,
-                );
+                let result =
+                    chase_governed(&frozen, sigma, ChaseVariant::Restricted, budget, token);
                 stats.bodies_chased += 1;
                 stats.chase.absorb(&result.stats);
                 // A cancelled chase yields a round-prefix, not the model the

@@ -2,18 +2,15 @@
 //! nulls and explicit budgets.
 
 use crate::checkpoint::{tgds_fingerprint, ChaseCheckpoint, CheckpointError};
-use crate::faults::{FaultSite, INJECTED_PANIC};
+use crate::faults::FaultSite;
 use crate::govern::CancelToken;
 use crate::memory::MemoryAccountant;
-use crate::shard::{find_triggers_sharded, record_run_shape, TriggerRun, TriggerRunIter};
-use crate::stats::{ChaseStats, TriggerSearch};
+use crate::shard::{find_triggers, record_run_shape, TriggerRun};
+use crate::stats::ChaseStats;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-use tgdkit_hom::{
-    for_each_hom, for_each_hom_indexed, for_each_hom_seminaive, Binding, Cq, InstanceIndex,
-};
+use tgdkit_hom::{for_each_hom, Binding, Cq, InstanceIndex};
 use tgdkit_instance::{Elem, Fact, Instance, ShardedInstance};
 use tgdkit_logic::{Egd, Tgd};
 
@@ -244,62 +241,18 @@ pub fn chase(
     variant: ChaseVariant,
     budget: ChaseBudget,
 ) -> ChaseResult {
-    chase_impl(
-        start,
-        tgds,
-        variant,
-        budget,
-        TriggerSearch::Auto,
-        None,
-        &CancelToken::new(),
-        None,
-        None,
-    )
-    .0
+    chase_governed(start, tgds, variant, budget, &CancelToken::new())
 }
 
-/// [`chase`] with an explicit [`TriggerSearch`] policy.
+/// [`chase`] with the instance hash-partitioned across `shards` shards:
+/// the semi-naive trigger search runs shard-local with a deterministic
+/// cross-shard exchange phase ([`crate::shard`]), and per-round trigger
+/// runs merge with one global sort — so the result is **bit-for-bit
+/// equal** to [`chase`] (its one-shard case) at any shard count: instance,
+/// nulls, null numbering, outcome, rounds and trigger counts.
 ///
-/// Chase output is *byte-identical* across policies: the trigger phase
-/// merges per-worker trigger sets into one ordered set before any firing,
-/// so serial and parallel runs fire the same triggers in the same order and
-/// invent identically-numbered nulls. Use [`TriggerSearch::Serial`] /
-/// [`TriggerSearch::Parallel`] to pin the policy (e.g. in determinism tests
-/// or benches); [`TriggerSearch::Auto`] parallelizes only when a round's
-/// estimated probe work amortizes thread spawn.
-pub fn chase_configured(
-    start: &Instance,
-    tgds: &[Tgd],
-    variant: ChaseVariant,
-    budget: ChaseBudget,
-    search: TriggerSearch,
-) -> ChaseResult {
-    chase_impl(
-        start,
-        tgds,
-        variant,
-        budget,
-        search,
-        None,
-        &CancelToken::new(),
-        None,
-        None,
-    )
-    .0
-}
-
-/// [`chase`] on the **sharded engine**: the instance is hash-partitioned
-/// across `shards` shards, the semi-naive trigger search runs shard-local
-/// with a deterministic cross-shard exchange phase
-/// ([`crate::shard`]), and per-round trigger runs merge with the canonical
-/// ordering discipline — so the result is **bit-for-bit equal** to the
-/// unsharded [`chase`] at any shard count (instance, nulls, null
-/// numbering, outcome, rounds).
-///
-/// `shards` is clamped to at least 1; `shards == 1` still exercises the
-/// sharded engine (flat trigger runs instead of an ordered set), which is
-/// what the shard-count-equality property tests rely on. Use
-/// [`crate::shards_from_env`] to honor `TGDKIT_SHARDS`.
+/// `shards` is clamped to at least 1. Use [`crate::shards_from_env`] to
+/// honor `TGDKIT_SHARDS`.
 pub fn chase_sharded(
     start: &Instance,
     tgds: &[Tgd],
@@ -307,23 +260,12 @@ pub fn chase_sharded(
     budget: ChaseBudget,
     shards: usize,
 ) -> ChaseResult {
-    chase_impl(
-        start,
-        tgds,
-        variant,
-        budget,
-        TriggerSearch::Serial,
-        Some(shards),
-        &CancelToken::new(),
-        None,
-        None,
-    )
-    .0
+    chase_sharded_governed(start, tgds, variant, budget, shards, &CancelToken::new())
 }
 
-/// [`chase_sharded`] under a [`CancelToken`] — the sharded counterpart of
-/// [`chase_governed`], with the same cancellation/round-prefix guarantees
-/// (the token is polled inside every shard's enumeration).
+/// [`chase_sharded`] under a [`CancelToken`], with the cancellation and
+/// round-prefix guarantees of [`chase_governed`] (the token is polled
+/// inside every shard's enumeration).
 pub fn chase_sharded_governed(
     start: &Instance,
     tgds: &[Tgd],
@@ -332,25 +274,14 @@ pub fn chase_sharded_governed(
     shards: usize,
     token: &CancelToken,
 ) -> ChaseResult {
-    chase_impl(
-        start,
-        tgds,
-        variant,
-        budget,
-        TriggerSearch::Serial,
-        Some(shards),
-        token,
-        None,
-        None,
-    )
-    .0
+    chase_impl(start, tgds, variant, budget, shards, token, None, None).0
 }
 
 /// [`chase_sharded_governed`] that additionally captures a
 /// [`ChaseCheckpoint`] on a resumable stop, exactly like
 /// [`chase_checkpointing`]. The checkpoint records the shard count, so
 /// [`chase_resume`] re-partitions the captured instance (partitioning is a
-/// pure function of the facts) and continues on the same engine.
+/// pure function of the facts) and continues at the same count.
 pub fn chase_sharded_checkpointing(
     start: &Instance,
     tgds: &[Tgd],
@@ -360,43 +291,30 @@ pub fn chase_sharded_checkpointing(
     token: &CancelToken,
 ) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
     let sigma_fp = tgds_fingerprint(tgds);
-    let (result, end) = chase_impl(
-        start,
-        tgds,
-        variant,
-        budget,
-        TriggerSearch::Serial,
-        Some(shards),
-        token,
-        None,
-        None,
-    );
-    let checkpoint = capture_checkpoint(&result, end, variant, sigma_fp, shards.max(1) as u32);
+    let shards = shards.max(1);
+    let (result, end) = chase_impl(start, tgds, variant, budget, shards, token, None, None);
+    let checkpoint = capture_checkpoint(&result, end, variant, sigma_fp, shards as u32);
     (result, checkpoint)
 }
 
-/// [`chase_configured`] under a [`CancelToken`]: the token is checked at
-/// every round start and observed by the trigger-search workers, so a
+/// [`chase`] under a [`CancelToken`]: the token is checked at every round
+/// start, inside the trigger search and inside the apply loop, so a
 /// cancelled run stops within one round and reports
 /// [`ChaseOutcome::Cancelled`] with the instance *as of the last completed
 /// round* and coherent [`ChaseStats`] for the work actually done.
 ///
-/// Worker panics (real or injected via [`crate::faults`]) are contained
-/// with `catch_unwind`: the round's partial trigger set is discarded, the
-/// panic is counted in [`ChaseStats::panics_contained`], and the run
-/// reports `Cancelled` instead of unwinding the caller.
+/// Trigger-search panics (real or injected via [`crate::faults`]) are
+/// contained with `catch_unwind`: the round's partial trigger set is
+/// discarded, the panic is counted in [`ChaseStats::panics_contained`],
+/// and the run reports `Cancelled` instead of unwinding the caller.
 pub fn chase_governed(
     start: &Instance,
     tgds: &[Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
-    search: TriggerSearch,
     token: &CancelToken,
 ) -> ChaseResult {
-    chase_impl(
-        start, tgds, variant, budget, search, None, token, None, None,
-    )
-    .0
+    chase_impl(start, tgds, variant, budget, 1, token, None, None).0
 }
 
 /// [`chase`] with a derivation log: every fired trigger is recorded with
@@ -414,8 +332,7 @@ pub fn chase_with_provenance(
         tgds,
         variant,
         budget,
-        TriggerSearch::Auto,
-        None,
+        1,
         &CancelToken::new(),
         Some(&mut provenance),
         None,
@@ -423,9 +340,6 @@ pub fn chase_with_provenance(
     .0;
     (result, provenance)
 }
-
-/// A trigger: tgd index and the images of its universal variables.
-type Trigger = (usize, Vec<Elem>);
 
 /// How many visited trigger bindings pass between cooperative cancellation
 /// checks inside one tgd's enumeration. Small enough that a dense body
@@ -443,220 +357,6 @@ pub(crate) const CANCEL_CHECK_STRIDE: u32 = 64;
 /// property the fault proptests pin down.
 const APPLY_CANCEL_STRIDE: u32 = 64;
 
-/// Collects `tgd`'s triggers against `index` into `out` — a full body
-/// search on the first round (`delta` = `None`), semi-naive afterwards (a
-/// new trigger must use at least one fact added in the previous round;
-/// older triggers were found — and either fired or found satisfied, both
-/// monotone — in an earlier round).
-///
-/// The cancellation token is polled every [`CANCEL_CHECK_STRIDE`] visited
-/// bindings, *inside* the enumeration — not only at round boundaries — so a
-/// deadline expiring mid-search stops the round promptly. Returns `false`
-/// when the search was cut short that way (`out` then holds a partial set;
-/// the caller discards the round, preserving the round-prefix property).
-fn triggers_into(
-    ti: usize,
-    tgd: &Tgd,
-    index: &InstanceIndex,
-    delta: Option<&[Fact]>,
-    out: &mut BTreeSet<Trigger>,
-    token: &CancelToken,
-) -> bool {
-    let n = tgd.universal_count();
-    let fixed: Binding = vec![None; tgd.var_count()];
-    let mut since_check = 0u32;
-    let mut cancelled = false;
-    let mut visit = |binding: &Binding| {
-        since_check += 1;
-        if since_check >= CANCEL_CHECK_STRIDE {
-            since_check = 0;
-            if token.is_cancelled() {
-                cancelled = true;
-                return ControlFlow::Break(());
-            }
-        }
-        let universal: Vec<Elem> = (0..n)
-            .map(|v| binding[v].expect("universal bound"))
-            .collect();
-        out.insert((ti, universal));
-        ControlFlow::Continue(())
-    };
-    match delta {
-        None => for_each_hom_indexed(tgd.body(), tgd.var_count(), index, &fixed, &mut visit),
-        Some(delta_facts) => for_each_hom_seminaive(
-            tgd.body(),
-            tgd.var_count(),
-            index,
-            delta_facts,
-            &fixed,
-            &mut visit,
-        ),
-    }
-    !cancelled
-}
-
-/// Runs one tgd's trigger search with panic containment and the
-/// [`FaultSite::TriggerWorkerPanic`] injection point. Returns `None` when
-/// the search panicked and `Some(completed)` otherwise, where `completed`
-/// is `false` if cancellation cut the enumeration short; in both non-`Some(true)`
-/// cases `out` may hold a partial set for this tgd, which is safe because
-/// the caller discards the whole round.
-fn guarded_triggers_into(
-    ti: usize,
-    tgd: &Tgd,
-    index: &InstanceIndex,
-    delta: Option<&[Fact]>,
-    out: &mut BTreeSet<Trigger>,
-    token: &CancelToken,
-) -> Option<bool> {
-    catch_unwind(AssertUnwindSafe(|| {
-        if token.fault(FaultSite::TriggerWorkerPanic) {
-            panic!("{INJECTED_PANIC}: trigger worker for tgd {ti}");
-        }
-        triggers_into(ti, tgd, index, delta, out, token)
-    }))
-    .ok()
-}
-
-/// One round's trigger search result: the merged trigger set, plus whether
-/// the round must be discarded (cancellation observed mid-search or a
-/// worker panic contained). On `aborted` or `panics_contained > 0` the
-/// caller fires nothing, keeping the instance at the last completed round.
-struct TriggerScan {
-    triggers: BTreeSet<Trigger>,
-    aborted: bool,
-    panics_contained: usize,
-}
-
-/// Below this many estimated index probes, thread spawn costs more than the
-/// round's whole trigger search.
-const PARALLEL_WORK_FLOOR: usize = 512;
-
-fn worker_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// One round's trigger set: every tgd's body matches against `index`.
-///
-/// With more than one worker the per-tgd searches run on scoped threads,
-/// each into a private set; the sets are merged into one `BTreeSet`, whose
-/// ordering is independent of merge order — so the firing phase (and hence
-/// the chase output, null numbering included) is byte-identical to a serial
-/// search.
-fn find_triggers(
-    tgds: &[Tgd],
-    index: &InstanceIndex,
-    delta: Option<&[Fact]>,
-    search: TriggerSearch,
-    stats: &mut ChaseStats,
-    token: &CancelToken,
-) -> TriggerScan {
-    let workers = match search {
-        TriggerSearch::Serial => 1,
-        TriggerSearch::Parallel(0) => worker_count(),
-        TriggerSearch::Parallel(n) => n,
-        TriggerSearch::Auto => {
-            let probe_work = match delta {
-                None => index.total_count(),
-                Some(delta_facts) => delta_facts.len().saturating_mul(tgds.len()),
-            };
-            if probe_work >= PARALLEL_WORK_FLOOR {
-                worker_count()
-            } else {
-                1
-            }
-        }
-    }
-    .min(tgds.len())
-    .max(1);
-
-    if workers <= 1 {
-        let mut out = BTreeSet::new();
-        for (ti, tgd) in tgds.iter().enumerate() {
-            if token.is_cancelled() {
-                return TriggerScan {
-                    triggers: out,
-                    aborted: true,
-                    panics_contained: 0,
-                };
-            }
-            match guarded_triggers_into(ti, tgd, index, delta, &mut out, token) {
-                Some(true) => {}
-                Some(false) => {
-                    return TriggerScan {
-                        triggers: out,
-                        aborted: true,
-                        panics_contained: 0,
-                    };
-                }
-                None => {
-                    return TriggerScan {
-                        triggers: out,
-                        aborted: true,
-                        panics_contained: 1,
-                    };
-                }
-            }
-        }
-        return TriggerScan {
-            triggers: out,
-            aborted: false,
-            panics_contained: 0,
-        };
-    }
-
-    stats.parallel_rounds += 1;
-    let chunk = tgds.len().div_ceil(workers);
-    let locals: Vec<(BTreeSet<Trigger>, bool, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = tgds
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, part)| {
-                scope.spawn(move || {
-                    let mut local = BTreeSet::new();
-                    for (j, tgd) in part.iter().enumerate() {
-                        if token.is_cancelled() {
-                            return (local, true, 0);
-                        }
-                        match guarded_triggers_into(
-                            ci * chunk + j,
-                            tgd,
-                            index,
-                            delta,
-                            &mut local,
-                            token,
-                        ) {
-                            Some(true) => {}
-                            Some(false) => return (local, true, 0),
-                            None => return (local, true, 1),
-                        }
-                    }
-                    (local, false, 0)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("trigger search worker panicked"))
-            .collect()
-    });
-    let mut out = BTreeSet::new();
-    let mut aborted = false;
-    let mut panics_contained = 0usize;
-    for (local, worker_aborted, worker_panics) in locals {
-        out.extend(local);
-        aborted |= worker_aborted;
-        panics_contained += worker_panics;
-    }
-    TriggerScan {
-        triggers: out,
-        aborted,
-        panics_contained,
-    }
-}
-
 /// End-of-run internals handed back by [`chase_impl`] so the
 /// checkpointing entry points can capture resumable state without
 /// re-deriving it.
@@ -670,108 +370,16 @@ struct ChaseRunEnd {
     resumable: bool,
 }
 
-/// The run's fact store: the classic single arena, or the hash-partitioned
-/// store of the sharded engine. Both variants answer the same calls, so
-/// every piece of governance in [`chase_impl`] — budget checks, mid-apply
-/// rollback, checkpoint capture — is shared by construction rather than
-/// duplicated per engine.
-enum Store {
-    Plain(Instance),
-    Sharded(ShardedInstance),
-}
-
-impl Store {
-    fn add_fact(&mut self, pred: tgdkit_logic::PredId, args: Vec<Elem>) -> bool {
-        match self {
-            Store::Plain(i) => i.add_fact(pred, args),
-            Store::Sharded(s) => s.add_fact(pred, args),
-        }
-    }
-
-    fn remove_fact(&mut self, pred: tgdkit_logic::PredId, args: &[Elem]) -> bool {
-        match self {
-            Store::Plain(i) => i.remove_fact(pred, args),
-            Store::Sharded(s) => s.remove_fact(pred, args),
-        }
-    }
-
-    fn fact_count(&self) -> usize {
-        match self {
-            Store::Plain(i) => i.fact_count(),
-            Store::Sharded(s) => s.fact_count(),
-        }
-    }
-
-    /// Deterministic heap residency charged to the memory budget. The
-    /// sharded figure sums the shards (each carries its own dedup maps),
-    /// honestly accounting the partitioned layout's real footprint.
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Store::Plain(i) => i.heap_bytes(),
-            Store::Sharded(s) => s.heap_bytes(),
-        }
-    }
-
-    /// The logical instance: identity for the plain store, shard merge for
-    /// the sharded one (content-equal to the plain store's instance after
-    /// the same fact sequence).
-    fn into_instance(self) -> Instance {
-        match self {
-            Store::Plain(i) => i,
-            Store::Sharded(s) => s.merge(),
-        }
-    }
-}
-
-/// One round's deduplicated trigger set, in canonical `(tgd, universal)`
-/// order — as an ordered set (unsharded search) or a sorted flat run
-/// (sharded search). The apply loop iterates either identically, which is
-/// what pins the two engines to byte-identical firing.
-enum RoundTriggers {
-    Tree(BTreeSet<Trigger>),
-    Runs(TriggerRun),
-}
-
-impl RoundTriggers {
-    fn len(&self) -> usize {
-        match self {
-            RoundTriggers::Tree(t) => t.len(),
-            RoundTriggers::Runs(r) => r.len(),
-        }
-    }
-
-    fn iter(&self) -> RoundTriggerIter<'_> {
-        match self {
-            RoundTriggers::Tree(t) => RoundTriggerIter::Tree(t.iter()),
-            RoundTriggers::Runs(r) => RoundTriggerIter::Runs(r.iter()),
-        }
-    }
-}
-
-enum RoundTriggerIter<'a> {
-    Tree(std::collections::btree_set::Iter<'a, Trigger>),
-    Runs(TriggerRunIter<'a>),
-}
-
-impl<'a> Iterator for RoundTriggerIter<'a> {
-    type Item = (usize, &'a [Elem]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            RoundTriggerIter::Tree(it) => it.next().map(|(ti, u)| (*ti, u.as_slice())),
-            RoundTriggerIter::Runs(it) => it.next(),
-        }
-    }
-}
-
+/// The one chase engine. Every entry point lands here with a shard count
+/// (1 unless the caller asked for more), so budgets, mid-apply rollback
+/// and checkpoint capture exist once.
 #[allow(clippy::too_many_arguments)]
 fn chase_impl(
     start: &Instance,
     tgds: &[Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
-    search: TriggerSearch,
-    shards: Option<usize>,
+    shards: usize,
     token: &CancelToken,
     mut log: Option<&mut Provenance>,
     resume: Option<&ChaseCheckpoint>,
@@ -808,24 +416,19 @@ fn chase_impl(
             rounds = cp.rounds;
         }
     }
-    let head_cqs: Vec<Cq> = tgds
-        .iter()
-        .map(|t| Cq::boolean(t.head().to_vec()))
-        .collect();
+    // Head queries of the non-full tgds, built on their first restricted
+    // check: entailment chases run under hundreds of tgds of which few fire.
+    let mut head_cqs: Vec<Option<Cq>> = vec![None; tgds.len()];
 
     // ONE index lives across the whole run: built here, then grown with
-    // O(|Δ|) `extend` calls as triggers fire, instead of the former O(|I|)
-    // rebuild per round (quadratic over a run). At every head check and at
-    // every round start the index covers exactly the current instance. The
-    // sharded engine keeps this same *union* index (fed the same extend
-    // sequence) for head-satisfaction checks and broadcast joins, next to
-    // the partitioned store that owner-routed probes consult.
+    // O(|Δ|) `extend` calls as triggers fire. At every head check and at
+    // every round start it covers exactly the current instance — the union
+    // of the shards — so head-satisfaction checks, broadcast joins and the
+    // search's dead-trigger filter all read the logical instance.
     let mut index = InstanceIndex::new(&instance);
     stats.index_rebuilds += 1;
-    let mut store = match shards {
-        None => Store::Plain(instance),
-        Some(n) => Store::Sharded(ShardedInstance::partition(&instance, n.max(1))),
-    };
+    let mut store = ShardedInstance::from_instance(instance, shards.max(1));
+    let mut triggers = TriggerRun::new(tgds);
 
     let accountant = MemoryAccountant::new(budget.effective_max_bytes());
     // Mid-round emergency stop: rounds are atomic for budget purposes, but
@@ -858,35 +461,17 @@ fn chase_impl(
         }
         rounds += 1;
 
-        // Snapshot this round's triggers against the instance as of the
-        // start of the round (fair, breadth-first scheduling). Both engines
-        // produce the same deduplicated set in the same canonical order —
-        // the sharded search merges per-shard runs with one sort.
+        // Snapshot this round's live triggers against the instance as of
+        // the start of the round (fair, breadth-first scheduling), sorted
+        // into canonical `(tgd, universal)` order.
         let search_started = Instant::now();
-        let (triggers, aborted, scan_panics) = match &store {
-            Store::Plain(_) => {
-                let scan = find_triggers(tgds, &index, delta.as_deref(), search, &mut stats, token);
-                (
-                    RoundTriggers::Tree(scan.triggers),
-                    scan.aborted,
-                    scan.panics_contained,
-                )
-            }
-            Store::Sharded(sharded) => {
-                let scan = find_triggers_sharded(tgds, &index, sharded, delta.as_deref(), token);
-                (
-                    RoundTriggers::Runs(scan.triggers),
-                    scan.aborted,
-                    scan.panics_contained,
-                )
-            }
-        };
+        let scan = find_triggers(tgds, &index, &store, delta.as_deref(), &mut triggers, token);
         stats.trigger_search_time += search_started.elapsed();
-        if aborted || scan_panics > 0 {
+        if scan.aborted || scan.panics_contained > 0 {
             // Discard the partial trigger set without firing: the aborted
             // round never happened, and a contained panic means the set
             // may be incomplete, so a fixpoint cannot be certified.
-            stats.panics_contained += scan_panics;
+            stats.panics_contained += scan.panics_contained;
             rounds -= 1;
             break 'run ChaseOutcome::Cancelled;
         }
@@ -970,8 +555,7 @@ fn chase_impl(
                 ChaseVariant::Restricted => {
                     // Re-check satisfaction against the *current* instance:
                     // fold any facts added since the last check into the
-                    // live index (amortized O(|Δ|), replacing the former
-                    // full rebuild whenever the instance had grown).
+                    // live index (amortized O(|Δ|)).
                     if folded < added_this_round.len() {
                         index.extend(&added_this_round[folded..]);
                         stats.index_extends += 1;
@@ -981,7 +565,9 @@ fn chase_impl(
                     for (v, &e) in universal.iter().enumerate() {
                         head_fixed[v] = Some(e);
                     }
-                    if head_cqs[ti].holds_with_indexed(&index, &head_fixed) {
+                    let head_cq =
+                        head_cqs[ti].get_or_insert_with(|| Cq::boolean(tgd.head().to_vec()));
+                    if head_cq.holds_with_indexed(&index, &head_fixed) {
                         continue;
                     }
                 }
@@ -1047,8 +633,8 @@ fn chase_impl(
     // starts only, not the last round's growth).
     accountant.observe(store.heap_bytes());
     stats.mem_peak_bytes = stats.mem_peak_bytes.max(accountant.peak_bytes());
-    if let Store::Sharded(sharded) = &store {
-        record_run_shape(sharded);
+    if store.shard_count() > 1 {
+        record_run_shape(&store);
     }
     let instance = store.into_instance();
     stats.rounds = rounds;
@@ -1072,9 +658,9 @@ fn chase_impl(
 }
 
 /// Builds the checkpoint for a non-terminated, round-boundary stop.
-/// `shards` is the engine's shard count (1 = the unsharded engine);
-/// partitioning is a pure function of the facts, so the capture stores the
-/// merged instance and the resume re-partitions it identically.
+/// `shards` is the run's shard count; partitioning is a pure function of
+/// the facts, so the capture stores the merged instance and the resume
+/// re-partitions it identically.
 fn capture_checkpoint(
     result: &ChaseResult,
     end: ChaseRunEnd,
@@ -1114,29 +700,22 @@ pub fn chase_checkpointing(
     tgds: &[Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
-    search: TriggerSearch,
     token: &CancelToken,
 ) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
-    let sigma_fp = tgds_fingerprint(tgds);
-    let (result, end) = chase_impl(
-        start, tgds, variant, budget, search, None, token, None, None,
-    );
-    let checkpoint = capture_checkpoint(&result, end, variant, sigma_fp, 1);
-    (result, checkpoint)
+    chase_sharded_checkpointing(start, tgds, variant, budget, 1, token)
 }
 
 /// Continues a suspended chase from `checkpoint` under a (typically
 /// larger) budget. The tgd set must be the one the checkpoint was captured
 /// from — validated by an order-sensitive fingerprint, since trigger
 /// ordering is positional — and the run continues with the captured
-/// variant, frontier, null counter, and stats, so the final result is
-/// byte-identical to an uninterrupted run with the final budget. Returns a
-/// fresh checkpoint when the resumed run trips again.
+/// variant, frontier, null counter, shard count and stats, so the final
+/// result is byte-identical to an uninterrupted run with the final budget.
+/// Returns a fresh checkpoint when the resumed run trips again.
 pub fn chase_resume(
     checkpoint: &ChaseCheckpoint,
     tgds: &[Tgd],
     budget: ChaseBudget,
-    search: TriggerSearch,
     token: &CancelToken,
 ) -> Result<(ChaseResult, Option<Box<ChaseCheckpoint>>), CheckpointError> {
     let sigma_fp = tgds_fingerprint(tgds);
@@ -1147,27 +726,20 @@ pub fn chase_resume(
         return Err(CheckpointError::ContextMismatch("fired-set arity"));
     }
     let variant = checkpoint.variant;
-    // The shard dimension picks the engine to continue on: counts above 1
-    // resume sharded (the captured instance is re-partitioned by the pure
-    // routing hash), 0/1 resume on the unsharded engine. Either way the
-    // continuation is byte-identical to an uninterrupted run.
-    let shards = if checkpoint.shards > 1 {
-        Some(checkpoint.shards as usize)
-    } else {
-        None
-    };
+    // The captured instance is re-partitioned at the frame's shard count by
+    // the pure routing hash; the continuation is byte-identical either way.
+    let shards = checkpoint.shards.max(1);
     let (result, end) = chase_impl(
         &checkpoint.instance,
         tgds,
         variant,
         budget,
-        search,
-        shards,
+        shards as usize,
         token,
         None,
         Some(checkpoint),
     );
-    let next = capture_checkpoint(&result, end, variant, sigma_fp, checkpoint.shards.max(1));
+    let next = capture_checkpoint(&result, end, variant, sigma_fp, shards);
     Ok((result, next))
 }
 
@@ -1192,7 +764,6 @@ pub fn chase_resume(
 /// zero for each fold, not cumulatively across folds. Like
 /// [`chase_checkpointing`], a budget/memory/cancellation trip on a round
 /// boundary yields a resumable checkpoint.
-#[allow(clippy::too_many_arguments)]
 pub fn chase_extend_governed(
     base: &Instance,
     base_nulls: &BTreeSet<Elem>,
@@ -1200,7 +771,6 @@ pub fn chase_extend_governed(
     tgds: &[Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
-    search: TriggerSearch,
     token: &CancelToken,
 ) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
     let sigma_fp = tgds_fingerprint(tgds);
@@ -1246,8 +816,7 @@ pub fn chase_extend_governed(
         tgds,
         variant,
         budget,
-        search,
-        None,
+        1,
         token,
         None,
         Some(&cp),
@@ -1275,7 +844,6 @@ pub fn chase_extend(
         tgds,
         variant,
         budget,
-        TriggerSearch::Auto,
         &CancelToken::new(),
     )
     .0
@@ -1817,7 +1385,6 @@ mod tests {
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-            TriggerSearch::Auto,
             &token,
         );
         assert!(result.cancelled());
@@ -1837,7 +1404,6 @@ mod tests {
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::large(),
-            TriggerSearch::Auto,
             &token,
         );
         assert!(result.cancelled());
@@ -1860,7 +1426,6 @@ mod tests {
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-            TriggerSearch::Auto,
             &CancelToken::new(),
         );
         assert_eq!(plain.instance, governed.instance);
@@ -1882,7 +1447,6 @@ mod tests {
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-            TriggerSearch::Serial,
             &token,
         );
         // The very first per-tgd search panics: contained, nothing fired,
@@ -1890,32 +1454,6 @@ mod tests {
         assert!(result.cancelled());
         assert_eq!(result.instance, start);
         assert_eq!(result.rounds, 0);
-        assert!(result.stats.panics_contained >= 1);
-    }
-
-    #[test]
-    fn injected_parallel_worker_panic_is_contained() {
-        crate::faults::silence_injected_panics();
-        let mut s = Schema::default();
-        let tgds = parse_tgds(
-            &mut s,
-            "E(x,y), E(y,z) -> E(x,z). E(x,y) -> E(y,x). E(x,y) -> D(x,y). D(x,y) -> E(x,y).",
-        )
-        .unwrap();
-        let start = parse_instance(&mut s, "E(a,b), E(b,c)").unwrap();
-        let token = CancelToken::with_faults(crate::faults::FaultPlan::always(
-            FaultSite::TriggerWorkerPanic,
-        ));
-        let result = chase_governed(
-            &start,
-            &tgds,
-            ChaseVariant::Restricted,
-            ChaseBudget::default(),
-            TriggerSearch::Parallel(4),
-            &token,
-        );
-        assert!(result.cancelled());
-        assert_eq!(result.instance, start);
         assert!(result.stats.panics_contained >= 1);
     }
 
@@ -1931,7 +1469,6 @@ mod tests {
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-            TriggerSearch::Auto,
             &token,
         );
         assert_eq!(result.outcome, ChaseOutcome::BudgetExceeded);
@@ -1984,7 +1521,6 @@ mod tests {
                 &tgds,
                 ChaseVariant::Restricted,
                 ChaseBudget::default(),
-                TriggerSearch::Serial,
                 &token,
             );
             assert!(
@@ -2123,7 +1659,6 @@ mod tests {
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-            TriggerSearch::Auto,
             &token,
         );
         assert_eq!(result.outcome, ChaseOutcome::MemoryExceeded);
@@ -2155,7 +1690,6 @@ mod tests {
                 &tgds,
                 ChaseVariant::Restricted,
                 tight,
-                TriggerSearch::Serial,
                 &CancelToken::new(),
             );
             assert_eq!(tripped.outcome, ChaseOutcome::BudgetExceeded);
@@ -2165,14 +1699,8 @@ mod tests {
             let decoded =
                 ChaseCheckpoint::decode(&checkpoint.encode(), &s).expect("decodes cleanly");
             assert_eq!(decoded, *checkpoint);
-            let (resumed, next) = chase_resume(
-                &decoded,
-                &tgds,
-                generous,
-                TriggerSearch::Serial,
-                &CancelToken::new(),
-            )
-            .expect("checkpoint matches its tgd set");
+            let (resumed, next) = chase_resume(&decoded, &tgds, generous, &CancelToken::new())
+                .expect("checkpoint matches its tgd set");
             assert!(next.is_none(), "resumed run reaches the fixpoint");
             assert_eq!(resumed.instance, full.instance);
             assert_eq!(resumed.nulls, full.nulls);
@@ -2202,19 +1730,12 @@ mod tests {
                     max_rounds: j,
                     ..full_budget
                 },
-                TriggerSearch::Serial,
                 &CancelToken::new(),
             );
             let checkpoint = checkpoint.expect("resumable");
             let decoded = ChaseCheckpoint::decode(&checkpoint.encode(), &s).unwrap();
-            let (resumed, _) = chase_resume(
-                &decoded,
-                &tgds,
-                full_budget,
-                TriggerSearch::Serial,
-                &CancelToken::new(),
-            )
-            .unwrap();
+            let (resumed, _) =
+                chase_resume(&decoded, &tgds, full_budget, &CancelToken::new()).unwrap();
             assert_eq!(resumed.instance, full.instance);
             assert_eq!(resumed.stats.normalized(), full.stats.normalized());
         }
@@ -2235,7 +1756,6 @@ mod tests {
                 max_rounds: 2,
                 max_bytes: usize::MAX,
             },
-            TriggerSearch::Serial,
             &CancelToken::new(),
         );
         let checkpoint = checkpoint.expect("resumable");
@@ -2243,7 +1763,6 @@ mod tests {
             &checkpoint,
             &other,
             ChaseBudget::default(),
-            TriggerSearch::Serial,
             &CancelToken::new(),
         )
         .unwrap_err();
@@ -2260,7 +1779,6 @@ mod tests {
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-            TriggerSearch::Serial,
             &CancelToken::new(),
         );
         assert!(result.terminated());

@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! [0..4)   magic  b"TGCK"
-//! [4..6)   format version, u16 LE (currently 1)
+//! [4..6)   format version, u16 LE (currently 2)
 //! [6]      payload kind: 1 chase, 2 batch, 3 rewrite
 //! [7..15)  payload length, u64 LE
 //! [15..N)  payload (kind-specific, little-endian, length-prefixed vectors)
@@ -37,7 +37,9 @@
 //! The version field covers the whole payload layout. Readers reject
 //! unknown versions ([`CheckpointError::UnsupportedVersion`]); the format
 //! is bumped (never reinterpreted in place) whenever a captured struct
-//! gains, loses, or reorders a field. Checkpoints are short-lived
+//! gains, loses, or reorders a field. Version 2 added the shard count to
+//! the chase payload and changed nothing else, so version-1 frames still
+//! open, and a version-1 chase checkpoint decodes as a one-shard run. Checkpoints are short-lived
 //! suspend/resume tokens, not archival storage — cross-version migration
 //! is out of scope by design.
 
@@ -122,6 +124,8 @@ impl std::error::Error for CheckpointError {}
 
 const MAGIC: [u8; 4] = *b"TGCK";
 const VERSION: u16 = 2;
+/// Oldest format version readers accept (see the versioning policy).
+const MIN_VERSION: u16 = 1;
 /// Payload kind of a [`ChaseCheckpoint`] frame.
 pub const KIND_CHASE: u8 = 1;
 /// Payload kind of a [`BatchCheckpoint`] frame.
@@ -151,6 +155,11 @@ pub fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
     let sum = fnv1a(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
+}
+
+/// The format version of a frame that [`open`] accepted.
+fn frame_version(bytes: &[u8]) -> u16 {
+    u16::from_le_bytes([bytes[4], bytes[5]])
 }
 
 /// Verifies a sealed frame and returns its payload slice. The checksum is
@@ -184,7 +193,7 @@ pub fn open_at(
         return Err(CheckpointError::BadMagic);
     }
     let version = u16::from_le_bytes([body[4], body[5]]);
-    if version != VERSION {
+    if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
     let kind = body[6];
@@ -570,9 +579,10 @@ pub struct ChaseCheckpoint {
     pub(crate) variant: ChaseVariant,
     pub(crate) rounds: usize,
     pub(crate) next_null: u32,
-    /// Shard count of the captured run (1 = the unsharded engine). Resume
-    /// re-partitions the decoded instance with the same count, so the
-    /// frame pins the engine, not the partition contents.
+    /// Shard count of the captured run (1 unless the caller asked for
+    /// more; version-1 frames decode as 1). Resume re-partitions the
+    /// decoded instance with the same count, so the frame pins the
+    /// layout, not the partition contents.
     pub(crate) shards: u32,
     pub(crate) sigma_fp: u64,
     pub(crate) nulls: BTreeSet<Elem>,
@@ -642,7 +652,8 @@ impl ChaseCheckpoint {
     /// `schema`. Never panics; every failure is a typed
     /// [`CheckpointError`].
     pub fn decode(bytes: &[u8], schema: &Schema) -> Result<ChaseCheckpoint, CheckpointError> {
-        Self::decode_payload(open(bytes, KIND_CHASE)?, schema)
+        let payload = open(bytes, KIND_CHASE)?;
+        Self::decode_payload(payload, frame_version(bytes), schema)
     }
 
     /// [`ChaseCheckpoint::decode`] with
@@ -653,10 +664,15 @@ impl ChaseCheckpoint {
         schema: &Schema,
         token: &CancelToken,
     ) -> Result<ChaseCheckpoint, CheckpointError> {
-        Self::decode_payload(open_governed(bytes, KIND_CHASE, token)?, schema)
+        let payload = open_governed(bytes, KIND_CHASE, token)?;
+        Self::decode_payload(payload, frame_version(bytes), schema)
     }
 
-    fn decode_payload(payload: &[u8], schema: &Schema) -> Result<ChaseCheckpoint, CheckpointError> {
+    fn decode_payload(
+        payload: &[u8],
+        version: u16,
+        schema: &Schema,
+    ) -> Result<ChaseCheckpoint, CheckpointError> {
         let mut r = CheckpointReader::new(payload);
         let variant = match r.u8()? {
             0 => ChaseVariant::Restricted,
@@ -665,7 +681,8 @@ impl ChaseCheckpoint {
         };
         let rounds = r.u64()? as usize;
         let next_null = r.u32()?;
-        let shards = r.u32()?;
+        // Version 1 predates sharding: its runs were one-shard runs.
+        let shards = if version >= 2 { r.u32()? } else { 1 };
         if shards == 0 {
             return Err(CheckpointError::Malformed("zero shard count"));
         }

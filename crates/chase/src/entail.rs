@@ -4,7 +4,7 @@
 
 use crate::chase::{chase_governed, ChaseBudget, ChaseOutcome, ChaseVariant};
 use crate::govern::CancelToken;
-use crate::stats::{ChaseStats, TriggerSearch};
+use crate::stats::ChaseStats;
 use tgdkit_hom::{Binding, Cq};
 use tgdkit_instance::{Elem, Instance};
 use tgdkit_logic::{Edd, EddDisjunct, Egd, Schema, Tgd};
@@ -105,14 +105,7 @@ pub fn entails_with_stats_governed(
     token: &CancelToken,
 ) -> (Entailment, ChaseStats) {
     let frozen = freeze_body(schema, candidate);
-    let result = chase_governed(
-        &frozen,
-        sigma,
-        ChaseVariant::Restricted,
-        budget,
-        TriggerSearch::Auto,
-        token,
-    );
+    let result = chase_governed(&frozen, sigma, ChaseVariant::Restricted, budget, token);
     let head_cq = Cq::boolean(candidate.head().to_vec());
     let mut fixed: Binding = vec![None; candidate.var_count()];
     for (v, slot) in fixed
@@ -152,7 +145,6 @@ pub fn entails_egd(schema: &Schema, sigma: &[Tgd], egd: &Egd, budget: ChaseBudge
         sigma,
         ChaseVariant::Restricted,
         budget,
-        TriggerSearch::Auto,
         &CancelToken::new(),
     );
     if result.outcome == ChaseOutcome::Terminated {
@@ -214,14 +206,7 @@ pub fn entails_edd_under_tgds_governed(
     for atom in edd.body() {
         frozen.add_fact(atom.pred, atom.args.iter().map(|v| Elem(v.0)).collect());
     }
-    let result = chase_governed(
-        &frozen,
-        sigma,
-        ChaseVariant::Restricted,
-        budget,
-        TriggerSearch::Auto,
-        token,
-    );
+    let result = chase_governed(&frozen, sigma, ChaseVariant::Restricted, budget, token);
     let n = edd.universal_count();
     for disjunct in edd.disjuncts() {
         if let EddDisjunct::Exists(atoms) = disjunct {

@@ -83,7 +83,7 @@ impl Default for TokenState {
 /// caller can keep one clone and hand another to a long-running call:
 ///
 /// ```
-/// use tgdkit_chase::{chase_governed, CancelToken, ChaseBudget, ChaseVariant, TriggerSearch};
+/// use tgdkit_chase::{chase_governed, CancelToken, ChaseBudget, ChaseVariant};
 /// use tgdkit_instance::parse_instance;
 /// use tgdkit_logic::{parse_tgds, Schema};
 /// let mut schema = Schema::default();
@@ -96,7 +96,6 @@ impl Default for TokenState {
 ///     &tgds,
 ///     ChaseVariant::Restricted,
 ///     ChaseBudget::default(),
-///     TriggerSearch::Auto,
 ///     &token,
 /// );
 /// assert!(result.cancelled());

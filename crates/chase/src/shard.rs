@@ -1,9 +1,9 @@
-//! Sharded semi-naive trigger search over a hash-partitioned instance.
+//! The chase's trigger search over a hash-partitioned instance.
 //!
-//! The sharded engine replaces one global search over the whole delta with
-//! per-shard searches over each shard's slice of the delta, stitched back
-//! together by a deterministic **exchange** phase
-//! ([`tgdkit_hom::exchange`]):
+//! Every chase runs on a [`ShardedInstance`] — one shard unless the caller
+//! asks for more — and each round searches per shard over that shard's
+//! slice of the delta, stitched together by a deterministic **exchange**
+//! phase ([`tgdkit_hom::exchange`]):
 //!
 //! - `Local` / `Broadcast` anchors run [`for_each_hom_anchored`] against
 //!   the union index (the delta — always the smaller side — is what a
@@ -12,33 +12,36 @@
 //!   bound once the anchor fact is, so each candidate reduces to
 //!   owner-routed point probes against the [`ShardedInstance`].
 //!
-//! Found triggers accumulate into a [`TriggerRun`] — a flat arena of
-//! `(tgd, universal-image)` entries — and one global
-//! `sort_unstable` + dedup produces exactly the sequence a
-//! `BTreeSet<(usize, Vec<Elem>)>` would iterate. That is the merge
-//! discipline that makes the sharded chase **bit-for-bit equal** to the
-//! unsharded chase at any shard count: the firing phase consumes the same
-//! triggers in the same order, so it adds the same facts and numbers nulls
-//! identically. It is also where the engine's speed comes from: a visit
-//! appends a few words to two flat vectors instead of allocating a
-//! `Vec<Elem>` and rebalancing a B-tree, and the dedup cost is paid once
-//! per round in one cache-friendly sort.
+//! Both paths drop **dead** triggers as they are found: a binding of a
+//! full tgd whose head facts are all already present can never change the
+//! instance, so it is never stored. The live ones accumulate into a
+//! [`TriggerRun`] — a flat arena of `(tgd, universal-image)` entries — and
+//! one global `sort_unstable` + dedup produces exactly the sequence a
+//! `BTreeSet<(usize, Vec<Elem>)>` would iterate; full-tgd triggers sharing
+//! a head image then collapse to the first of them. That sort is what makes
+//! the result **bit-for-bit equal** at any shard count: the firing phase
+//! consumes the same triggers in the same order, so it adds the same facts
+//! and numbers nulls identically. A visit appends a few words to two flat
+//! vectors instead of allocating a `Vec<Elem>` per trigger, and the dedup
+//! cost is paid once per round in one cache-friendly sort.
 
 use crate::chase::CANCEL_CHECK_STRIDE;
 use crate::faults::{FaultSite, INJECTED_PANIC};
 use crate::govern::CancelToken;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tgdkit_hom::{
-    classify_exchange, for_each_hom_anchored, Binding, ExchangeChoice, InstanceIndex,
+    classify_exchange, for_each_hom_anchored, for_each_hom_indexed, Binding, ExchangeChoice,
+    InstanceIndex,
 };
-use tgdkit_instance::{shard_of, Elem, Fact, ShardedInstance};
+use tgdkit_instance::{shard_of, Elem, Fact, FxBuildHasher, ShardedInstance};
 use tgdkit_logic::Tgd;
 
 /// `TGDKIT_SHARDS` parsed fresh on each call (tests and the bench harness
-/// flip it between runs): a positive shard count, default 1. A value of 1
-/// selects the legacy unsharded engine.
+/// flip it between runs): a positive shard count, default 1.
 pub fn shards_from_env() -> usize {
     std::env::var("TGDKIT_SHARDS")
         .ok()
@@ -58,6 +61,8 @@ static LAST_SKEW_BITS: AtomicU64 = AtomicU64::new(0);
 
 /// Cross-shard exchange counters since process start (or the last
 /// [`reset_shard_stats`]), plus the shape of the most recent sharded run.
+/// Only runs with more than one shard count: a one-shard run exchanges
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardStats {
     /// Shard count of the most recent sharded chase (0 = none ran).
@@ -96,7 +101,7 @@ pub fn reset_shard_stats() {
     LAST_SKEW_BITS.store(0, Ordering::Relaxed);
 }
 
-/// Records the final shape of a sharded run (called once per run).
+/// Records the final shape of a multi-shard run (called once per run).
 pub(crate) fn record_run_shape(store: &ShardedInstance) {
     LAST_SHARD_COUNT.store(store.shard_count() as u64, Ordering::Relaxed);
     LAST_SKEW_BITS.store(store.skew_max_over_min().to_bits(), Ordering::Relaxed);
@@ -127,20 +132,68 @@ impl ExchangeTally {
 /// trigger is two vector pushes — no per-trigger allocation, no tree
 /// rebalancing — and [`TriggerRun::sort_dedup`] normalizes the whole run to
 /// the exact iteration order of an ordered set of `(usize, Vec<Elem>)`.
+///
+/// Full-tgd bindings enter through [`TriggerRun::offer`], which stores
+/// live triggers only, one per head image.
 pub(crate) struct TriggerRun {
     entries: Vec<(u32, u32)>,
     elems: Vec<Elem>,
     /// Universal-variable count per tgd (the per-entry slice length).
     lens: Vec<u32>,
+    /// Per tgd: `None` unless full; for a full tgd, the range of
+    /// `head_vars` listing the universal positions its head reads when
+    /// they are fewer than all of them (distinct triggers may then share a
+    /// head image), else an empty range.
+    heads: Vec<Option<(u32, u32)>>,
+    head_vars: Vec<usize>,
+    /// The kept entry of each `[tgd, head image…]` key this round.
+    by_head: HashMap<Vec<Elem>, u32, FxBuildHasher>,
+    key: Vec<Elem>,
+    probe: Vec<Elem>,
 }
 
 impl TriggerRun {
     pub(crate) fn new(tgds: &[Tgd]) -> TriggerRun {
+        let mut head_vars = Vec::new();
+        let mut vars = Vec::new();
+        let heads = tgds
+            .iter()
+            .map(|tgd| {
+                tgd.is_full().then(|| {
+                    vars.clear();
+                    vars.extend(
+                        tgd.head()
+                            .iter()
+                            .flat_map(|a| a.args.iter().map(|v| v.index())),
+                    );
+                    vars.sort_unstable();
+                    vars.dedup();
+                    if vars.len() == tgd.universal_count() {
+                        vars.clear();
+                    }
+                    let start = head_vars.len() as u32;
+                    head_vars.extend_from_slice(&vars);
+                    (start, head_vars.len() as u32)
+                })
+            })
+            .collect();
         TriggerRun {
             entries: Vec::new(),
             elems: Vec::new(),
             lens: tgds.iter().map(|t| t.universal_count() as u32).collect(),
+            heads,
+            head_vars,
+            by_head: HashMap::default(),
+            key: Vec::new(),
+            probe: Vec::new(),
         }
+    }
+
+    /// Empties the run for the next round, keeping its allocations.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.elems.clear();
+        self.by_head.clear();
     }
 
     /// Appends tgd `ti`'s trigger with the universal image read off
@@ -153,30 +206,74 @@ impl TriggerRun {
         self.entries.push((ti as u32, off));
     }
 
-    /// Appends the empty-universal trigger of a zero-body tgd.
-    fn push_empty(&mut self, ti: usize) {
-        debug_assert_eq!(self.lens[ti], 0);
-        let off = u32::try_from(self.elems.len()).expect("trigger arena exceeds u32 offsets");
-        self.entries.push((ti as u32, off));
+    /// Takes a binding of tgd `ti`, dropping it when it cannot fire.
+    ///
+    /// - **Dead:** `tgd` is full and every head fact under `binding` is
+    ///   already in `index`, which covers the instance as of round start.
+    ///   Firing a full tgd only inserts its head facts, and nothing is
+    ///   removed within a round, so the trigger could never change the
+    ///   instance, the fired count or the provenance log.
+    /// - **Same head image:** a full tgd's head facts depend only on its
+    ///   head variables. Of the live triggers sharing a head image, only
+    ///   the first in canonical order inserts anything; the rest find every
+    ///   head fact present. So only the smallest universal image is kept.
+    fn offer(&mut self, ti: usize, tgd: &Tgd, binding: &Binding, index: &InstanceIndex) {
+        let Some((lo, hi)) = self.heads[ti] else {
+            self.push_binding(ti, binding);
+            return;
+        };
+        let vars = &self.head_vars[lo as usize..hi as usize];
+        let universal = |v: usize| binding[v].expect("universal bound");
+        if !vars.is_empty() {
+            self.key.clear();
+            self.key.push(Elem(ti as u32));
+            self.key.extend(vars.iter().map(|&v| universal(v)));
+            if let Some(&entry) = self.by_head.get(self.key.as_slice()) {
+                let off = self.entries[entry as usize].1 as usize;
+                let kept = &mut self.elems[off..off + self.lens[ti] as usize];
+                let n = kept.len();
+                if (0..n).map(universal).lt(kept.iter().copied()) {
+                    for (v, slot) in kept.iter_mut().enumerate() {
+                        *slot = universal(v);
+                    }
+                }
+                return;
+            }
+        }
+        let dead = tgd.head().iter().all(|atom| {
+            self.probe.clear();
+            self.probe
+                .extend(atom.args.iter().map(|v| universal(v.index())));
+            index.contains(atom.pred, &self.probe)
+        });
+        if dead {
+            return;
+        }
+        if !vars.is_empty() {
+            self.by_head
+                .insert(self.key.clone(), self.entries.len() as u32);
+        }
+        self.push_binding(ti, binding);
+    }
+
+    /// The universal image of the entry at `(ti, off)`.
+    fn slice(&self, ti: u32, off: u32) -> &[Elem] {
+        &self.elems[off as usize..off as usize + self.lens[ti as usize] as usize]
     }
 
     /// Sorts by `(tgd, universal-image lex)` and drops duplicates —
     /// after this, iteration order equals a `BTreeSet<(usize, Vec<Elem>)>`
     /// holding the same triggers.
     pub(crate) fn sort_dedup(&mut self) {
-        let elems = std::mem::take(&mut self.elems);
-        let lens = std::mem::take(&mut self.lens);
-        let slice = |ti: u32, off: u32| {
-            let len = lens[ti as usize] as usize;
-            &elems[off as usize..off as usize + len]
-        };
-        self.entries.sort_unstable_by(|&(ta, oa), &(tb, ob)| {
-            ta.cmp(&tb).then_with(|| slice(ta, oa).cmp(slice(tb, ob)))
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.sort_unstable_by(|&(ta, oa), &(tb, ob)| {
+            ta.cmp(&tb)
+                .then_with(|| self.slice(ta, oa).cmp(self.slice(tb, ob)))
         });
-        self.entries
-            .dedup_by(|&mut (ta, oa), &mut (tb, ob)| ta == tb && slice(ta, oa) == slice(tb, ob));
-        self.elems = elems;
-        self.lens = lens;
+        entries.dedup_by(|&mut (ta, oa), &mut (tb, ob)| {
+            ta == tb && self.slice(ta, oa) == self.slice(tb, ob)
+        });
+        self.entries = entries;
     }
 
     /// Distinct triggers (call after [`TriggerRun::sort_dedup`]).
@@ -184,98 +281,93 @@ impl TriggerRun {
         self.entries.len()
     }
 
-    pub(crate) fn iter(&self) -> TriggerRunIter<'_> {
-        TriggerRunIter { run: self, pos: 0 }
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &[Elem])> + '_ {
+        self.entries
+            .iter()
+            .map(|&(ti, off)| (ti as usize, self.slice(ti, off)))
     }
 }
 
-/// Iterator over a [`TriggerRun`] yielding `(tgd index, universal image)`.
-pub(crate) struct TriggerRunIter<'a> {
-    run: &'a TriggerRun,
-    pos: usize,
-}
-
-impl<'a> Iterator for TriggerRunIter<'a> {
-    type Item = (usize, &'a [Elem]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let &(ti, off) = self.run.entries.get(self.pos)?;
-        self.pos += 1;
-        let len = self.run.lens[ti as usize] as usize;
-        Some((
-            ti as usize,
-            &self.run.elems[off as usize..off as usize + len],
-        ))
-    }
-}
-
-/// One sharded round's trigger search result; mirrors the unsharded
-/// `TriggerScan` contract (on `aborted` or a contained panic the caller
-/// discards the round without firing).
-pub(crate) struct ShardedScan {
-    pub(crate) triggers: TriggerRun,
+/// How one round's trigger search ended. On `aborted` or a contained
+/// panic the caller discards the round without firing.
+pub(crate) struct TriggerScan {
     pub(crate) aborted: bool,
     pub(crate) panics_contained: usize,
 }
 
-/// One round's trigger set over the sharded store: every tgd's body matched
-/// per shard per anchor under its exchange plan, merged and deduplicated
-/// into the canonical firing order.
+/// Fills `run` (a run built for `tgds`, reused across rounds) with one
+/// round's live triggers over the (possibly one-shard) store: every
+/// tgd's body matched per shard per anchor under its exchange plan, dead
+/// full-tgd bindings dropped, and the rest merged into the canonical
+/// firing order with duplicate head images collapsed.
 ///
 /// `index` must cover exactly the current logical instance (the union of
-/// the shards) — the same invariant the unsharded engine maintains — so
-/// broadcast joins and `ReKey` store probes see identical content, and the
-/// found trigger set equals the unsharded search's trigger set exactly.
-pub(crate) fn find_triggers_sharded(
+/// the shards), so broadcast joins, `ReKey` store probes and the dead
+/// filter all see the same content, and the found set is independent of
+/// the shard count.
+pub(crate) fn find_triggers(
     tgds: &[Tgd],
     index: &InstanceIndex,
     store: &ShardedInstance,
     delta: Option<&[Fact]>,
+    run: &mut TriggerRun,
     token: &CancelToken,
-) -> ShardedScan {
+) -> TriggerScan {
     let shards = store.shard_count();
-    let first_round = delta.is_none();
-    // Each shard's slice of the frontier. On the first round the frontier
-    // is the whole instance (already partitioned — each shard contributes
-    // its own facts); afterwards the previous round's delta is routed by
-    // the same hash that placed the facts.
-    let per_shard: Vec<Vec<Fact>> = match delta {
+    // Each shard's slice of the previous round's delta, routed by the same
+    // hash that placed the facts (one shard borrows it as is). The first
+    // round has no delta: its frontier is the whole instance, searched in
+    // full on the union index.
+    let per_shard: Vec<Cow<'_, [Fact]>> = match delta {
+        None => Vec::new(),
+        Some(facts) if shards == 1 => vec![Cow::Borrowed(facts)],
         Some(facts) => {
             let mut parts: Vec<Vec<Fact>> = vec![Vec::new(); shards];
             for fact in facts {
                 parts[shard_of(fact.pred, &fact.args, shards)].push(fact.clone());
             }
-            parts
+            parts.into_iter().map(Cow::Owned).collect()
         }
-        None => (0..shards)
-            .map(|s| store.shard(s).facts().collect())
-            .collect(),
     };
 
-    // One exchange plan per (tgd, anchor) per round, computed from the
-    // body shape and the union index's statistics — identical on every
-    // shard, so no coordination would be needed to agree on it.
-    let choices: Vec<Vec<ExchangeChoice>> = tgds
+    // One exchange plan per (tgd, anchor) per semi-naive round, computed
+    // from the body shape and the union index's statistics — identical on
+    // every shard, so no coordination would be needed to agree on it. An
+    // anchor whose predicate has no fact in the delta anchors nothing and
+    // gets no plan.
+    let mut in_delta: Vec<bool> = Vec::new();
+    for fact in delta.unwrap_or_default() {
+        let p = fact.pred.index();
+        if p >= in_delta.len() {
+            in_delta.resize(p + 1, false);
+        }
+        in_delta[p] = true;
+    }
+    let choices: Vec<Vec<Option<ExchangeChoice>>> = tgds
         .iter()
-        .map(|t| {
-            (0..t.body().len())
-                .map(|a| classify_exchange(t.body(), a, &[], index))
-                .collect()
+        .map(|t| match delta {
+            None => Vec::new(),
+            Some(_) => (0..t.body().len())
+                .map(|a| {
+                    let anchored = in_delta.get(t.body()[a].pred.index()).is_some_and(|&d| d);
+                    anchored.then(|| classify_exchange(t.body(), a, &[], index))
+                })
+                .collect(),
         })
         .collect();
     if shards > 1
         && choices
             .iter()
             .flatten()
-            .any(|&c| c == ExchangeChoice::Broadcast)
+            .any(|&c| c == Some(ExchangeChoice::Broadcast))
     {
         // A distributed round with any broadcast plan ships each shard's
         // delta to every peer once; re-key probes are accounted per probe.
-        let delta_total: usize = per_shard.iter().map(Vec::len).sum();
+        let delta_total: usize = per_shard.iter().map(|p| p.len()).sum();
         EXCHANGED_TUPLES.fetch_add((delta_total * (shards - 1)) as u64, Ordering::Relaxed);
     }
 
-    let mut run = TriggerRun::new(tgds);
+    run.clear();
     let mut tally = ExchangeTally::default();
     let mut aborted = false;
     let mut panics_contained = 0usize;
@@ -288,15 +380,15 @@ pub(crate) fn find_triggers_sharded(
             if token.fault(FaultSite::TriggerWorkerPanic) {
                 panic!("{INJECTED_PANIC}: trigger worker for tgd {ti}");
             }
-            sharded_triggers_into(
+            triggers_into(
                 ti,
                 tgd,
                 &choices[ti],
                 index,
                 store,
                 &per_shard,
-                first_round,
-                &mut run,
+                delta.is_none(),
+                run,
                 &mut tally,
                 token,
             )
@@ -314,46 +406,77 @@ pub(crate) fn find_triggers_sharded(
             }
         }
     }
-    tally.publish();
+    if shards > 1 {
+        tally.publish();
+    }
     if !aborted && panics_contained == 0 {
         run.sort_dedup();
     }
-    ShardedScan {
-        triggers: run,
+    TriggerScan {
         aborted,
         panics_contained,
     }
 }
 
-/// Collects one tgd's triggers across all shards and anchors into `run`.
-/// Returns `false` when cancellation cut the enumeration short (the run
-/// then holds a partial set; the caller discards the round).
+/// A search visit that offers each binding to `run`, polling `token` every
+/// [`CANCEL_CHECK_STRIDE`] bindings and stopping (with `cancelled` set)
+/// once it is cancelled.
+fn offer_polled<'a>(
+    ti: usize,
+    tgd: &'a Tgd,
+    index: &'a InstanceIndex,
+    run: &'a mut TriggerRun,
+    token: &'a CancelToken,
+    since_check: &'a mut u32,
+    cancelled: &'a mut bool,
+) -> impl FnMut(&Binding) -> ControlFlow<()> + 'a {
+    move |binding| {
+        *since_check += 1;
+        if *since_check >= CANCEL_CHECK_STRIDE {
+            *since_check = 0;
+            if token.is_cancelled() {
+                *cancelled = true;
+                return ControlFlow::Break(());
+            }
+        }
+        run.offer(ti, tgd, binding, index);
+        ControlFlow::Continue(())
+    }
+}
+
+/// Collects one tgd's live triggers across all shards and anchors into
+/// `run`. Returns `false` when cancellation cut the enumeration short (the
+/// run then holds a partial set; the caller discards the round).
 #[allow(clippy::too_many_arguments)]
-fn sharded_triggers_into(
+fn triggers_into(
     ti: usize,
     tgd: &Tgd,
-    choices: &[ExchangeChoice],
+    choices: &[Option<ExchangeChoice>],
     index: &InstanceIndex,
     store: &ShardedInstance,
-    per_shard: &[Vec<Fact>],
+    per_shard: &[Cow<'_, [Fact]>],
     first_round: bool,
     run: &mut TriggerRun,
     tally: &mut ExchangeTally,
     token: &CancelToken,
 ) -> bool {
     let body = tgd.body();
-    if body.is_empty() {
-        // A zero-body tgd has exactly one (empty) trigger, found by the
-        // first round's full search; semi-naive rounds anchor on delta
-        // facts and so never revisit it — matching the unsharded engine.
-        if first_round {
-            run.push_empty(ti);
-        }
-        return true;
-    }
     let fixed: Binding = vec![None; tgd.var_count()];
     let mut since_check = 0u32;
+    if first_round {
+        // The whole instance is the frontier: one full body search finds
+        // every trigger once (anchoring each body atom on every fact would
+        // find each of them once per atom).
+        let mut cancelled = false;
+        let mut visit = offer_polled(ti, tgd, index, run, token, &mut since_check, &mut cancelled);
+        for_each_hom_indexed(body, tgd.var_count(), index, &fixed, &mut visit);
+        drop(visit);
+        return !cancelled;
+    }
     for (anchor, &choice) in choices.iter().enumerate() {
+        let Some(choice) = choice else {
+            continue;
+        };
         let atom = &body[anchor];
         for shard_delta in per_shard {
             if shard_delta.is_empty() {
@@ -367,7 +490,7 @@ fn sharded_triggers_into(
                 let mut binding: Binding = vec![None; tgd.var_count()];
                 let mut undo: Vec<u32> = Vec::new();
                 let mut key: Vec<Elem> = Vec::new();
-                for fact in shard_delta {
+                for fact in shard_delta.iter() {
                     if fact.pred != atom.pred || fact.args.len() != atom.args.len() {
                         continue;
                     }
@@ -412,7 +535,7 @@ fn sharded_triggers_into(
                             }
                         }
                         if all_present {
-                            run.push_binding(ti, &binding);
+                            run.offer(ti, tgd, &binding, index);
                         }
                     }
                     for &vi in &undo {
@@ -424,18 +547,8 @@ fn sharded_triggers_into(
                     tally.broadcasts += 1;
                 }
                 let mut cancelled = false;
-                let mut visit = |binding: &Binding| {
-                    since_check += 1;
-                    if since_check >= CANCEL_CHECK_STRIDE {
-                        since_check = 0;
-                        if token.is_cancelled() {
-                            cancelled = true;
-                            return ControlFlow::Break(());
-                        }
-                    }
-                    run.push_binding(ti, binding);
-                    ControlFlow::Continue(())
-                };
+                let mut visit =
+                    offer_polled(ti, tgd, index, run, token, &mut since_check, &mut cancelled);
                 let _ = for_each_hom_anchored(
                     body,
                     tgd.var_count(),
@@ -445,6 +558,7 @@ fn sharded_triggers_into(
                     &fixed,
                     &mut visit,
                 );
+                drop(visit);
                 if cancelled {
                     return false;
                 }
@@ -503,5 +617,36 @@ mod tests {
         let flat: Vec<(usize, Vec<Elem>)> = run.iter().map(|(ti, u)| (ti, u.to_vec())).collect();
         let expect: Vec<(usize, Vec<Elem>)> = reference.into_iter().collect();
         assert_eq!(flat, expect, "run order must equal ordered-set order");
+    }
+
+    #[test]
+    fn offer_keeps_live_triggers_once_per_head_image() {
+        use tgdkit_instance::parse_instance;
+        use tgdkit_logic::{parse_tgds, Schema};
+        let mut s = Schema::default();
+        let tgds = parse_tgds(&mut s, "E(x,y), E(y,z) -> E(x,z).").unwrap();
+        let inst = parse_instance(&mut s, "E(a,b), E(b,c), E(a,d), E(d,c), E(c,a)").unwrap();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| inst.elem_by_name(n).unwrap());
+        let bind = |x, y, z| -> Binding { vec![Some(x), Some(y), Some(z)] };
+        let tc = &tgds[0];
+
+        let index = InstanceIndex::new(&inst);
+        let mut run = TriggerRun::new(&tgds);
+        // Both derive the absent E(a,c); the smaller universal image is
+        // kept although it is offered second.
+        run.offer(0, tc, &bind(a, d, c), &index);
+        run.offer(0, tc, &bind(a, b, c), &index);
+        run.offer(0, tc, &bind(b, c, a), &index);
+        run.offer(0, tc, &bind(c, a, b), &index);
+        run.sort_dedup();
+        let kept: Vec<Vec<Elem>> = run.iter().map(|(_, u)| u.to_vec()).collect();
+        assert_eq!(kept, vec![vec![a, b, c], vec![b, c, a], vec![c, a, b]]);
+
+        // Once E(c,b) is present, the trigger deriving it is dead.
+        let mut with_cb = inst.clone();
+        with_cb.add_fact(s.pred_id("E").unwrap(), vec![c, b]);
+        let mut run = TriggerRun::new(&tgds);
+        run.offer(0, tc, &bind(c, a, b), &InstanceIndex::new(&with_cb));
+        assert_eq!(run.len(), 0);
     }
 }

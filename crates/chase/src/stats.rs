@@ -17,9 +17,11 @@ use std::time::Duration;
 pub struct ChaseStats {
     /// Chase rounds executed (mirrors [`crate::ChaseResult::rounds`]).
     pub rounds: usize,
-    /// Triggers found by the (semi-naive) trigger search, summed over
+    /// Live triggers found by the (semi-naive) trigger search, summed over
     /// rounds; deduplicated per round, so a trigger re-found in a later
-    /// round counts again.
+    /// round counts again. Dead full-tgd triggers (every head fact already
+    /// present) and full-tgd triggers repeating an earlier head image of
+    /// the same round are not counted: they could never fire.
     pub triggers_found: usize,
     /// Triggers that actually fired (restricted-variant satisfied triggers
     /// and oblivious repeats are found but not fired).
@@ -31,7 +33,9 @@ pub struct ChaseStats {
     /// Full [`tgdkit_hom::InstanceIndex::new`] builds (one per chase pass;
     /// more would mean the incremental path regressed).
     pub index_rebuilds: usize,
-    /// Rounds whose trigger search ran on multiple worker threads.
+    /// Rounds whose trigger search ran on multiple worker threads. The
+    /// search runs on the calling thread, so the chase leaves this at 0;
+    /// the field stays so stats consumers keep one field set.
     pub parallel_rounds: usize,
     /// Chase/entailment results served from a memoization layer instead of
     /// being recomputed (witness-chase memo in the locality checkers,
@@ -103,22 +107,6 @@ impl ChaseStats {
             ..*self
         }
     }
-}
-
-/// How the chase searches for triggers each round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TriggerSearch {
-    /// Parallelize across tgds when the round's estimated probe work is
-    /// large enough to amortize thread spawn (the default).
-    #[default]
-    Auto,
-    /// Always single-threaded.
-    Serial,
-    /// Always parallel with up to the given number of workers (clamped to
-    /// the tgd count; `0` means use all available cores). The trigger *set*
-    /// is merged deterministically, so results are identical to
-    /// [`TriggerSearch::Serial`].
-    Parallel(usize),
 }
 
 #[cfg(test)]

@@ -33,7 +33,6 @@ use crate::verdict::Verdict;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::rc::Rc;
-use tgdkit_chase::stats::TriggerSearch;
 use tgdkit_chase::{
     chase_governed, satisfies_tgds, CancelToken, ChaseBudget, ChaseStats, ChaseVariant,
 };
@@ -231,7 +230,6 @@ fn check_case(
                 sigma.tgds(),
                 ChaseVariant::Restricted,
                 opts.chase_budget,
-                TriggerSearch::Auto,
                 token,
             );
             stats.absorb(&result.stats);

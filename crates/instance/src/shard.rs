@@ -78,6 +78,33 @@ impl ShardedInstance {
         sharded
     }
 
+    /// `instance` as a sharded instance of `shard_count` shards. One shard
+    /// takes the instance as it is, without a copy, so its heap figure is
+    /// the plain instance's; more shards [`ShardedInstance::partition`] it.
+    ///
+    /// # Panics
+    /// Panics if `shard_count` is zero.
+    pub fn from_instance(instance: Instance, shard_count: usize) -> ShardedInstance {
+        assert!(shard_count > 0, "shard_count must be positive");
+        if shard_count == 1 {
+            ShardedInstance {
+                shards: vec![instance],
+            }
+        } else {
+            ShardedInstance::partition(&instance, shard_count)
+        }
+    }
+
+    /// The logical instance: the single shard moved out, or the
+    /// [`ShardedInstance::merge`] of several.
+    pub fn into_instance(mut self) -> Instance {
+        if self.shards.len() == 1 {
+            self.shards.pop().expect("one shard")
+        } else {
+            self.merge()
+        }
+    }
+
     /// Number of shards.
     #[inline]
     pub fn shard_count(&self) -> usize {
@@ -238,6 +265,20 @@ mod tests {
                 "merge must equal the original at {n} shards"
             );
             assert_eq!(merged.dom(), gen_inst.dom());
+        }
+    }
+
+    #[test]
+    fn owned_round_trip_matches_partition_and_merge() {
+        let s = schema();
+        let gen_inst = InstanceGen::new(s.clone(), 7).generate_sparse(20, 60);
+        let one = ShardedInstance::from_instance(gen_inst.clone(), 1);
+        assert_eq!(one.heap_bytes(), gen_inst.heap_bytes());
+        assert_eq!(one.into_instance(), gen_inst);
+        for n in [2, 3, 8] {
+            let sharded = ShardedInstance::from_instance(gen_inst.clone(), n);
+            assert_eq!(sharded.shard_count(), n);
+            assert_eq!(sharded.into_instance(), gen_inst);
         }
     }
 

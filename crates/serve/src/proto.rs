@@ -709,9 +709,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let reqs = vec![
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Entail {
                 tenant: "acme".into(),
                 budget: sample_budget(),
@@ -758,15 +757,19 @@ mod tests {
             },
             Request::Stats,
             Request::Shutdown,
-        ];
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        let reqs = sample_requests();
         for req in reqs {
             let frame = req.to_frame();
             assert_eq!(Request::from_frame(&frame).unwrap(), req, "{req:?}");
         }
     }
 
-    #[test]
-    fn responses_round_trip() {
+    fn sample_responses() -> Vec<Response> {
         let stats = WireStats {
             quanta: 7,
             suspensions: 6,
@@ -774,7 +777,7 @@ mod tests {
             cache_hits: 3,
             cache_misses: 4,
         };
-        let resps = vec![
+        vec![
             Response::Verdicts {
                 verdicts: vec![
                     Entailment::Proved,
@@ -810,7 +813,12 @@ mod tests {
                 holds: vec![true, false, true],
             },
             Response::Ok,
-        ];
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        let resps = sample_responses();
         for resp in resps {
             let frame = resp.to_frame();
             assert_eq!(Response::from_frame(&frame).unwrap(), resp, "{resp:?}");
@@ -827,6 +835,78 @@ mod tests {
         }
         for cut in 0..frame.len() {
             assert!(Request::from_frame(&frame[..cut]).is_err());
+        }
+    }
+
+    /// Decodes `payload` sealed under `kind` as a request or a response
+    /// (by kind range), failing the test on a panic. A valid checksum
+    /// around the payload means every byte reaches the payload decoders.
+    fn decode_sealed(kind: u8, payload: &[u8]) -> Result<(), CheckpointError> {
+        let frame = seal(kind, payload);
+        std::panic::catch_unwind(|| {
+            if kind < RESP_VERDICTS {
+                Request::from_frame(&frame).map(drop)
+            } else {
+                Response::from_frame(&frame).map(drop)
+            }
+        })
+        .unwrap_or_else(|_| panic!("kind {kind:#x}: decoding {payload:?} panicked"))
+    }
+
+    #[test]
+    fn malformed_payloads_under_valid_checksums_are_typed_errors() {
+        let mut frames: Vec<Vec<u8>> = sample_requests().iter().map(Request::to_frame).collect();
+        frames.extend(sample_responses().iter().map(Response::to_frame));
+        for frame in &frames {
+            let kind = frame_kind(frame).unwrap();
+            let payload = open(frame, kind).unwrap();
+            // Truncated vectors and strings: every proper prefix.
+            for cut in 0..payload.len() {
+                assert!(
+                    decode_sealed(kind, &payload[..cut]).is_err(),
+                    "kind {kind:#x} cut {cut}"
+                );
+            }
+            // Trailing garbage.
+            let mut longer = payload.to_vec();
+            longer.push(0);
+            assert!(
+                decode_sealed(kind, &longer).is_err(),
+                "kind {kind:#x} trailing byte"
+            );
+            // Huge length prefixes, wherever a length may sit.
+            for at in 0..payload.len().saturating_sub(7) {
+                for huge in [u64::MAX, 1 << 63, u32::MAX as u64 + 1, payload.len() as u64] {
+                    let mut bad = payload.to_vec();
+                    bad[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+                    let _ = decode_sealed(kind, &bad);
+                }
+            }
+            // Unknown enum tags, invalid booleans and UTF-8: every byte
+            // replaced by values outside the small tag ranges.
+            for at in 0..payload.len() {
+                for v in [2u8, 3, 4, 0x7f, 0x80, 0xc0, 0xff] {
+                    let mut bad = payload.to_vec();
+                    bad[at] = v;
+                    let _ = decode_sealed(kind, &bad);
+                }
+            }
+        }
+        // Seeded random payloads under every request and response kind,
+        // known or not.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for kind in 0x10u8..=0x2f {
+            for len in 0..48usize {
+                let payload: Vec<u8> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state as u8
+                    })
+                    .collect();
+                let _ = decode_sealed(kind, &payload);
+            }
         }
     }
 

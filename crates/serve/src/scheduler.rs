@@ -19,7 +19,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,6 +103,26 @@ struct SchedState {
 }
 
 impl SchedState {
+    /// Restores the queue invariants after a panic cut an update short:
+    /// every queued id has its job, the ring holds each tenant with queued
+    /// work exactly once, and nothing else.
+    fn heal(&mut self) {
+        let jobs = &self.jobs;
+        for tenant in self.tenants.values_mut() {
+            tenant.queue.retain(|id| jobs.contains_key(id));
+        }
+        let tenants = &self.tenants;
+        let mut seen = std::collections::HashSet::new();
+        self.ring.retain(|name| {
+            tenants.get(name).is_some_and(|t| !t.queue.is_empty()) && seen.insert(name.clone())
+        });
+        let mut names: Vec<String> = self.tenants.keys().cloned().collect();
+        names.sort();
+        for name in names {
+            self.ring_add(&name);
+        }
+    }
+
     /// Ring maintenance: add `tenant` iff it has queued work and is absent.
     fn ring_add(&mut self, tenant: &str) {
         let queued = self
@@ -118,6 +138,34 @@ impl SchedState {
 struct Shared {
     state: Mutex<SchedState>,
     work: Condvar,
+}
+
+impl Shared {
+    /// Locks the scheduler state. A panic under the lock poisons it; the
+    /// state is then healed ([`SchedState::heal`]) and the poison cleared,
+    /// so one panicking request never takes every tenant down with it.
+    fn lock(&self) -> MutexGuard<'_, SchedState> {
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| self.recover(poisoned))
+    }
+
+    /// Waits for work on `state`, with [`Shared::lock`]'s poison recovery.
+    fn wait<'a>(&'a self, state: MutexGuard<'a, SchedState>) -> MutexGuard<'a, SchedState> {
+        self.work
+            .wait(state)
+            .unwrap_or_else(|poisoned| self.recover(poisoned))
+    }
+
+    fn recover<'a>(
+        &'a self,
+        poisoned: PoisonError<MutexGuard<'a, SchedState>>,
+    ) -> MutexGuard<'a, SchedState> {
+        let mut state = poisoned.into_inner();
+        state.heal();
+        self.state.clear_poison();
+        state
+    }
 }
 
 /// The multi-tenant scheduler: admission, queues, and worker threads.
@@ -148,7 +196,10 @@ impl Scheduler {
             workers: Mutex::new(Vec::new()),
             config,
         });
-        let mut workers = scheduler.workers.lock().expect("fresh lock");
+        let mut workers = scheduler
+            .workers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         for i in 0..worker_count {
             let shared = shared.clone();
             workers.push(
@@ -197,7 +248,7 @@ impl Scheduler {
                 let job = match Job::build(&request) {
                     Ok(job) => job,
                     Err(message) => {
-                        let mut state = self.shared.state.lock().expect("sched lock");
+                        let mut state = self.shared.lock();
                         state
                             .tenants
                             .entry(tenant.clone())
@@ -207,7 +258,7 @@ impl Scheduler {
                         return rx;
                     }
                 };
-                let mut state = self.shared.state.lock().expect("sched lock");
+                let mut state = self.shared.lock();
                 if state.shutdown || state.draining {
                     let _ = tx.send(Response::Error {
                         message: "server is shutting down".into(),
@@ -265,7 +316,7 @@ impl Scheduler {
 
     /// Per-tenant counters, in tenant-name order (deterministic output).
     pub fn snapshot(&self) -> Vec<TenantSnapshot> {
-        let state = self.shared.state.lock().expect("sched lock");
+        let state = self.shared.lock();
         let mut snaps: Vec<TenantSnapshot> =
             state.tenants.values().map(TenantState::snapshot).collect();
         snaps.sort_by(|a, b| a.tenant.cmp(&b.tenant));
@@ -298,7 +349,7 @@ impl Scheduler {
             Err(message) => return self.kb_reject(tenant_name, message),
         };
         let slot: KbSlot = {
-            let mut state = self.shared.state.lock().expect("sched lock");
+            let mut state = self.shared.lock();
             if state.shutdown || state.draining {
                 return Response::Error {
                     message: "server is shutting down".into(),
@@ -314,7 +365,7 @@ impl Scheduler {
         // KB mutations are transactional (memory commits only after the
         // WAL frame is durable), so a poisoned slot holds consistent
         // state: heal it rather than wedging the tenant forever.
-        let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
         if guard.is_none() {
             let dir = data_dir.join(tenant_dir_name(tenant_name));
             // The tenant knobs and the KB config's own both apply;
@@ -419,7 +470,7 @@ impl Scheduler {
     }
 
     fn bump(&self, tenant: &str, update: impl FnOnce(&mut TenantState)) {
-        let mut state = self.shared.state.lock().expect("sched lock");
+        let mut state = self.shared.lock();
         let entry = state
             .tenants
             .entry(tenant.to_string())
@@ -436,7 +487,7 @@ impl Scheduler {
     pub fn shutdown_graceful(&self, deadline: Duration) -> DrainReport {
         let started = Instant::now();
         {
-            let mut state = self.shared.state.lock().expect("sched lock");
+            let mut state = self.shared.lock();
             if state.shutdown {
                 return DrainReport {
                     drained: true,
@@ -448,7 +499,7 @@ impl Scheduler {
         }
         self.shared.work.notify_all();
         let abandoned_jobs = loop {
-            let state = self.shared.state.lock().expect("sched lock");
+            let state = self.shared.lock();
             if state.jobs.is_empty() {
                 break 0;
             }
@@ -459,12 +510,12 @@ impl Scheduler {
             std::thread::sleep(Duration::from_millis(2));
         };
         let slots: Vec<KbSlot> = {
-            let state = self.shared.state.lock().expect("sched lock");
+            let state = self.shared.lock();
             state.tenants.values().map(|t| t.kb.clone()).collect()
         };
         let mut flushed_wals = 0;
         for slot in slots {
-            let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
+            let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(kb) = guard.as_mut() {
                 if kb.flush().is_ok() {
                     flushed_wals += 1;
@@ -482,7 +533,7 @@ impl Scheduler {
     /// Signals shutdown and wakes every worker. Queued jobs are answered
     /// with an error response; running slices finish their quantum.
     pub fn shutdown(&self) {
-        let mut state = self.shared.state.lock().expect("sched lock");
+        let mut state = self.shared.lock();
         if state.shutdown {
             return;
         }
@@ -504,7 +555,7 @@ impl Scheduler {
     /// Joins the worker threads (after [`Scheduler::shutdown`]).
     pub fn join(&self) {
         let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.workers.lock().expect("worker list"));
+            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
         for h in handles {
             let _ = h.join();
         }
@@ -603,7 +654,7 @@ fn worker_loop(shared: &Shared, quantum: Duration) {
     loop {
         // Pick the next (tenant, job) under the lock.
         let (id, mut pending, cache) = {
-            let mut state = shared.state.lock().expect("sched lock");
+            let mut state = shared.lock();
             loop {
                 if state.shutdown {
                     return;
@@ -620,7 +671,7 @@ fn worker_loop(shared: &Shared, quantum: Duration) {
                     let pending = state.jobs.remove(&id).expect("queued job exists");
                     break (id, pending, cache);
                 }
-                state = shared.work.wait(state).expect("sched lock");
+                state = shared.wait(state);
             }
         };
 
@@ -628,7 +679,7 @@ fn worker_loop(shared: &Shared, quantum: Duration) {
         // scheduling while this slice executes.
         let step = pending.job.run_slice(&cache, SliceLimit::Wall(quantum));
 
-        let mut state = shared.state.lock().expect("sched lock");
+        let mut state = shared.lock();
         if state.shutdown {
             let _ = pending.responder.send(Response::Error {
                 message: "server is shutting down".into(),
@@ -726,6 +777,47 @@ mod tests {
         let snaps = sched.snapshot();
         assert_eq!(snaps.len(), 2);
         assert!(snaps.iter().all(|s| s.admitted == 1 && s.completed == 1));
+        sched.shutdown();
+        sched.join();
+    }
+
+    #[test]
+    fn a_panic_under_the_scheduler_lock_spares_the_other_tenants() {
+        let sched = Scheduler::new(SchedulerConfig::default());
+        let rx = sched.submit(entail("a", "R(x0, x1) -> T(x1)."));
+        assert!(matches!(rx.recv(), Ok(Response::Verdicts { .. })));
+        // Tenant a's request handling panics half-way through an enqueue:
+        // its queue names a job that was never stored, and it is on the
+        // ring twice. The panic poisons the scheduler lock.
+        let shared = sched.shared.clone();
+        let poisoner = std::thread::spawn(move || {
+            let mut state = shared.state.lock().unwrap();
+            let tenant = state.tenants.get_mut("a").expect("tenant a exists");
+            tenant.queue.push_back(u64::MAX);
+            state.ring.push_back("a".into());
+            state.ring.push_back("a".into());
+            panic!("injected panic under the scheduler lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(sched.shared.state.is_poisoned());
+        // Every tenant, the one that panicked included, is still served.
+        let rx_a = sched.submit(entail("a", "R(x0, x1) -> T(x1)."));
+        let rx_b = sched.submit(entail("b", "S(x0) -> R(x0, x0)."));
+        let rx_c = sched.submit(entail("c", "R(x0, x1) -> S(x1)."));
+        for (rx, want) in [
+            (rx_a, Entailment::Proved),
+            (rx_b, Entailment::Disproved),
+            (rx_c, Entailment::Proved),
+        ] {
+            match rx.recv().expect("response") {
+                Response::Verdicts { verdicts, .. } => assert_eq!(verdicts, vec![want]),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(!sched.shared.state.is_poisoned(), "poison is cleared");
+        let snaps = sched.snapshot();
+        assert_eq!(snaps.len(), 3);
+        assert!(snaps.iter().all(|t| t.completed == t.admitted));
         sched.shutdown();
         sched.join();
     }

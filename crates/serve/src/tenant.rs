@@ -38,9 +38,9 @@ pub struct TenantConfig {
     pub cache_max_bytes: usize,
     /// Shard count for the tenant's full KB re-chases (see
     /// [`KbConfig::shards`](tgdkit_store::KbConfig)). Defaults to
-    /// `TGDKIT_SHARDS` via [`tgdkit_chase::shards_from_env`]; `1` keeps
-    /// the unsharded engine. Results are byte-identical at any count, so
-    /// this only moves throughput, never answers.
+    /// `TGDKIT_SHARDS` via [`tgdkit_chase::shards_from_env`]. Results are
+    /// byte-identical at any count, so this only moves the layout, never
+    /// answers.
     pub shards: usize,
     /// Replica directories for each tenant's store (see
     /// [`KbConfig::replicas`](tgdkit_store::KbConfig)). `1` (the default)

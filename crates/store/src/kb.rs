@@ -14,8 +14,8 @@ use tgdkit_chase::checkpoint::{
     CheckpointWriter,
 };
 use tgdkit_chase::{
-    chase_extend_governed, chase_governed, chase_sharded_governed, CancelToken, ChaseBudget,
-    ChaseOutcome, ChaseResult, ChaseVariant, TriggerSearch,
+    chase_extend_governed, chase_sharded_governed, CancelToken, ChaseBudget, ChaseOutcome,
+    ChaseResult, ChaseVariant,
 };
 use tgdkit_instance::{Elem, Fact, Instance};
 use tgdkit_logic::{PredId, Schema, Tgd, TgdSet};
@@ -30,14 +30,12 @@ pub struct KbConfig {
     /// Chase variant; the restricted chase is the default and the one the
     /// incremental fold is cheapest for.
     pub variant: ChaseVariant,
-    /// Trigger-search strategy for folds and re-chases.
-    pub search: TriggerSearch,
     /// Shard count for *full* re-chases (the fresh-open chase and the
-    /// retraction path). `1` keeps the unsharded engine; above that,
-    /// [`tgdkit_chase::chase_sharded_governed`] runs the hash-partitioned
-    /// engine — the result is byte-identical either way, so this is purely
-    /// a throughput knob. Incremental folds stay on the semi-naive extend
-    /// path regardless (their deltas are batch-sized, not instance-sized).
+    /// retraction path), passed to
+    /// [`tgdkit_chase::chase_sharded_governed`]. The result is
+    /// byte-identical at any count, so this is purely a layout knob.
+    /// Incremental folds run at one shard regardless (their deltas are
+    /// batch-sized, not instance-sized).
     pub shards: usize,
     /// Once the WAL grows past this many bytes, the next acknowledged
     /// batch folds the log into a fresh snapshot generation.
@@ -67,7 +65,6 @@ impl Default for KbConfig {
         KbConfig {
             budget: ChaseBudget::default(),
             variant: ChaseVariant::Restricted,
-            search: TriggerSearch::Auto,
             shards: 1,
             compact_wal_bytes: 1 << 20,
             replicas: 1,
@@ -79,33 +76,21 @@ impl Default for KbConfig {
     }
 }
 
-/// A full chase from `base` under `config`: the sharded engine when the
-/// config asks for more than one shard, the legacy engine otherwise.
+/// A full chase from `base` under `config`, at the config's shard count.
 pub(crate) fn full_chase(
     base: &Instance,
     tgds: &[Tgd],
     config: &KbConfig,
     token: &CancelToken,
 ) -> ChaseResult {
-    if config.shards > 1 {
-        chase_sharded_governed(
-            base,
-            tgds,
-            config.variant,
-            config.budget,
-            config.shards,
-            token,
-        )
-    } else {
-        chase_governed(
-            base,
-            tgds,
-            config.variant,
-            config.budget,
-            config.search,
-            token,
-        )
-    }
+    chase_sharded_governed(
+        base,
+        tgds,
+        config.variant,
+        config.budget,
+        config.shards,
+        token,
+    )
 }
 
 /// Cumulative counters for one [`DurableKb`] handle (recovery counters
@@ -296,7 +281,6 @@ pub(crate) fn fold_batch(
             tgds,
             config.variant,
             config.budget,
-            config.search,
             token,
         );
         if result.outcome != ChaseOutcome::Terminated {

@@ -51,14 +51,14 @@ pub use tgdkit_store as store;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use tgdkit_chase::{
-        certain_answers, certainly_holds, chase, chase_checkpointing, chase_configured,
-        chase_governed, chase_resume, chase_sharded, chase_sharded_checkpointing,
-        chase_sharded_governed, entails, entails_all, entails_auto, entails_auto_cached,
-        entails_auto_governed, entails_batch, entails_batch_checkpointing, entails_batch_resume,
-        entails_linear, equivalent, is_weakly_acyclic, satisfies_tgd, satisfies_tgds, shard_stats,
-        shards_from_env, BatchCheckpoint, CancelToken, CertainAnswers, ChaseBudget,
-        ChaseCheckpoint, ChaseOutcome, ChaseStats, ChaseVariant, CheckpointError, EntailCache,
-        Entailment, MemoryAccountant, ShardStats, TriggerSearch,
+        certain_answers, certainly_holds, chase, chase_checkpointing, chase_governed, chase_resume,
+        chase_sharded, chase_sharded_checkpointing, chase_sharded_governed, entails, entails_all,
+        entails_auto, entails_auto_cached, entails_auto_governed, entails_batch,
+        entails_batch_checkpointing, entails_batch_resume, entails_linear, equivalent,
+        is_weakly_acyclic, satisfies_tgd, satisfies_tgds, shard_stats, shards_from_env,
+        BatchCheckpoint, CancelToken, CertainAnswers, ChaseBudget, ChaseCheckpoint, ChaseOutcome,
+        ChaseStats, ChaseVariant, CheckpointError, EntailCache, Entailment, MemoryAccountant,
+        ShardStats,
     };
     pub use tgdkit_core::{
         frontier_guarded_to_guarded, frontier_guarded_to_guarded_cached,

@@ -1,6 +1,7 @@
 //! Breadth tests for API surfaces and edge paths not exercised by the
 //! paper-focused suites: error rendering, parser diagnostics, the greedy
-//! canonicalization fallback, display adapters, and budget edge cases.
+//! canonicalization fallback, display adapters, budget edge cases, and the
+//! chase entry points.
 
 use tgdkit::logic::canon::EXACT_LIMIT;
 use tgdkit::logic::{
@@ -158,6 +159,34 @@ fn chase_budget_presets_are_ordered() {
     let large = ChaseBudget::large();
     assert!(small.max_facts < default.max_facts && default.max_facts < large.max_facts);
     assert!(small.max_rounds <= default.max_rounds && default.max_rounds <= large.max_rounds);
+}
+
+#[test]
+fn chase_entry_points_run_one_engine() {
+    let mut s = Schema::default();
+    let tgds = parse_tgds(
+        &mut s,
+        "E(x,y), E(y,z) -> E(x,z). E(x,y) -> exists w : F(y,w).",
+    )
+    .unwrap();
+    let start = parse_instance(&mut s, "E(a,b), E(b,c), E(c,d)").unwrap();
+    let budget = ChaseBudget::default();
+    let token = CancelToken::new();
+    let plain = chase(&start, &tgds, ChaseVariant::Restricted, budget);
+    let governed = chase_governed(&start, &tgds, ChaseVariant::Restricted, budget, &token);
+    let one_shard = chase_sharded(&start, &tgds, ChaseVariant::Restricted, budget, 1);
+    let (checkpointing, checkpoint) =
+        chase_checkpointing(&start, &tgds, ChaseVariant::Restricted, budget, &token);
+    assert!(plain.terminated());
+    assert!(checkpoint.is_none(), "a fixpoint leaves nothing to resume");
+    for other in [&governed, &one_shard, &checkpointing] {
+        assert_eq!(other.instance, plain.instance);
+        assert_eq!(other.nulls, plain.nulls);
+        assert_eq!(other.rounds, plain.rounds);
+        assert_eq!(other.stats.normalized(), plain.stats.normalized());
+    }
+    // The trigger search runs on the calling thread.
+    assert_eq!(plain.stats.parallel_rounds, 0);
 }
 
 #[test]

@@ -14,7 +14,7 @@ use tgdkit::chase_crate::checkpoint::KIND_CHASE;
 use tgdkit::chase_crate::faults::{env_seed, FaultPlan, FaultSite};
 use tgdkit::chase_crate::{
     chase_checkpointing, chase_resume, CancelToken, ChaseBudget, ChaseCheckpoint, ChaseOutcome,
-    ChaseVariant, CheckpointError, EntailCache, TriggerSearch,
+    ChaseVariant, CheckpointError, EntailCache,
 };
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit::core::{
@@ -73,7 +73,7 @@ proptest! {
         let start = seed_instance(&set);
         let token = CancelToken::new();
         let (full, _) = chase_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, TriggerSearch::Auto, &token,
+            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, &token,
         );
         prop_assume!(full.stats.rounds > 0);
         let j = trip % full.stats.rounds;
@@ -82,7 +82,6 @@ proptest! {
             set.tgds(),
             ChaseVariant::Restricted,
             ChaseBudget { max_rounds: j, ..BUDGET },
-            TriggerSearch::Auto,
             &token,
         );
         prop_assert_eq!(tripped.outcome, ChaseOutcome::BudgetExceeded);
@@ -91,7 +90,7 @@ proptest! {
         let decoded = ChaseCheckpoint::decode(&cp.encode(), set.schema()).unwrap();
         prop_assert_eq!(&decoded, cp.as_ref());
         let (resumed, after) = chase_resume(
-            &decoded, set.tgds(), BUDGET, TriggerSearch::Auto, &token,
+            &decoded, set.tgds(), BUDGET, &token,
         ).unwrap();
         prop_assert!(after.is_none(), "resume under the full budget completes");
         prop_assert_eq!(resumed.outcome, full.outcome);
@@ -117,12 +116,12 @@ proptest! {
         let start = seed_instance(&set);
         let clean = CancelToken::new();
         let (full, _) = chase_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, TriggerSearch::Auto, &clean,
+            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, &clean,
         );
         let seed = env_seed().wrapping_mul(1000) + schedule;
         let token = CancelToken::with_faults(FaultPlan::only(seed, FaultSite::MemBudgetTrip, 3));
         let (tripped, cp) = chase_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, TriggerSearch::Auto, &token,
+            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, &token,
         );
         if tripped.outcome != ChaseOutcome::MemoryExceeded {
             prop_assert!(cp.is_none() || tripped.outcome != ChaseOutcome::Terminated);
@@ -131,7 +130,7 @@ proptest! {
         prop_assert!(tripped.stats.mem_trips >= 1);
         let cp = cp.expect("memory trip must be resumable");
         let (resumed, _) = chase_resume(
-            &cp, set.tgds(), BUDGET, TriggerSearch::Auto, &clean,
+            &cp, set.tgds(), BUDGET, &clean,
         ).unwrap();
         prop_assert_eq!(resumed.outcome, full.outcome);
         prop_assert_eq!(&resumed.instance, &full.instance);
@@ -202,7 +201,7 @@ proptest! {
         let start = seed_instance(&set);
         let token = CancelToken::new();
         let (full, _) = chase_checkpointing(
-            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, TriggerSearch::Auto, &token,
+            &start, set.tgds(), ChaseVariant::Restricted, BUDGET, &token,
         );
         prop_assume!(full.stats.rounds > 0);
         let (_, cp) = chase_checkpointing(
@@ -210,7 +209,6 @@ proptest! {
             set.tgds(),
             ChaseVariant::Restricted,
             ChaseBudget { max_rounds: trip % full.stats.rounds, ..BUDGET },
-            TriggerSearch::Auto,
             &token,
         );
         let bytes = cp.expect("budget trip must be resumable").encode();

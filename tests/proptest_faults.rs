@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use tgdkit::chase_crate::faults::{env_seed, silence_injected_panics, FaultPlan, FaultSite};
 use tgdkit::chase_crate::{
     chase, chase_governed, entails_auto, entails_auto_governed, CancelToken, ChaseBudget,
-    ChaseOutcome, ChaseVariant, Entailment, TriggerSearch,
+    ChaseOutcome, ChaseVariant, Entailment,
 };
 use tgdkit::core::rewrite::{guarded_to_linear_governed, guarded_to_linear_with_stats};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
@@ -118,7 +118,6 @@ proptest! {
             set.tgds(),
             ChaseVariant::Restricted,
             budget,
-            TriggerSearch::Auto,
             &token,
         );
         if result.outcome == ChaseOutcome::Cancelled {
@@ -217,7 +216,6 @@ fn injected_trigger_worker_panics_cancel_the_chase() {
         set.tgds(),
         ChaseVariant::Restricted,
         ChaseBudget::default(),
-        TriggerSearch::Auto,
         &token,
     );
     assert_eq!(result.outcome, ChaseOutcome::Cancelled);

@@ -1,6 +1,5 @@
 //! Property-based tests for the incremental chase machinery: append-only
-//! index maintenance ([`InstanceIndex::extend`]) and the determinism of the
-//! parallel trigger search.
+//! index maintenance ([`InstanceIndex::extend`]) and coherent chase stats.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -107,44 +106,6 @@ proptest! {
         prop_assert!(incremental.tuples(ghost).is_empty());
         prop_assert!(incremental.postings(ghost, 0, Elem(0)).is_empty());
         prop_assert!(!incremental.contains(ghost, &[Elem(0)]));
-    }
-
-    /// The parallel trigger search produces byte-identical chase results to
-    /// the serial one — same facts, same null names, same round count — for
-    /// both chase variants.
-    #[test]
-    fn parallel_chase_matches_serial(rule_seed in 0u64..200, data_seed in 0u64..200) {
-        let set = generate_set(
-            &WorkloadParams { existentials: (rule_seed % 2) as usize, ..Default::default() },
-            Family::Unrestricted,
-            rule_seed,
-        );
-        let start = InstanceGen::new(set.schema().clone(), data_seed).generate(4, 0.35);
-        // Tight budget: divergent sets are cut off early — determinism must
-        // hold on truncated runs too, and the oblivious variant explodes on
-        // unrestricted sets otherwise.
-        let budget = ChaseBudget {
-            max_facts: 400,
-            max_rounds: 12,
-            max_bytes: usize::MAX,
-        };
-        for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
-            let serial = chase_configured(
-                &start, set.tgds(), variant, budget, TriggerSearch::Serial,
-            );
-            let parallel = chase_configured(
-                &start, set.tgds(), variant, budget, TriggerSearch::Parallel(3),
-            );
-            prop_assert_eq!(&serial.instance, &parallel.instance, "instances diverge");
-            prop_assert_eq!(&serial.nulls, &parallel.nulls, "null names diverge");
-            prop_assert_eq!(serial.rounds, parallel.rounds);
-            prop_assert_eq!(serial.outcome, parallel.outcome);
-            // And the full serialized forms agree byte for byte.
-            prop_assert_eq!(
-                format!("{:?}", serial.instance),
-                format!("{:?}", parallel.instance)
-            );
-        }
     }
 
     /// Every chase run populates its stats coherently: rounds mirror the
