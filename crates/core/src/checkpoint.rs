@@ -7,7 +7,10 @@
 //! enumeration itself is never serialized; resume re-enumerates (same
 //! schema, profile and options ⇒ same candidates in the same order) and
 //! validates that it landed in the same space via an order-sensitive
-//! fingerprint of the variant keys. A checkpoint fed to a different set,
+//! fingerprint of the variant keys. An in-process checkpoint also keeps
+//! the enumerated space in memory ([`SpaceMemo`]), so resuming it with the
+//! same schema, profile, options and target skips the re-enumeration; a
+//! decoded checkpoint has no such copy. A checkpoint fed to a different set,
 //! target class, or enumeration budget is rejected with a typed
 //! [`CheckpointError::ContextMismatch`], never silently misapplied.
 //!
@@ -19,12 +22,15 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use tgdkit_chase::checkpoint::{
     open, open_governed, read_batch_stats, read_verdict, seal, write_batch_stats, write_verdict,
     CheckpointReader, CheckpointWriter, KIND_REWRITE,
 };
 use tgdkit_chase::{CancelToken, CheckpointError, EntailBatchStats, Entailment};
-use tgdkit_logic::TgdVariantKey;
+use tgdkit_logic::{Schema, TgdVariantKey};
+
+use crate::enumerate::{EnumOptions, Enumeration};
 
 /// Order-sensitive fingerprint of an enumerated candidate space (its
 /// variant keys, in enumeration order). Checkpoint verdict slots are
@@ -66,6 +72,60 @@ pub struct RewriteCheckpoint {
     /// [`CancelToken::is_tainted`]); carried so resumed runs keep gating
     /// cache persistence correctly.
     pub(crate) cache_tainted: bool,
+    /// The enumerated candidate space, for in-process resumes.
+    pub(crate) space: SpaceMemo,
+}
+
+/// The candidate space a suspended run enumerated, with every input the
+/// enumeration depends on. It is an in-memory cache, not checkpoint
+/// state: it is never encoded, a decoded checkpoint has none, and two
+/// checkpoints compare equal whatever their memos hold.
+#[derive(Clone, Default)]
+pub(crate) struct SpaceMemo(Option<Arc<CandidateSpace>>);
+
+pub(crate) struct CandidateSpace {
+    pub(crate) schema: Schema,
+    pub(crate) profile: (usize, usize),
+    pub(crate) options: EnumOptions,
+    pub(crate) target: u8,
+    pub(crate) enumeration: Arc<Enumeration>,
+}
+
+impl SpaceMemo {
+    pub(crate) fn new(space: CandidateSpace) -> SpaceMemo {
+        SpaceMemo(Some(Arc::new(space)))
+    }
+
+    /// The cached enumeration, if it was built from exactly these inputs.
+    pub(crate) fn get(
+        &self,
+        schema: &Schema,
+        profile: (usize, usize),
+        options: &EnumOptions,
+        target: u8,
+    ) -> Option<Arc<Enumeration>> {
+        let space = self.0.as_ref()?;
+        (space.profile == profile
+            && space.options == *options
+            && space.target == target
+            && space.schema == *schema)
+            .then(|| space.enumeration.clone())
+    }
+}
+
+impl PartialEq for SpaceMemo {
+    fn eq(&self, _: &SpaceMemo) -> bool {
+        true
+    }
+}
+
+impl Eq for SpaceMemo {}
+
+impl std::fmt::Debug for SpaceMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let held = if self.0.is_some() { "held" } else { "none" };
+        write!(f, "SpaceMemo({held})")
+    }
 }
 
 impl RewriteCheckpoint {
@@ -156,6 +216,7 @@ impl RewriteCheckpoint {
             stats,
             panics_contained,
             cache_tainted,
+            space: SpaceMemo::default(),
         })
     }
 }
@@ -191,6 +252,7 @@ mod tests {
             },
             panics_contained: 1,
             cache_tainted: true,
+            space: SpaceMemo::default(),
         }
     }
 

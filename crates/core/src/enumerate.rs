@@ -29,7 +29,7 @@ use tgdkit_logic::{canonical_tgd_with_key, Atom, PredId, Schema, Tgd, TgdVariant
 const ENUM_CANCEL_STRIDE: usize = 256;
 
 /// Budgets for candidate enumeration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnumOptions {
     /// Maximum number of atoms in a candidate head conjunction.
     pub max_head_atoms: usize,

@@ -20,12 +20,13 @@
 //! `Inconclusive`, while a failed search over the exhaustive space is a
 //! definitive [`RewriteOutcome::NotRewritable`].
 
-use crate::checkpoint::{keys_fingerprint, RewriteCheckpoint};
+use crate::checkpoint::{keys_fingerprint, CandidateSpace, RewriteCheckpoint, SpaceMemo};
 use crate::enumerate::{
     guarded_candidates_governed, linear_candidates_governed, EnumOptions, Enumeration,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
 use tgdkit_chase::faults::INJECTED_PANIC;
 use tgdkit_chase::{
     entails_all_cached_governed, entails_auto_cached_governed, evaluate_group, group_by_body,
@@ -298,9 +299,11 @@ pub fn frontier_guarded_to_guarded_checkpointing(
 /// Resumes a suspended [`guarded_to_linear_checkpointing`] run.
 ///
 /// `set` and `opts.enumeration` must be the ones the checkpoint was taken
-/// under — resume re-enumerates the candidate space (deterministic) and
-/// validates the input-set and enumeration fingerprints, the target
-/// class, and the slot counts; any mismatch is a typed
+/// under — resume re-enumerates the candidate space (deterministic; an
+/// in-process checkpoint instead reuses the space it was cut from when
+/// schema, profile, options and target all match) and validates the
+/// input-set and enumeration fingerprints, the target class, and the slot
+/// counts; any mismatch is a typed
 /// [`CheckpointError::ContextMismatch`], never a wrong answer.
 /// `opts.budget` is absolute, not incremental.
 pub fn guarded_to_linear_resume(
@@ -557,12 +560,17 @@ fn rewrite_checkpointed(
 ) -> Result<(RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>), CheckpointError> {
     let schema = set.schema();
     let (n, m) = set.profile();
-    let enumeration = enumerate(schema, n, m, opts, target, token);
+    let tag = target_tag(target);
+    // An in-process checkpoint carries the space it was cut from; any
+    // other resume re-enumerates, and the checks below hold either way.
+    let enumeration = resume
+        .and_then(|cp| cp.space.get(schema, (n, m), &opts.enumeration, tag))
+        .unwrap_or_else(|| Arc::new(enumerate(schema, n, m, opts, target, token)));
     let sigma_fp = tgds_fingerprint(set.tgds());
     let enum_fp = keys_fingerprint(&enumeration.keys);
     let groups = group_by_body_keyed(&enumeration.tgds, &enumeration.keys);
     if let Some(cp) = resume {
-        if cp.target != target_tag(target) {
+        if cp.target != tag {
             return Err(CheckpointError::ContextMismatch("rewrite target class"));
         }
         if cp.sigma_fp != sigma_fp {
@@ -659,7 +667,7 @@ fn rewrite_checkpointed(
     stats.evictions = batch.evictions;
     if suspended {
         let checkpoint = Box::new(RewriteCheckpoint {
-            target: target_tag(target),
+            target: tag,
             sigma_fp,
             enum_fp,
             exhaustive: enumeration.exhaustive,
@@ -668,6 +676,13 @@ fn rewrite_checkpointed(
             stats: batch,
             panics_contained: panics,
             cache_tainted: tainted,
+            space: SpaceMemo::new(CandidateSpace {
+                schema: schema.clone(),
+                profile: (n, m),
+                options: opts.enumeration,
+                target: tag,
+                enumeration: enumeration.clone(),
+            }),
         });
         return Ok((RewriteOutcome::Suspended, stats, Some(checkpoint)));
     }
@@ -1093,6 +1108,73 @@ mod tests {
         assert!(stats.candidates > 0);
         assert!(stats.entailed > 0);
         assert!(stats.rewriting_size >= 1);
+    }
+
+    #[test]
+    fn in_process_resume_reuses_the_space_and_still_checks_context() {
+        let mut s = Schema::default();
+        let sigma = set(&mut s, "R(x,y), R(x,x) -> T(x). R(x,y) -> T(x).");
+        let opts = RewriteOptions::default();
+        let clean = guarded_to_linear(&sigma, &opts);
+        let token = CancelToken::with_suspend_after_checks(1);
+        let (outcome, _, cp) =
+            guarded_to_linear_checkpointing(&sigma, &opts, &EntailCache::new(), &token);
+        assert_eq!(outcome, RewriteOutcome::Suspended);
+        let cp = cp.expect("suspended runs return a checkpoint");
+        let tag = target_tag(Target::Linear);
+        let profile = sigma.profile();
+        assert!(cp.space.get(&s, profile, &opts.enumeration, tag).is_some());
+        let decoded = RewriteCheckpoint::decode(&cp.encode()).unwrap();
+        assert!(decoded
+            .space
+            .get(&s, profile, &opts.enumeration, tag)
+            .is_none());
+        // The cached space and a re-enumerated one resume to the same answer.
+        for resumed in [cp.as_ref(), &decoded] {
+            let (outcome, _, rest) = guarded_to_linear_resume(
+                &sigma,
+                &opts,
+                &EntailCache::new(),
+                resumed,
+                &CancelToken::new(),
+            )
+            .unwrap();
+            assert!(rest.is_none());
+            assert_eq!(outcome, clean);
+        }
+        // A memo built under other inputs is not reused: the context
+        // checks still reject the checkpoint.
+        let truncated = RewriteOptions {
+            enumeration: EnumOptions {
+                max_candidates: 5,
+                ..opts.enumeration
+            },
+            ..opts
+        };
+        assert!(cp
+            .space
+            .get(&s, profile, &truncated.enumeration, tag)
+            .is_none());
+        assert!(matches!(
+            guarded_to_linear_resume(
+                &sigma,
+                &truncated,
+                &EntailCache::new(),
+                &cp,
+                &CancelToken::new()
+            ),
+            Err(CheckpointError::ContextMismatch("candidate enumeration"))
+        ));
+        assert!(matches!(
+            frontier_guarded_to_guarded_resume(
+                &sigma,
+                &opts,
+                &EntailCache::new(),
+                &cp,
+                &CancelToken::new()
+            ),
+            Err(CheckpointError::ContextMismatch("rewrite target class"))
+        ));
     }
 
     #[test]
