@@ -389,7 +389,7 @@ fn chase_impl(
     // are absolute across trip + resume: `rounds` continues counting from
     // the checkpoint, so resuming with the same budget that tripped stops
     // again immediately — callers resume with a larger one.
-    let (instance, mut nulls, mut next_null, mut fired, mut delta, mut stats);
+    let (mut instance, mut nulls, mut next_null, mut fired, mut delta, mut stats);
     let mut rounds: usize;
     match resume {
         None => {
@@ -424,8 +424,14 @@ fn chase_impl(
     // O(|Δ|) `extend` calls as triggers fire. At every head check and at
     // every round start it covers exactly the current instance — the union
     // of the shards — so head-satisfaction checks, broadcast joins and the
-    // search's dead-trigger filter all read the logical instance.
-    let mut index = InstanceIndex::new(&instance);
+    // search's dead-trigger filter all read the logical instance. At every
+    // round start the pending delta is the index tail, which is what the
+    // semi-naive search's old-fact watermark relies on; a resumed run sets
+    // that up here (the append is part of the build, not an extend).
+    let mut index = match delta.as_mut() {
+        None => InstanceIndex::new(&instance),
+        Some(delta) => index_with_tail(&mut instance, delta),
+    };
     stats.index_rebuilds += 1;
     let mut store = ShardedInstance::from_instance(instance, shards.max(1));
     let mut triggers = TriggerRun::new(tgds);
@@ -655,6 +661,20 @@ fn chase_impl(
             resumable,
         },
     )
+}
+
+/// Indexes `instance` with the pending `delta` as the index tail: the
+/// facts of `I ∖ Δ` first, in instance order, then `Δ` in delta order.
+/// `delta` is trimmed to the facts present in `instance`, each once, so its
+/// per-predicate counts are exactly the tail's; `instance` ends unchanged.
+pub(crate) fn index_with_tail(instance: &mut Instance, delta: &mut Vec<Fact>) -> InstanceIndex {
+    delta.retain(|fact| instance.remove_fact(fact.pred, &fact.args));
+    let mut index = InstanceIndex::new(instance);
+    for fact in delta.iter() {
+        instance.add_fact(fact.pred, fact.args.clone());
+    }
+    index.extend(delta);
+    index
 }
 
 /// Builds the checkpoint for a non-terminated, round-boundary stop.

@@ -12,13 +12,23 @@
 //!   bound once the anchor fact is, so each candidate reduces to
 //!   owner-routed point probes against the [`ShardedInstance`].
 //!
+//! The search is exactly semi-naive. The delta is the index tail, so per
+//! predicate the rows below `count − |Δ_p|` are the old facts, and both
+//! paths match the body atoms *before* the anchor against old facts only
+//! (the `ReKey` path probes the index below that watermark for them). A
+//! body match whose delta atoms sit at positions `S` is then found once,
+//! at anchor `min(S)`, on the shard owning that delta fact — not once per
+//! delta atom it uses.
+//!
 //! Both paths drop **dead** triggers as they are found: a binding of a
 //! full tgd whose head facts are all already present can never change the
-//! instance, so it is never stored. The live ones accumulate into a
-//! [`TriggerRun`] — a flat arena of `(tgd, universal-image)` entries — and
-//! one global `sort_unstable` + dedup produces exactly the sequence a
-//! `BTreeSet<(usize, Vec<Elem>)>` would iterate; full-tgd triggers sharing
-//! a head image then collapse to the first of them. That sort is what makes
+//! instance, so it is never stored. That membership probe runs before
+//! anything else is done with the binding, since most bindings fail it.
+//! The live ones accumulate into a [`TriggerRun`] — a flat arena of
+//! `(tgd, universal-image)` entries — and one global `sort_unstable` +
+//! dedup produces exactly the sequence a `BTreeSet<(usize, Vec<Elem>)>`
+//! would iterate; full-tgd triggers sharing a head image then collapse to
+//! the first of them. That sort is what makes
 //! the result **bit-for-bit equal** at any shard count: the firing phase
 //! consumes the same triggers in the same order, so it adds the same facts
 //! and numbers nulls identically. A visit appends a few words to two flat
@@ -38,7 +48,7 @@ use tgdkit_hom::{
     InstanceIndex,
 };
 use tgdkit_instance::{shard_of, Elem, Fact, FxBuildHasher, ShardedInstance};
-use tgdkit_logic::Tgd;
+use tgdkit_logic::{PredId, Tgd};
 
 /// `TGDKIT_SHARDS` parsed fresh on each call (tests and the bench harness
 /// flip it between runs): a positive shard count, default 1.
@@ -150,6 +160,9 @@ pub(crate) struct TriggerRun {
     by_head: HashMap<Vec<Elem>, u32, FxBuildHasher>,
     key: Vec<Elem>,
     probe: Vec<Elem>,
+    /// Bindings offered this round, live or dead: with an exact
+    /// semi-naive search, one per distinct body match touching the delta.
+    offered: u64,
 }
 
 impl TriggerRun {
@@ -186,6 +199,7 @@ impl TriggerRun {
             by_head: HashMap::default(),
             key: Vec::new(),
             probe: Vec::new(),
+            offered: 0,
         }
     }
 
@@ -194,6 +208,7 @@ impl TriggerRun {
         self.entries.clear();
         self.elems.clear();
         self.by_head.clear();
+        self.offered = 0;
     }
 
     /// Appends tgd `ti`'s trigger with the universal image read off
@@ -217,13 +232,28 @@ impl TriggerRun {
     ///   head variables. Of the live triggers sharing a head image, only
     ///   the first in canonical order inserts anything; the rest find every
     ///   head fact present. So only the smallest universal image is kept.
+    ///
+    /// The dead check runs first: it is one membership probe per head atom,
+    /// most bindings fail it, and it needs no key. The order cannot change
+    /// what is kept: the index does not change during the search, so a
+    /// head image found live stays live for the whole round.
     fn offer(&mut self, ti: usize, tgd: &Tgd, binding: &Binding, index: &InstanceIndex) {
+        self.offered += 1;
         let Some((lo, hi)) = self.heads[ti] else {
             self.push_binding(ti, binding);
             return;
         };
-        let vars = &self.head_vars[lo as usize..hi as usize];
         let universal = |v: usize| binding[v].expect("universal bound");
+        let dead = tgd.head().iter().all(|atom| {
+            self.probe.clear();
+            self.probe
+                .extend(atom.args.iter().map(|v| universal(v.index())));
+            index.contains(atom.pred, &self.probe)
+        });
+        if dead {
+            return;
+        }
+        let vars = &self.head_vars[lo as usize..hi as usize];
         if !vars.is_empty() {
             self.key.clear();
             self.key.push(Elem(ti as u32));
@@ -239,17 +269,6 @@ impl TriggerRun {
                 }
                 return;
             }
-        }
-        let dead = tgd.head().iter().all(|atom| {
-            self.probe.clear();
-            self.probe
-                .extend(atom.args.iter().map(|v| universal(v.index())));
-            index.contains(atom.pred, &self.probe)
-        });
-        if dead {
-            return;
-        }
-        if !vars.is_empty() {
             self.by_head
                 .insert(self.key.clone(), self.entries.len() as u32);
         }
@@ -330,26 +349,40 @@ pub(crate) fn find_triggers(
         }
     };
 
+    // The delta is the index tail (the chase appends each round's
+    // additions last, and a resume indexes I ∖ Δ before appending Δ), so
+    // per predicate the rows below `count − |Δ_p|` are the old facts.
+    let mut delta_rows: Vec<usize> = Vec::new();
+    for fact in delta.unwrap_or_default() {
+        let p = fact.pred.index();
+        if p >= delta_rows.len() {
+            delta_rows.resize(p + 1, 0);
+        }
+        delta_rows[p] += 1;
+    }
+    let old: Vec<usize> = delta_rows
+        .iter()
+        .enumerate()
+        .map(|(p, &n)| {
+            let rows = index.count(PredId(p as u32));
+            debug_assert!(n <= rows, "the delta must be the index tail");
+            rows.saturating_sub(n)
+        })
+        .collect();
+
     // One exchange plan per (tgd, anchor) per semi-naive round, computed
     // from the body shape and the union index's statistics — identical on
     // every shard, so no coordination would be needed to agree on it. An
     // anchor whose predicate has no fact in the delta anchors nothing and
     // gets no plan.
-    let mut in_delta: Vec<bool> = Vec::new();
-    for fact in delta.unwrap_or_default() {
-        let p = fact.pred.index();
-        if p >= in_delta.len() {
-            in_delta.resize(p + 1, false);
-        }
-        in_delta[p] = true;
-    }
     let choices: Vec<Vec<Option<ExchangeChoice>>> = tgds
         .iter()
         .map(|t| match delta {
             None => Vec::new(),
             Some(_) => (0..t.body().len())
                 .map(|a| {
-                    let anchored = in_delta.get(t.body()[a].pred.index()).is_some_and(|&d| d);
+                    let p = t.body()[a].pred.index();
+                    let anchored = delta_rows.get(p).is_some_and(|&n| n > 0);
                     anchored.then(|| classify_exchange(t.body(), a, &[], index))
                 })
                 .collect(),
@@ -387,6 +420,7 @@ pub(crate) fn find_triggers(
                 index,
                 store,
                 &per_shard,
+                &old,
                 delta.is_none(),
                 run,
                 &mut tally,
@@ -455,6 +489,7 @@ fn triggers_into(
     index: &InstanceIndex,
     store: &ShardedInstance,
     per_shard: &[Cow<'_, [Fact]>],
+    old: &[usize],
     first_round: bool,
     run: &mut TriggerRun,
     tally: &mut ExchangeTally,
@@ -529,7 +564,17 @@ fn triggers_into(
                                     .map(|v| binding[v.index()].expect("rekey-bound var")),
                             );
                             tally.rekeyed_probes += 1;
-                            if !store.contains_fact(rest.pred, &key) {
+                            // An atom before the anchor must match an old
+                            // fact, as in the anchored join: the store has
+                            // no row order, the index's watermark does.
+                            let present = if i < anchor {
+                                let limit =
+                                    old.get(rest.pred.index()).copied().unwrap_or(usize::MAX);
+                                index.contains_below(rest.pred, &key, limit)
+                            } else {
+                                store.contains_fact(rest.pred, &key)
+                            };
+                            if !present {
                                 all_present = false;
                                 break;
                             }
@@ -555,7 +600,7 @@ fn triggers_into(
                     index,
                     anchor,
                     shard_delta,
-                    &fixed,
+                    old,
                     &mut visit,
                 );
                 drop(visit);
@@ -648,5 +693,71 @@ mod tests {
         let mut run = TriggerRun::new(&tgds);
         run.offer(0, tc, &bind(c, a, b), &InstanceIndex::new(&with_cb));
         assert_eq!(run.len(), 0);
+    }
+
+    /// The shard probe graph of `tests/proptest_sharded.rs`: transitive
+    /// closure over 140 nodes with out-degree 3 drawn from a fixed LCG.
+    fn tc_probe() -> (Vec<Tgd>, tgdkit_instance::Instance) {
+        use tgdkit_logic::{parse_tgds, Schema};
+        let mut schema = Schema::default();
+        let tgds = parse_tgds(&mut schema, "E(x,y), E(y,z) -> E(x,z).").unwrap();
+        let pred = schema.pred_id("E").unwrap();
+        let mut inst = tgdkit_instance::Instance::new(schema);
+        let nodes = 140u32;
+        let mut s: u64 = 0x9e37_79b9_7f4a_7c15;
+        for u in 0..nodes {
+            for _ in 0..3 {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let v = ((s >> 33) % nodes as u64) as u32;
+                inst.add_fact(pred, vec![Elem(u), Elem(v)]);
+            }
+        }
+        (tgds, inst)
+    }
+
+    /// Round two of the closure probe offers each body match that uses a
+    /// round-one fact exactly once — also the matches using two of them,
+    /// which an anchor-per-atom search over the whole index finds twice —
+    /// and the count does not depend on the shard count.
+    #[test]
+    fn round_two_offers_each_delta_touching_match_once() {
+        use crate::chase::index_with_tail;
+        use crate::{chase_checkpointing, ChaseBudget, ChaseVariant};
+        use std::collections::HashSet;
+        let (tgds, start) = tc_probe();
+        let budget = ChaseBudget {
+            max_facts: 2_000_000,
+            max_rounds: 1,
+            max_bytes: usize::MAX,
+        };
+        let token = CancelToken::new();
+        let (_, cp) = chase_checkpointing(&start, &tgds, ChaseVariant::Restricted, budget, &token);
+        let cp = cp.expect("a round-budget trip is resumable");
+        let mut instance = cp.instance.clone();
+        let mut delta = cp.delta.clone().expect("round one added facts");
+        let index = index_with_tail(&mut instance, &mut delta);
+
+        // Reference: every body match into I ∪ Δ, counted when it uses Δ.
+        let new: HashSet<&[Elem]> = delta.iter().map(|f| f.args.as_slice()).collect();
+        let (mut touching, mut both) = (0u64, 0u64);
+        for_each_hom_indexed(tgds[0].body(), 3, &index, &vec![None; 3], &mut |b| {
+            let [x, y, z] = [0, 1, 2].map(|v| b[v].expect("bound"));
+            let first = new.contains(&[x, y][..]);
+            let second = new.contains(&[y, z][..]);
+            touching += u64::from(first || second);
+            both += u64::from(first && second);
+            ControlFlow::Continue(())
+        });
+        assert!(both > 0, "some match uses two delta facts");
+
+        for shards in [1, 2, 4] {
+            let store = ShardedInstance::from_instance(instance.clone(), shards);
+            let mut run = TriggerRun::new(&tgds);
+            let scan = find_triggers(&tgds, &index, &store, Some(&delta), &mut run, &token);
+            assert!(!scan.aborted && scan.panics_contained == 0);
+            assert_eq!(run.offered, touching, "offers at {shards} shards");
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::plan::{
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use tgdkit_instance::{store, Elem, Fact, Instance};
-use tgdkit_logic::{Atom, Var};
+use tgdkit_logic::{Atom, PredId, Var};
 
 /// A partial assignment of variables to elements (`None` = unassigned).
 pub type Binding = Vec<Option<Elem>>;
@@ -110,47 +110,29 @@ pub fn for_each_hom(
     search(atoms, num_vars, &index, fixed, visit);
 }
 
-/// Semi-naive enumeration: visits homomorphisms from `atoms` into the
-/// indexed instance that use at least one `delta` fact, by anchoring each
-/// atom at each delta fact in turn and searching the remaining atoms
-/// against the full index.
+/// One anchor's worth of a semi-naive enumeration: binds atom `anchor` to
+/// each `delta` fact in turn and searches the remaining atoms, those
+/// before the anchor over old facts only.
 ///
-/// This is the incremental-evaluation step of Datalog engines, applied to
-/// trigger search: if the index covers `I ∪ Δ` and `delta = Δ`, the visited
-/// bindings are exactly the homomorphisms into `I ∪ Δ` that are not
-/// homomorphisms into `I`, **plus possible duplicates** when a match uses
-/// several delta facts (one visit per anchoring); callers needing set
-/// semantics must deduplicate (as the chase's trigger set does).
-pub fn for_each_hom_seminaive(
-    atoms: &[Atom<Var>],
-    num_vars: usize,
-    index: &InstanceIndex,
-    delta: &[Fact],
-    fixed: &Binding,
-    visit: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
-) {
-    for anchor in 0..atoms.len() {
-        if for_each_hom_anchored(atoms, num_vars, index, anchor, delta, fixed, visit).is_break() {
-            return;
-        }
-    }
-}
-
-/// One anchor's worth of [`for_each_hom_seminaive`]: binds atom `anchor` to
-/// each `delta` fact in turn and searches the remaining atoms against the
-/// full index. The sharded chase drives this directly — each shard supplies
-/// its own delta slice per anchor, so the anchor loop lives with the caller
-/// rather than here.
+/// The index must hold `I ∪ Δ` with the delta appended last (see
+/// [`InstanceIndex::extend`]): the rows of predicate `p` below `old[p]`
+/// are the old facts `I`, the rest are `Δ`. Predicates beyond `old` have
+/// no delta rows. Run over every anchor with `delta = Δ` (new, distinct
+/// facts), the visits are exactly the homomorphisms into `I ∪ Δ` that are
+/// not homomorphisms into `I`, each once: a match whose delta atoms sit at
+/// body positions `S` is found at anchor `min(S)` and no other. The chase
+/// drives this per shard — each shard supplies its own delta slice per
+/// anchor, so the anchor loop lives with the caller.
 ///
 /// Returns [`ControlFlow::Break`] iff `visit` broke (so a caller looping
-/// over anchors can stop early, exactly as the seminaive driver does).
+/// over anchors can stop early).
 pub fn for_each_hom_anchored(
     atoms: &[Atom<Var>],
     num_vars: usize,
     index: &InstanceIndex,
     anchor: usize,
     delta: &[Fact],
-    fixed: &Binding,
+    old: &[usize],
     visit: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let mut anchor_undo: Vec<u32> = Vec::new();
@@ -164,11 +146,10 @@ pub fn for_each_hom_anchored(
         .map(|(_, a)| a.clone())
         .collect();
     // The join plan depends only on which variables are bound — the
-    // fixed ones plus the anchor atom's — not on the anchoring fact,
-    // so one plan serves every delta fact at this anchor (and, through
-    // the plan cache, every round requesting the same shape).
-    let mut bound_vars: Vec<bool> = fixed.iter().map(Option::is_some).collect();
-    bound_vars.resize(num_vars.max(fixed.len()), false);
+    // anchor atom's — not on the anchoring fact, so one plan serves every
+    // delta fact at this anchor (and, through the plan cache, every round
+    // requesting the same shape).
+    let mut bound_vars = vec![false; num_vars];
     for v in &atom.args {
         bound_vars[v.index()] = true;
     }
@@ -189,11 +170,20 @@ pub fn for_each_hom_anchored(
             &cached.steps
         }
     };
-    let mut exec = Exec::new(&rest, steps, index);
+    // `rest` keeps body order, so its first `anchor` atoms are the ones
+    // before the anchor: those range over old rows only.
+    let mut exec = Exec::new(
+        &rest,
+        steps,
+        index,
+        Watermark {
+            old,
+            before: anchor,
+        },
+    );
     // One binding buffer per anchor, reset between facts by undoing the
     // anchor's own assignments (the executor restores everything else).
-    let mut binding = fixed.clone();
-    binding.resize(num_vars.max(fixed.len()), None);
+    let mut binding: Binding = vec![None; num_vars];
     let mut stop = false;
     for fact in delta {
         if fact.pred != atom.pred || fact.args.len() != atom.args.len() {
@@ -283,7 +273,7 @@ fn search_in(
             &cached.steps
         }
     };
-    let mut exec = Exec::new(atoms, steps, index);
+    let mut exec = Exec::new(atoms, steps, index, Watermark::NONE);
     let _ = exec.run(0, binding, visit);
     exec.flush();
 }
@@ -303,14 +293,43 @@ struct JoinCounters {
     probe_rows: u64,
 }
 
+/// Which atoms of a search see old facts only: conjunction atoms
+/// `0..before` range over the rows of predicate `p` below `old[p]`
+/// (predicates beyond `old` have no delta rows); every other atom ranges
+/// over all rows.
+#[derive(Clone, Copy)]
+struct Watermark<'a> {
+    old: &'a [usize],
+    before: usize,
+}
+
+impl<'a> Watermark<'a> {
+    /// No watermark: every atom sees every row.
+    const NONE: Watermark<'a> = Watermark {
+        old: &[],
+        before: 0,
+    };
+
+    /// The row count atom `atom` (of predicate `pred`) may match below.
+    #[inline]
+    fn limit(&self, atom: usize, pred: PredId) -> usize {
+        if atom < self.before {
+            self.old.get(pred.index()).copied().unwrap_or(usize::MAX)
+        } else {
+            usize::MAX
+        }
+    }
+}
+
 /// One planned search over a fixed conjunction: the plan's step slice, the
-/// index, and the per-search scratch state (a shared undo stack instead of
-/// a per-tuple `Vec` of newly bound variables, and a reusable key buffer
-/// for fully-bound probes).
+/// index, its watermark, and the per-search scratch state (a shared undo
+/// stack instead of a per-tuple `Vec` of newly bound variables, and a
+/// reusable key buffer for fully-bound probes).
 struct Exec<'a> {
     atoms: &'a [Atom<Var>],
     steps: &'a [PlanStep],
     index: &'a InstanceIndex,
+    watermark: Watermark<'a>,
     undo: Vec<Var>,
     key_buf: Vec<Elem>,
     counters: JoinCounters,
@@ -327,12 +346,18 @@ std::thread_local! {
 }
 
 impl<'a> Exec<'a> {
-    fn new(atoms: &'a [Atom<Var>], steps: &'a [PlanStep], index: &'a InstanceIndex) -> Exec<'a> {
+    fn new(
+        atoms: &'a [Atom<Var>],
+        steps: &'a [PlanStep],
+        index: &'a InstanceIndex,
+        watermark: Watermark<'a>,
+    ) -> Exec<'a> {
         let (undo, key_buf) = EXEC_SCRATCH.take().unwrap_or_default();
         Exec {
             atoms,
             steps,
             index,
+            watermark,
             undo,
             key_buf,
             counters: JoinCounters::default(),
@@ -406,7 +431,11 @@ impl<'a> Exec<'a> {
         let atom = &atoms[step.atom as usize];
         let arity = atom.args.len();
         let tuples = index.tuples(atom.pred);
-        let rows = tuples.len();
+        // Rows and postings are in insertion order, so the rows this step
+        // may match are exactly a prefix: every branch below stops at it.
+        let rows = tuples
+            .len()
+            .min(self.watermark.limit(step.atom as usize, atom.pred));
         if rows == 0 {
             return ControlFlow::Continue(());
         }
@@ -424,7 +453,7 @@ impl<'a> Exec<'a> {
                     .iter()
                     .map(|v| binding[v.index()].expect("planned-bound var is bound")),
             );
-            let present = index.contains(atom.pred, &key_buf);
+            let present = index.contains_below(atom.pred, &key_buf, rows);
             self.key_buf = key_buf;
             if !present {
                 return ControlFlow::Continue(());
@@ -451,6 +480,9 @@ impl<'a> Exec<'a> {
                 self.counters.probe_rows += candidates.len() as u64;
                 let mut flow = ControlFlow::Continue(());
                 for &r in candidates {
+                    if r as usize >= rows {
+                        break;
+                    }
                     flow = self.try_row(depth, atom, tuples, r as usize, binding, visit);
                     if flow.is_break() {
                         break;
@@ -476,6 +508,9 @@ impl<'a> Exec<'a> {
             }
             let mut flow = ControlFlow::Continue(());
             for &r in source.unwrap_or(&[]) {
+                if r as usize >= rows {
+                    break;
+                }
                 flow = self.try_row(depth, atom, tuples, r as usize, binding, visit);
                 if flow.is_break() {
                     break;

@@ -22,7 +22,8 @@ struct PredIndex {
     /// the tuples were indexed (canonical instance order for the initial
     /// build, delta order for `extend`).
     cols: Vec<Vec<Elem>>,
-    /// Position → element → rows having that element at that position.
+    /// Position → element → rows having that element at that position,
+    /// ascending (rows are only ever appended).
     postings: Vec<HashMap<Elem, Vec<u32>, FxBuildHasher>>,
     /// Collision-safe membership: tuple hash → candidate rows.
     seen: HashMap<u64, Vec<u32>, FxBuildHasher>,
@@ -39,16 +40,19 @@ impl PredIndex {
         self.cols[pos][row as usize]
     }
 
-    fn contains(&self, tuple: &[Elem]) -> bool {
+    /// `true` when `tuple` is indexed at a row below `limit`.
+    fn contains_below(&self, tuple: &[Elem], limit: usize) -> bool {
         if tuple.len() != self.arity {
             return false;
         }
         match self.seen.get(&store::tuple_hash(tuple)) {
             Some(rows) => rows.iter().any(|&r| {
-                self.cols
-                    .iter()
-                    .zip(tuple)
-                    .all(|(col, &e)| col[r as usize] == e)
+                (r as usize) < limit
+                    && self
+                        .cols
+                        .iter()
+                        .zip(tuple)
+                        .all(|(col, &e)| col[r as usize] == e)
             }),
             None => false,
         }
@@ -129,7 +133,8 @@ impl JoinTable {
     }
 
     /// Candidate rows whose masked positions hash to `key` (positions taken
-    /// in ascending order, hashed with [`store::tuple_hash_iter`]).
+    /// in ascending order, hashed with [`store::tuple_hash_iter`]), in
+    /// ascending row order.
     #[inline]
     pub(crate) fn probe(&self, key: u64) -> &[u32] {
         self.map.get(&key).map_or(&[], Vec::as_slice)
@@ -274,9 +279,17 @@ impl InstanceIndex {
 
     /// `true` if the tuple `args` of `pred` is already indexed.
     pub fn contains(&self, pred: PredId, args: &[Elem]) -> bool {
+        self.contains_below(pred, args, usize::MAX)
+    }
+
+    /// `true` if the tuple `args` of `pred` is indexed at a row below
+    /// `limit`. With `limit` a semi-naive watermark, that is whether it is
+    /// an old fact rather than part of the appended delta (see
+    /// [`InstanceIndex::extend`]).
+    pub fn contains_below(&self, pred: PredId, args: &[Elem], limit: usize) -> bool {
         self.preds
             .get(pred.index())
-            .is_some_and(|pi| pi.contains(args))
+            .is_some_and(|pi| pi.contains_below(args, limit))
     }
 
     /// Appends `delta` to the index, growing it in place.
@@ -292,6 +305,12 @@ impl InstanceIndex {
     /// — this is what keeps multi-round chases from paying a full O(|I|)
     /// rebuild per round. Cached join tables of the touched predicates are
     /// invalidated (rebuilt lazily on the next probe).
+    ///
+    /// Appended rows get the next row numbers, and postings and join-table
+    /// rows stay ascending. So when `delta` holds new, distinct facts, they
+    /// are exactly the rows of each predicate `p` at or above
+    /// `count(p) − |delta_p|` — the watermark the semi-naive search
+    /// ([`crate::for_each_hom_anchored`]) cuts old facts at.
     pub fn extend(&mut self, delta: &[Fact]) {
         let mut built: u64 = 0;
         for fact in delta {

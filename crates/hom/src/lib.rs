@@ -32,7 +32,7 @@ pub use hom::{
     embeds_fixing, find_hom, find_instance_hom, for_each_hom, for_each_hom_indexed,
     for_each_hom_reusing, Binding,
 };
-pub use hom::{find_hom_indexed, for_each_hom_anchored, for_each_hom_seminaive};
+pub use hom::{find_hom_indexed, for_each_hom_anchored};
 pub use index::{InstanceIndex, Tuples};
 pub use iso::are_isomorphic;
 pub use plan::{

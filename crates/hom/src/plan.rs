@@ -22,10 +22,11 @@
 //!
 //! Plans are memoized in a process-wide, bounded, collision-safe cache
 //! keyed by `(schema fingerprint, atom structure, entry bound-var set,
-//! per-atom relation size class)`. The seminaive delta loop and the
-//! candidate-evaluation head probes request structurally identical plans
-//! hundreds of thousands of times per run; with the cache they pay a hash
-//! lookup and an `Arc` clone instead of a rebuild. Size classes
+//! per-atom relation size class)`. The chase's anchored trigger searches
+//! (one plan per anchor) and the candidate-evaluation head probes request
+//! structurally identical plans hundreds of thousands of times per run;
+//! with the cache they pay a hash lookup and an `Arc` clone instead of a
+//! rebuild. Size classes
 //! (`⌈log2(count)⌉`) keep cached orders honest as relations grow: a plan is
 //! refreshed whenever a relation crosses a power-of-two boundary.
 
@@ -413,9 +414,9 @@ fn key_matches(stored: &[u64], atoms: &[Atom<Var>], index: &InstanceIndex, bound
 /// [`plan_join`] with memoization: returns the compiled [`JoinPlan`] for
 /// `(index schema, atoms, bound set, relation size classes)` from the
 /// process-wide cache, building it only on the first request. This is the
-/// entry point the hom executor uses — the seminaive delta loop and
-/// repeated head probes request the same handful of plan shapes hundreds of
-/// thousands of times per run.
+/// entry point the hom executor uses — the chase's anchored trigger
+/// searches and repeated head probes request the same handful of plan
+/// shapes hundreds of thousands of times per run.
 pub fn plan_join_cached(
     atoms: &[Atom<Var>],
     index: &InstanceIndex,
