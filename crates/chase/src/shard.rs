@@ -39,7 +39,6 @@ use crate::chase::CANCEL_CHECK_STRIDE;
 use crate::faults::{FaultSite, INJECTED_PANIC};
 use crate::govern::CancelToken;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,7 +46,8 @@ use tgdkit_hom::{
     classify_exchange, for_each_hom_anchored, for_each_hom_indexed, Binding, ExchangeChoice,
     InstanceIndex,
 };
-use tgdkit_instance::{shard_of, Elem, Fact, FxBuildHasher, ShardedInstance};
+use tgdkit_instance::store::{self, RowSet};
+use tgdkit_instance::{shard_of, Elem, Fact, ShardedInstance};
 use tgdkit_logic::{PredId, Tgd};
 
 /// `TGDKIT_SHARDS` parsed fresh on each call (tests and the bench harness
@@ -156,9 +156,9 @@ pub(crate) struct TriggerRun {
     /// head image), else an empty range.
     heads: Vec<Option<(u32, u32)>>,
     head_vars: Vec<usize>,
-    /// The kept entry of each `[tgd, head image…]` key this round.
-    by_head: HashMap<Vec<Elem>, u32, FxBuildHasher>,
-    key: Vec<Elem>,
+    /// The kept entry of each `(tgd, head image)` this round, keyed by
+    /// [`head_hash`] and verified against the entry's image in `elems`.
+    by_head: RowSet,
     probe: Vec<Elem>,
     /// Bindings offered this round, live or dead: with an exact
     /// semi-naive search, one per distinct body match touching the delta.
@@ -196,8 +196,7 @@ impl TriggerRun {
             lens: tgds.iter().map(|t| t.universal_count() as u32).collect(),
             heads,
             head_vars,
-            by_head: HashMap::default(),
-            key: Vec::new(),
+            by_head: RowSet::new(),
             probe: Vec::new(),
             offered: 0,
         }
@@ -234,9 +233,9 @@ impl TriggerRun {
     ///   head fact present. So only the smallest universal image is kept.
     ///
     /// The dead check runs first: it is one membership probe per head atom,
-    /// most bindings fail it, and it needs no key. The order cannot change
-    /// what is kept: the index does not change during the search, so a
-    /// head image found live stays live for the whole round.
+    /// and most bindings fail it. The order cannot change what is kept: the
+    /// index does not change during the search, so a head image found live
+    /// stays live for the whole round.
     fn offer(&mut self, ti: usize, tgd: &Tgd, binding: &Binding, index: &InstanceIndex) {
         self.offered += 1;
         let Some((lo, hi)) = self.heads[ti] else {
@@ -255,10 +254,16 @@ impl TriggerRun {
         }
         let vars = &self.head_vars[lo as usize..hi as usize];
         if !vars.is_empty() {
-            self.key.clear();
-            self.key.push(Elem(ti as u32));
-            self.key.extend(vars.iter().map(|&v| universal(v)));
-            if let Some(&entry) = self.by_head.get(self.key.as_slice()) {
+            let hash = head_hash(ti, vars, universal);
+            let (entries, elems) = (&self.entries, &self.elems);
+            let same_head = |e: u32| {
+                let (te, off) = entries[e as usize];
+                te as usize == ti
+                    && vars
+                        .iter()
+                        .all(|&v| elems[off as usize + v] == universal(v))
+            };
+            if let Some(entry) = self.by_head.find(hash, same_head) {
                 let off = self.entries[entry as usize].1 as usize;
                 let kept = &mut self.elems[off..off + self.lens[ti] as usize];
                 let n = kept.len();
@@ -269,8 +274,14 @@ impl TriggerRun {
                 }
                 return;
             }
-            self.by_head
-                .insert(self.key.clone(), self.entries.len() as u32);
+            let entry = u32::try_from(self.entries.len()).expect("trigger run exceeds u32 entries");
+            let (heads, head_vars) = (&self.heads, &self.head_vars);
+            self.by_head.insert(hash, entry, |e| {
+                let (te, off) = entries[e as usize];
+                let (lo, hi) = heads[te as usize].expect("keyed entries are full tgds");
+                let vars = &head_vars[lo as usize..hi as usize];
+                head_hash(te as usize, vars, |v| elems[off as usize + v])
+            });
         }
         self.push_binding(ti, binding);
     }
@@ -305,6 +316,13 @@ impl TriggerRun {
             .iter()
             .map(|&(ti, off)| (ti as usize, self.slice(ti, off)))
     }
+}
+
+/// The [`TriggerRun::by_head`] key of tgd `ti`'s head image: the hash of
+/// `[ti, image(v) for v in vars]`.
+fn head_hash(ti: usize, vars: &[usize], image: impl Fn(usize) -> Elem) -> u64 {
+    let ti = u32::try_from(ti).expect("tgd index fits u32");
+    store::tuple_hash_iter(std::iter::once(Elem(ti)).chain(vars.iter().map(|&v| image(v))))
 }
 
 /// How one round's trigger search ended. On `aborted` or a contained

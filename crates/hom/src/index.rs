@@ -9,7 +9,8 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
-use tgdkit_instance::{store, Elem, Fact, FxBuildHasher, Instance};
+use tgdkit_instance::store::{self, RowSet};
+use tgdkit_instance::{Elem, Fact, FxBuildHasher, Instance};
 use tgdkit_logic::{PredId, Schema};
 
 /// Per-predicate columnar tuple store plus positional postings and lazy
@@ -25,8 +26,9 @@ struct PredIndex {
     /// Position → element → rows having that element at that position,
     /// ascending (rows are only ever appended).
     postings: Vec<HashMap<Elem, Vec<u32>, FxBuildHasher>>,
-    /// Collision-safe membership: tuple hash → candidate rows.
-    seen: HashMap<u64, Vec<u32>, FxBuildHasher>,
+    /// Collision-safe membership: the rows, keyed by tuple hash and
+    /// verified column-wise.
+    seen: RowSet,
     /// Lazily built hash-join tables, keyed by the bound-position bitmask
     /// they index. Built on first probe (the executor decides per plan step
     /// whether a hash join pays), shared across concurrent searches, and
@@ -40,38 +42,37 @@ impl PredIndex {
         self.cols[pos][row as usize]
     }
 
-    /// `true` when `tuple` is indexed at a row below `limit`.
+    /// `true` when `tuple` is indexed at a row below `limit`. Indexed
+    /// tuples are distinct, so the one match decides.
     fn contains_below(&self, tuple: &[Elem], limit: usize) -> bool {
         if tuple.len() != self.arity {
             return false;
         }
-        match self.seen.get(&store::tuple_hash(tuple)) {
-            Some(rows) => rows.iter().any(|&r| {
-                (r as usize) < limit
-                    && self
-                        .cols
-                        .iter()
-                        .zip(tuple)
-                        .all(|(col, &e)| col[r as usize] == e)
-            }),
-            None => false,
-        }
+        self.seen
+            .find(store::tuple_hash(tuple), |r| {
+                store::columns_row_eq(&self.cols, r, tuple)
+            })
+            .is_some_and(|r| (r as usize) < limit)
     }
 
     /// Appends `tuple` unless already present; returns `true` when added.
+    ///
+    /// # Panics
+    /// Panics when the predicate already holds [`store::MAX_ROWS`] rows.
     fn push(&mut self, tuple: &[Elem]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
         let hash = store::tuple_hash(tuple);
         let cols = &self.cols;
-        let bucket = self.seen.entry(hash).or_default();
-        if bucket
-            .iter()
-            .any(|&r| cols.iter().zip(tuple).all(|(col, &e)| col[r as usize] == e))
+        if self
+            .seen
+            .find(hash, |r| store::columns_row_eq(cols, r, tuple))
+            .is_some()
         {
             return false;
         }
-        let row = self.rows as u32;
-        bucket.push(row);
+        let row = store::next_row_id(self.rows).unwrap_or_else(|e| panic!("index overflow: {e}"));
+        self.seen
+            .insert(hash, row, |r| store::columns_row_hash(cols, r));
         for (pos, (col, &e)) in self.cols.iter_mut().zip(tuple).enumerate() {
             col.push(e);
             self.postings[pos].entry(e).or_default().push(row);
@@ -183,7 +184,7 @@ impl InstanceIndex {
                 rows: 0,
                 cols: (0..arity).map(|_| Vec::with_capacity(rel.len())).collect(),
                 postings: vec![HashMap::default(); arity],
-                seen: HashMap::default(),
+                seen: RowSet::new(),
                 tables: RwLock::default(),
             };
             let mut built: u64 = 0;

@@ -1,17 +1,18 @@
 //! Columnar (struct-of-arrays) tuple storage for relations.
 //!
 //! A [`Relation`] keeps its tuples in one `Vec<Elem>` **per argument
-//! position** (struct-of-arrays) instead of a row-major arena or a
-//! `BTreeSet<Vec<Elem>>`: inserting a tuple appends one word to each column,
-//! membership is a hash probe verified column-wise, and — the point of the
-//! layout — equality and filter checks over one position run over a
-//! contiguous `&[Elem]` slice ([`Relation::column`]), which is what the
-//! hom-search executor's batched scans and hash-join builds consume.
-//! Deduplication is collision-safe (the hash map stores *candidate* row ids
-//! verified by column-wise equality), and the canonical (lexicographic)
-//! iteration order of the original `BTreeSet` representation is preserved
-//! through a lazily computed, cached sort permutation, so every observable
-//! enumeration stays byte-identical to the set semantics.
+//! position**: inserting a tuple appends one word to each column, and —
+//! the point of the layout — equality and filter checks over one position
+//! run over a contiguous `&[Elem]` slice ([`Relation::column`]), which is
+//! what the hom-search executor's batched scans and hash-join builds
+//! consume. Membership is a [`RowSet`]: one flat open-addressing table of
+//! row ids keyed by tuple hash, each candidate verified column-wise, so hash
+//! collisions never conflate tuples and a tuple costs no allocation of its
+//! own. The hom index and the chase's head-image dedup use the same set.
+//! The canonical (lexicographic) iteration order of a
+//! `BTreeSet<Vec<Elem>>` is kept through a lazily computed, cached sort
+//! permutation, so every observable enumeration stays byte-identical to the
+//! set semantics.
 //!
 //! Rows no longer exist contiguously in memory, so iteration yields
 //! [`RowRef`] views (cheap `(relation, row)` handles with positional
@@ -20,7 +21,6 @@
 //! tuple, so hot paths stay allocation-free.
 
 use crate::instance::Elem;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
@@ -62,8 +62,9 @@ impl Hasher for FxHasher {
 }
 
 /// [`BuildHasherDefault`] over [`FxHasher`] — a deterministic, fast hasher
-/// for the dedup and postings tables (no per-process random seed, so debug
-/// output and iteration order never depend on table identity).
+/// for internal tables such as the postings, join tables and caches (no
+/// per-process random seed, so debug output and iteration order never
+/// depend on table identity).
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// FNV-1a over the raw element ids, finalized with a splitmix64 round so
@@ -119,11 +120,195 @@ impl std::error::Error for CapacityError {}
 /// [`CapacityError`] when it would not fit a `u32`. Factored out so the
 /// guard is testable without inserting four billion tuples.
 #[inline]
-pub(crate) fn next_row_id(rows: usize) -> Result<u32, CapacityError> {
+pub fn next_row_id(rows: usize) -> Result<u32, CapacityError> {
     if rows >= MAX_ROWS {
         return Err(CapacityError { rows });
     }
     Ok(rows as u32)
+}
+
+/// A set of row ids keyed by the hash of the row each one names: the
+/// membership table of [`Relation`], of the hom index and of the chase's
+/// head-image dedup.
+///
+/// Open addressing with linear probing over a flat `Vec<u64>`, at most half
+/// full. A slot packs the high 32 bits of the row's hash (its *tag*) with
+/// `row + 1`; 0 marks an empty slot. The row's data lives with the caller,
+/// so the set stores neither the tuple nor its full hash:
+///
+/// - lookups take the caller's equality test, run on each candidate whose
+///   tag matches, so hash collisions never conflate two rows;
+/// - growth and deletion, which need a row's home slot, take a closure
+///   recomputing the hash of a stored row.
+///
+/// Deletion shifts the rest of the probe chain back, so there are no
+/// tombstones and a lookup always stops at the first empty slot.
+#[derive(Clone, Debug, Default)]
+pub struct RowSet {
+    slots: Vec<u64>,
+    /// Rows stored, which [`RowSet::insert`] keeps at most half of `slots`.
+    len: usize,
+}
+
+impl RowSet {
+    /// Smallest non-empty table, in slots.
+    const MIN_SLOTS: usize = 8;
+
+    /// Creates an empty set; it allocates on the first insert.
+    pub fn new() -> RowSet {
+        RowSet::default()
+    }
+
+    #[inline]
+    fn tag(hash: u64) -> u64 {
+        hash & !u64::from(u32::MAX)
+    }
+
+    #[inline]
+    fn pack(hash: u64, row: u32) -> u64 {
+        assert!(row < u32::MAX, "row id {row} does not fit a row set slot");
+        Self::tag(hash) | (u64::from(row) + 1)
+    }
+
+    #[inline]
+    fn row_of(slot: u64) -> u32 {
+        (slot as u32) - 1
+    }
+
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        hash as usize & (self.slots.len() - 1)
+    }
+
+    /// Index of the slot holding a row under `hash` that `eq` accepts.
+    #[inline]
+    fn slot_of(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let tag = Self::tag(hash);
+        let mut i = self.home(hash);
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return None;
+            }
+            if Self::tag(slot) == tag && eq(Self::row_of(slot)) {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The row stored under `hash` that `eq` accepts, if any. `eq` is asked
+    /// only about rows whose hash shares `hash`'s high 32 bits.
+    #[inline]
+    pub fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        self.slot_of(hash, eq).map(|i| Self::row_of(self.slots[i]))
+    }
+
+    /// Adds `row` under `hash`. The caller has checked (with
+    /// [`RowSet::find`]) that the row's data is not in the set yet, and
+    /// `rehash` returns the hash of any row already in the set.
+    ///
+    /// # Panics
+    /// Panics if `row == u32::MAX`, which a slot cannot hold.
+    pub fn insert(&mut self, hash: u64, row: u32, rehash: impl FnMut(u32) -> u64) {
+        let packed = Self::pack(hash, row);
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow(rehash);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = packed;
+        self.len += 1;
+    }
+
+    /// Doubles the table and re-places every row from its recomputed hash.
+    fn grow(&mut self, mut rehash: impl FnMut(u32) -> u64) {
+        let size = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![0; size]);
+        let mask = size - 1;
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let hash = rehash(Self::row_of(slot));
+            debug_assert_eq!(Self::tag(hash), Self::tag(slot), "rehash disagrees");
+            let mut i = self.home(hash);
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    /// Removes the row under `hash` that `eq` accepts and returns it. The
+    /// rest of its probe chain shifts back into the gap; `rehash` returns
+    /// the hash of any row in the set.
+    pub fn remove(
+        &mut self,
+        hash: u64,
+        eq: impl FnMut(u32) -> bool,
+        mut rehash: impl FnMut(u32) -> u64,
+    ) -> Option<u32> {
+        let mut gap = self.slot_of(hash, eq)?;
+        let row = Self::row_of(self.slots[gap]);
+        let mask = self.slots.len() - 1;
+        let mut i = gap;
+        loop {
+            i = (i + 1) & mask;
+            let slot = self.slots[i];
+            if slot == 0 {
+                break;
+            }
+            // The row at `i` may fill the gap unless its home lies
+            // cyclically in `(gap, i]`: moving it before its home would
+            // hide it from lookups.
+            let home = self.home(rehash(Self::row_of(slot)));
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(gap) & mask) {
+                self.slots[gap] = slot;
+                gap = i;
+            }
+        }
+        self.slots[gap] = 0;
+        self.len -= 1;
+        Some(row)
+    }
+
+    /// Renumbers row `old`, stored under `hash`, as `new`: a swap-remove
+    /// moved its data to another row.
+    ///
+    /// # Panics
+    /// Panics if `old` is not stored under `hash`, or if `new == u32::MAX`.
+    pub fn repoint(&mut self, hash: u64, old: u32, new: u32) {
+        let i = self
+            .slot_of(hash, |r| r == old)
+            .expect("repointed row is in the set");
+        self.slots[i] = Self::pack(hash, new);
+    }
+
+    /// Empties the set, keeping its table allocated.
+    pub fn clear(&mut self) {
+        self.slots.fill(0);
+        self.len = 0;
+    }
+}
+
+/// The hash of row `row` of a struct-of-arrays column set (the value
+/// [`tuple_hash`] gives the materialized tuple).
+#[inline]
+pub fn columns_row_hash(cols: &[Vec<Elem>], row: u32) -> u64 {
+    tuple_hash_iter(cols.iter().map(|c| c[row as usize]))
+}
+
+/// `true` when row `row` of a struct-of-arrays column set equals `tuple`.
+#[inline]
+pub fn columns_row_eq(cols: &[Vec<Elem>], row: u32, tuple: &[Elem]) -> bool {
+    cols.iter()
+        .zip(tuple)
+        .all(|(col, &e)| col[row as usize] == e)
 }
 
 /// A single relation stored as struct-of-arrays columns.
@@ -137,9 +322,9 @@ pub struct Relation {
     rows: usize,
     /// One column per argument position, each `rows` elements long.
     cols: Vec<Vec<Elem>>,
-    /// Collision-safe dedup: tuple hash → candidate row ids (verified by
-    /// column-wise equality on every probe).
-    dedup: HashMap<u64, Vec<u32>, FxBuildHasher>,
+    /// Collision-safe dedup: the row ids, keyed by tuple hash and verified
+    /// by column-wise equality on every probe.
+    dedup: RowSet,
     /// Lazily computed sort permutation over rows; reset on every mutation
     /// that changes the tuple set. `OnceLock` keeps `&self` iteration cheap
     /// and the type `Sync`.
@@ -153,7 +338,7 @@ impl Relation {
             arity,
             rows: 0,
             cols: vec![Vec::new(); arity],
-            dedup: HashMap::default(),
+            dedup: RowSet::new(),
             order: OnceLock::new(),
         }
     }
@@ -197,20 +382,26 @@ impl Relation {
             .sum()
     }
 
-    /// Deterministic estimate of the relation's heap residency under the
-    /// columnar layout: the per-column payloads plus one `Vec` header per
-    /// column, plus the dedup index (one hash bucket and one row id per
-    /// distinct tuple). Computed from logical sizes, not `Vec` capacities,
-    /// so two relations holding the same tuple set always report the same
-    /// figure — which is what lets the memory accountant trip at the same
-    /// round on every replay of a run, and keeps checkpoint resume (which
-    /// re-inserts tuples in a different physical order) byte-identical.
+    /// The memory accountant's deterministic charge for the relation: the
+    /// per-column payloads plus one `Vec` header per column, plus a fixed
+    /// charge per tuple for the dedup index (36 bytes on 64-bit targets).
+    /// That charge is an accounting unit, not a measurement — the
+    /// [`RowSet`] itself takes 16–32 bytes per tuple at its ½ load bound —
+    /// and it stays fixed because memory budgets are set against it:
+    /// changing it would move the round at which they trip.
+    /// Computed from logical sizes, not capacities, so two relations
+    /// holding the same tuple set always report the same figure — which is
+    /// what lets the accountant trip at the same round on every replay of a
+    /// run, and keeps checkpoint resume (which re-inserts tuples in a
+    /// different physical order) byte-identical.
     pub fn heap_bytes(&self) -> usize {
-        let bucket = std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>();
+        // A hash key, a bucket header and a row id: the unit budgets use.
+        let index_entry = std::mem::size_of::<u64>()
+            + std::mem::size_of::<Vec<u32>>()
+            + std::mem::size_of::<u32>();
         self.payload_bytes()
             + self.cols.len() * std::mem::size_of::<Vec<Elem>>()
-            + self.dedup.len() * bucket
-            + self.rows * std::mem::size_of::<u32>()
+            + self.rows * index_entry
     }
 
     /// The element at physical row `row`, position `pos`.
@@ -226,15 +417,6 @@ impl Relation {
         RowRef { rel: self, row: r }
     }
 
-    /// `true` when physical row `row` equals `tuple` (column-wise compare).
-    #[inline]
-    fn row_eq_slice(&self, row: u32, tuple: &[Elem]) -> bool {
-        self.cols
-            .iter()
-            .zip(tuple)
-            .all(|(col, &e)| col[row as usize] == e)
-    }
-
     /// Lexicographic comparison of two physical rows.
     #[inline]
     fn cmp_rows(&self, a: u32, b: u32) -> std::cmp::Ordering {
@@ -247,23 +429,15 @@ impl Relation {
         std::cmp::Ordering::Equal
     }
 
-    /// The hash of physical row `row` (same value [`tuple_hash`] gives the
-    /// materialized tuple).
-    #[inline]
-    fn hash_row(&self, row: u32) -> u64 {
-        tuple_hash_iter(self.cols.iter().map(|c| c[row as usize]))
-    }
-
     /// `true` when `tuple` is present.
     ///
     /// # Panics
     /// Panics if the tuple length differs from the relation arity.
     pub fn contains(&self, tuple: &[Elem]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        match self.dedup.get(&tuple_hash(tuple)) {
-            Some(rows) => rows.iter().any(|&r| self.row_eq_slice(r, tuple)),
-            None => false,
-        }
+        self.dedup
+            .find(tuple_hash(tuple), |r| columns_row_eq(&self.cols, r, tuple))
+            .is_some()
     }
 
     /// `true` when the tuple viewed by `row` (possibly of *another*
@@ -273,13 +447,12 @@ impl Relation {
         if row.len() != self.arity {
             return false;
         }
-        let hash = row.rel.hash_row(row.row);
-        match self.dedup.get(&hash) {
-            Some(rows) => rows.iter().any(|&r| {
+        let hash = columns_row_hash(&row.rel.cols, row.row);
+        self.dedup
+            .find(hash, |r| {
                 (0..self.arity).all(|pos| self.elem(r, pos) == row.rel.elem(row.row, pos))
-            }),
-            None => false,
-        }
+            })
+            .is_some()
     }
 
     /// Inserts `tuple`, returning `true` if it was not already present.
@@ -304,19 +477,18 @@ impl Relation {
     pub fn try_insert(&mut self, tuple: &[Elem]) -> Result<bool, CapacityError> {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
         let hash = tuple_hash(tuple);
-        if let Some(bucket) = self.dedup.get(&hash) {
-            let cols = &self.cols;
-            if bucket
-                .iter()
-                .any(|&r| cols.iter().zip(tuple).all(|(col, &e)| col[r as usize] == e))
-            {
-                return Ok(false);
-            }
+        let cols = &self.cols;
+        if self
+            .dedup
+            .find(hash, |r| columns_row_eq(cols, r, tuple))
+            .is_some()
+        {
+            return Ok(false);
         }
         // Check capacity only after the duplicate probe: membership queries
         // against a full relation must keep answering, not erroring.
         let row = next_row_id(self.rows)?;
-        self.dedup.entry(hash).or_default().push(row);
+        self.dedup.insert(hash, row, |r| columns_row_hash(cols, r));
         for (col, &e) in self.cols.iter_mut().zip(tuple) {
             col.push(e);
         }
@@ -334,21 +506,14 @@ impl Relation {
     /// Panics if the tuple length differs from the relation arity.
     pub fn remove(&mut self, tuple: &[Elem]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        let hash = tuple_hash(tuple);
         let cols = &self.cols;
-        let Some(bucket) = self.dedup.get_mut(&hash) else {
+        let Some(row) = self.dedup.remove(
+            tuple_hash(tuple),
+            |r| columns_row_eq(cols, r, tuple),
+            |r| columns_row_hash(cols, r),
+        ) else {
             return false;
         };
-        let Some(slot) = bucket
-            .iter()
-            .position(|&r| cols.iter().zip(tuple).all(|(col, &e)| col[r as usize] == e))
-        else {
-            return false;
-        };
-        let row = bucket.swap_remove(slot);
-        if bucket.is_empty() {
-            self.dedup.remove(&hash);
-        }
         // `rows <= MAX_ROWS` is an invariant enforced by `try_insert`, so the
         // conversion cannot truncate; keep it checked anyway so a future
         // violation fails loudly instead of corrupting the dedup map.
@@ -358,13 +523,8 @@ impl Relation {
         }
         if row != last {
             // The last row moved into the hole; repoint its dedup entry.
-            let moved_hash = self.hash_row(row);
-            let moved = self
-                .dedup
-                .get_mut(&moved_hash)
-                .and_then(|b| b.iter_mut().find(|r| **r == last))
-                .expect("moved row is indexed");
-            *moved = row;
+            self.dedup
+                .repoint(columns_row_hash(&self.cols, row), last, row);
         }
         self.rows -= 1;
         self.order = OnceLock::new();
@@ -719,5 +879,137 @@ mod tests {
         b.remove(&t(&[9, 9]));
         assert_eq!(a.heap_bytes(), b.heap_bytes());
         assert_eq!(a.payload_bytes(), b.payload_bytes());
+        // Budgets are set against this figure: two 8-byte payloads, two
+        // column headers and the fixed per-tuple index charge.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(a.heap_bytes(), 2 * 8 + 2 * 24 + 2 * 36);
+    }
+
+    /// A hash whose tag (high half) is `tag` and whose home bits are `home`.
+    fn forced(tag: u32, home: u32) -> u64 {
+        (u64::from(tag) << 32) | u64::from(home)
+    }
+
+    #[test]
+    fn row_set_tells_rows_under_one_hash_apart_by_eq() {
+        let h = forced(0xdead_beef, 5);
+        let mut set = RowSet::new();
+        for row in 0..4 {
+            set.insert(h, row, |_| h);
+        }
+        assert_eq!(set.len, 4);
+        for row in 0..4 {
+            assert_eq!(set.find(h, |r| r == row), Some(row));
+        }
+        assert_eq!(set.find(h, |_| false), None);
+        assert_eq!(
+            set.find(forced(0xdead_bef0, 5), |_| true),
+            None,
+            "tag differs"
+        );
+    }
+
+    #[test]
+    fn row_set_equal_tags_on_different_homes() {
+        let (a, b) = (forced(7, 1), forced(7, 2));
+        let mut set = RowSet::new();
+        set.insert(a, 10, |_| unreachable!());
+        set.insert(b, 20, |_| unreachable!());
+        // Same tag, so only `eq` decides which candidate answers.
+        assert_eq!(set.find(a, |r| r == 10), Some(10));
+        assert_eq!(set.find(b, |r| r == 20), Some(20));
+        assert_eq!(set.find(a, |r| r == 20), Some(20), "chain from 1 reaches 2");
+        assert_eq!(set.find(b, |r| r == 10), None, "slot 1 is before b's home");
+        let rehash = |r: u32| if r == 10 { a } else { b };
+        assert_eq!(set.remove(a, |r| r == 10, rehash), Some(10));
+        assert_eq!(set.find(b, |r| r == 20), Some(20));
+        assert_eq!(set.find(a, |r| r == 10), None);
+    }
+
+    #[test]
+    fn row_set_remove_shifts_a_chain_back_across_the_table_end() {
+        // Eight slots (the first table): rows 0 and 1 share home 6 and sit
+        // at 6 and 7, row 2 (home 7) wraps to 0, and row 3 sits at its own
+        // home 1.
+        let hashes = [forced(1, 6), forced(2, 6), forced(3, 7), forced(4, 1)];
+        let rehash = |r: u32| hashes[r as usize];
+        let mut set = RowSet::new();
+        for (row, &h) in (0..).zip(&hashes) {
+            set.insert(h, row, rehash);
+        }
+        let layout = |set: &RowSet| -> Vec<Option<u32>> {
+            let slots = set.slots.iter();
+            slots
+                .map(|&s| (s != 0).then(|| RowSet::row_of(s)))
+                .collect()
+        };
+        let mut want = vec![None; 8];
+        (want[6], want[7], want[0], want[1]) = (Some(0), Some(1), Some(2), Some(3));
+        assert_eq!(layout(&set), want);
+        assert_eq!(set.remove(hashes[0], |r| r == 0, rehash), Some(0));
+        // Row 1 moves home, row 2 back past the end, row 3 stays at home.
+        let mut want = vec![None; 8];
+        (want[6], want[7], want[1]) = (Some(1), Some(2), Some(3));
+        assert_eq!(layout(&set), want);
+        for row in 1..4 {
+            assert_eq!(set.find(hashes[row as usize], |r| r == row), Some(row));
+        }
+        assert_eq!(set.remove(hashes[0], |r| r == 0, rehash), None);
+        assert_eq!(set.len, 3);
+    }
+
+    #[test]
+    fn row_set_repoint_renumbers_in_place() {
+        let h = forced(9, 3);
+        let mut set = RowSet::new();
+        set.insert(h, 3, |_| h);
+        set.repoint(h, 3, 7);
+        assert_eq!(set.find(h, |r| r == 7), Some(7));
+        assert_eq!(set.find(h, |r| r == 3), None);
+        assert_eq!(set.len, 1);
+    }
+
+    #[test]
+    fn row_set_growth_keeps_every_row() {
+        let hash = |r: u32| tuple_hash(&[Elem(r), Elem(r / 3)]);
+        let mut set = RowSet::new();
+        for row in 0..1000 {
+            assert_eq!(set.find(hash(row), |r| r == row), None);
+            set.insert(hash(row), row, hash);
+        }
+        assert_eq!(set.len, 1000);
+        assert!(set.slots.len() >= 2000, "load stays at most 1/2");
+        for row in 0..1000 {
+            assert_eq!(set.find(hash(row), |r| r == row), Some(row));
+        }
+        for row in (0..1000).step_by(2) {
+            assert_eq!(set.remove(hash(row), |r| r == row, hash), Some(row));
+        }
+        for row in 0..1000 {
+            let found = set.find(hash(row), |r| r == row);
+            assert_eq!(found, (row % 2 == 1).then_some(row));
+        }
+    }
+
+    #[test]
+    fn row_set_clear_keeps_capacity() {
+        let hash = |r: u32| tuple_hash(&[Elem(r)]);
+        let mut set = RowSet::new();
+        for row in 0..100 {
+            set.insert(hash(row), row, hash);
+        }
+        let slots = set.slots.len();
+        set.clear();
+        assert_eq!(set.len, 0);
+        assert_eq!(set.slots.len(), slots);
+        assert_eq!(set.find(hash(5), |_| true), None);
+        set.insert(hash(5), 0, hash);
+        assert_eq!(set.find(hash(5), |r| r == 0), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a row set slot")]
+    fn row_set_rejects_the_row_id_that_would_spill_into_the_tag() {
+        RowSet::new().insert(forced(1, 1), u32::MAX, |_| unreachable!());
     }
 }

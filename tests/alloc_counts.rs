@@ -1,0 +1,100 @@
+//! Allocation counts of the tuple stores' membership tables.
+//!
+//! A relation and the hom index keep their tuples in columns and find them
+//! through a flat row set, so storing a tuple costs no allocation of its
+//! own: what remains is the amortized growth of a few vectors (and, in the
+//! index, the per-element postings lists). A per-tuple allocation anywhere
+//! on these paths shows here as thousands of extra calls.
+//!
+//! The binary installs a counting global allocator, so it holds only these
+//! tests. Counts are kept per thread, so the harness's own threads add
+//! nothing to them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use tgdkit::hom::InstanceIndex;
+use tgdkit::instance::Relation;
+use tgdkit::prelude::*;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the slot may already be gone while the thread exits.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments; the
+// counter is a const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (including reallocations) `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// 10,000 distinct binary tuples over 100 × 100 elements.
+fn grid() -> Vec<[Elem; 2]> {
+    (0..100u32)
+        .flat_map(|a| (0..100u32).map(move |b| [Elem(a), Elem(b)]))
+        .collect()
+}
+
+#[test]
+fn relation_inserts_allocate_per_growth_not_per_tuple() {
+    let tuples = grid();
+    let mut rel = Relation::new(2);
+    let (n, ()) = allocations(|| {
+        for t in &tuples {
+            assert!(rel.insert(t));
+        }
+    });
+    assert_eq!(rel.len(), 10_000);
+    assert!(n < 100, "{n} allocations for 10,000 relation inserts");
+}
+
+#[test]
+fn index_build_allocates_per_growth_and_posting_not_per_tuple() {
+    let mut schema = Schema::default();
+    let e = schema.add_pred("E", 2).expect("fresh predicate");
+    let mut inst = Instance::new(schema);
+    for t in grid() {
+        inst.add_fact(e, t.to_vec());
+    }
+    // Sort the relation now, so the index build pays only for itself.
+    assert_eq!(inst.relation(e).iter().count(), 10_000);
+    let (n, index) = allocations(|| InstanceIndex::new(&inst));
+    assert_eq!(index.count(e), 10_000);
+    assert!(n < 2_500, "{n} allocations to index 10,000 tuples");
+}
