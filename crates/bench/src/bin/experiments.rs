@@ -30,10 +30,8 @@ use tgdkit_core::reductions::{
     fg_entailment_to_guarded_rewritability, guarded_entailment_to_linear_rewritability,
 };
 use tgdkit_core::rewrite::{
-    evaluate_pool_keyed, frontier_guarded_to_guarded_cached,
-    frontier_guarded_to_guarded_with_stats, guarded_to_linear_cached,
-    guarded_to_linear_checkpointing, guarded_to_linear_governed, guarded_to_linear_resume,
-    guarded_to_linear_with_stats, RewriteOptions, RewriteOutcome,
+    evaluate_pool_keyed, frontier_guarded_to_guarded_cached, guarded_to_linear_cached, rewrite,
+    RewriteOptions, RewriteOutcome, RewriteTarget,
 };
 use tgdkit_core::separations::{
     cross_check_with_rewriting, guarded_vs_frontier_guarded, linear_vs_guarded, verify,
@@ -455,7 +453,7 @@ fn e9_reductions() {
             ..Default::default()
         };
         let ((outcome, _), time) =
-            timed(|| guarded_to_linear_with_stats(&reduction.sigma_prime, &opts));
+            timed(|| guarded_to_linear_cached(&reduction.sigma_prime, &opts, &EntailCache::new()));
         let rewritten = matches!(outcome, RewriteOutcome::Rewritten(_));
         table.row(&[
             "Thm 9.1 (G,L)".into(),
@@ -467,8 +465,9 @@ fn e9_reductions() {
         ]);
         // Theorem 9.2 reduction.
         let reduction2 = fg_entailment_to_guarded_rewritability(&set, q).unwrap();
-        let ((outcome2, _), time2) =
-            timed(|| frontier_guarded_to_guarded_with_stats(&reduction2.sigma_prime, &opts));
+        let ((outcome2, _), time2) = timed(|| {
+            frontier_guarded_to_guarded_cached(&reduction2.sigma_prime, &opts, &EntailCache::new())
+        });
         let rewritten2 = matches!(outcome2, RewriteOutcome::Rewritten(_));
         table.row(&[
             "Thm 9.2 (FG,G)".into(),
@@ -758,7 +757,8 @@ fn e12_rewriting_at_scale() {
         if !set.is_guarded() || set.is_empty() {
             continue;
         }
-        let ((outcome, _stats), time) = timed(|| guarded_to_linear_with_stats(&set, &opts));
+        let ((outcome, _stats), time) =
+            timed(|| guarded_to_linear_cached(&set, &opts, &EntailCache::new()));
         let witness = union_closure_witness(&set, 4, seed).is_some();
         let verified = match &outcome {
             RewriteOutcome::Rewritten(linear) => format!(
@@ -1040,11 +1040,22 @@ fn bench_rewrite_json(smoke: bool) {
         ..Default::default()
     };
     let token = CancelToken::with_deadline(std::time::Duration::from_millis(deadline_ms));
-    let ((deadline_outcome, deadline_stats), deadline_time) =
-        timed(|| guarded_to_linear_governed(&probe_set, &deadline_opts, &token));
+    let ((deadline_outcome, deadline_stats, _), deadline_time) = timed(|| {
+        let cache = EntailCache::new();
+        rewrite(
+            &probe_set,
+            RewriteTarget::Linear,
+            &deadline_opts,
+            &cache,
+            &token,
+            None,
+        )
+        .expect("a fresh run has no checkpoint to mismatch")
+    });
     // Cooperative cancellation is checked inside trigger enumeration and the
     // trigger-apply loop (with mid-round rollback to the last complete
-    // round), a cancelled evaluation skips grouping and result indexing, so
+    // round), a cancelled sweep claims no further groups and skips result
+    // indexing, so
     // a 50 ms deadline must not overshoot past 1.5x. The residual overshoot
     // is round-rollback latency plus pool teardown, both bounded.
     assert!(
@@ -1074,7 +1085,7 @@ fn bench_rewrite_json(smoke: bool) {
 
     // Memory probe: the same Algorithm-1 run over a branching chain, under
     // a deliberately tight byte budget and a byte-capped entailment cache,
-    // through the checkpointing entry point. The run must *suspend* (not
+    // on the serial (resumable) schedule. The run must *suspend* (not
     // fail), the checkpoint must survive its binary encode/decode round
     // trip, and resuming under the wide budget must land on exactly the
     // untripped outcome.
@@ -1092,8 +1103,10 @@ fn bench_rewrite_json(smoke: bool) {
     // plateaued cache) calibrates the tight budget so the trip lands at a
     // group boundary, never inside a member chase.
     let mem_cache = EntailCache::with_capacity(1 << 20, probe_cache_bytes);
+    let linear = RewriteTarget::Linear;
     let (mem_clean, mem_clean_stats, no_cp) =
-        guarded_to_linear_checkpointing(&mem_set, &mem_opts, &mem_cache, &clean_token);
+        rewrite(&mem_set, linear, &mem_opts, &mem_cache, &clean_token, None)
+            .expect("a fresh run has no checkpoint to mismatch");
     assert!(no_cp.is_none(), "unlimited byte budget must not suspend");
     let tight_bytes = mem_clean_stats
         .mem_peak_bytes
@@ -1107,8 +1120,15 @@ fn bench_rewrite_json(smoke: bool) {
         ..mem_opts
     };
     let tight_cache = EntailCache::with_capacity(1 << 20, probe_cache_bytes);
-    let (mut mem_outcome, mut mem_stats, mut mem_cp) =
-        guarded_to_linear_checkpointing(&mem_set, &tight_opts, &tight_cache, &clean_token);
+    let (mut mem_outcome, mut mem_stats, mut mem_cp) = rewrite(
+        &mem_set,
+        linear,
+        &tight_opts,
+        &tight_cache,
+        &clean_token,
+        None,
+    )
+    .expect("a fresh run has no checkpoint to mismatch");
     assert_eq!(
         mem_outcome,
         RewriteOutcome::Suspended,
@@ -1120,9 +1140,15 @@ fn bench_rewrite_json(smoke: bool) {
         assert_eq!(&decoded, cp.as_ref());
         // Resume under the wide budget: a real trip's residency is still
         // resident, so resuming with the tight budget would re-trip.
-        let (o, s, c) =
-            guarded_to_linear_resume(&mem_set, &mem_opts, &tight_cache, &decoded, &clean_token)
-                .expect("resume context matches");
+        let (o, s, c) = rewrite(
+            &mem_set,
+            linear,
+            &mem_opts,
+            &tight_cache,
+            &clean_token,
+            Some(&decoded),
+        )
+        .expect("resume context matches");
         mem_outcome = o;
         mem_stats = s;
         mem_cp = c;

@@ -14,24 +14,25 @@
 //!    modulo renaming — and the chase of the frozen body depends on the body
 //!    alone. Grouping candidates by canonical body ([`group_by_body`]),
 //!    chasing each distinct body once, and deciding every head in the group
-//!    by an indexed hom probe into the shared chase result
-//!    ([`evaluate_group`]) turns `O(candidates)` chases into
+//!    by an indexed hom probe into the shared chase result (one [`sweep`]
+//!    over the groups) turns `O(candidates)` chases into
 //!    `O(distinct bodies)` chases.
 //!
 //! Both layers are exact: the canonical form produced by
-//! [`canonical_tgd`] is identical for renaming-variants (for conjunctions of
+//! [`tgdkit_logic::canonical_tgd`] is identical for renaming-variants (for conjunctions of
 //! at most [`tgdkit_logic::canon::EXACT_LIMIT`] atoms; beyond that the
 //! greedy form merely splits groups, which costs speed, never soundness),
-//! and [`evaluate_group`] runs the same decision pipeline as
+//! and the group evaluator runs the same decision pipeline as
 //! [`crate::entails_auto`] — linear fast path, budgeted chase, finite
 //! countermodel search on `Unknown` — so verdicts agree bit-for-bit with the
 //! unshared, uncached path.
 
 use crate::chase::{chase_governed, ChaseBudget, ChaseOutcome, ChaseVariant};
-use crate::checkpoint::{BatchCheckpoint, CheckpointError};
+use crate::checkpoint::{verdict_from_tag, verdict_tag, BatchCheckpoint, CheckpointError};
 use crate::countermodel::{refute_by_countermodel_governed, SearchBudget};
 use crate::entail::{entails_auto_governed, freeze_body, Entailment};
 use crate::faults::FaultSite;
+use crate::faults::INJECTED_PANIC;
 use crate::govern::CancelToken;
 use crate::linear::entails_linear_governed;
 use crate::memory::MemoryAccountant;
@@ -40,7 +41,8 @@ use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use tgdkit_hom::{Binding, InstanceIndex};
 use tgdkit_instance::{Elem, FxBuildHasher};
@@ -51,9 +53,9 @@ use tgdkit_logic::{canonical_tgd_with_key, tgd_variant_key, Schema, Tgd, TgdVari
 /// candidate is decided under a different set or budget.
 type KeyedVerdicts = Vec<(u64, ChaseBudget, Entailment)>;
 
-/// Result of the suspendable batch entry points: per-candidate verdicts,
-/// batch stats, and the checkpoint when the run suspended on the byte
-/// budget (`None` when it ran to completion or was merely cancelled).
+/// Result of [`batch_entailment`]: per-candidate verdicts, batch stats, and
+/// the checkpoint when the run suspended (`None` when it ran to completion
+/// or was merely cancelled).
 pub type BatchRun = (
     Vec<Entailment>,
     EntailBatchStats,
@@ -522,10 +524,10 @@ pub fn group_by_body_keyed<'a>(
     groups
 }
 
-/// Per-batch accounting for [`entails_batch`] / [`evaluate_group`].
+/// Per-sweep accounting for [`sweep`] and the entry points built on it.
 ///
 /// Unlike the cumulative counters on [`EntailCache`], these cover exactly
-/// one batch, so callers can report per-run sharing even with a cache shared
+/// one sweep, so callers can report per-run sharing even with a cache shared
 /// across many runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EntailBatchStats {
@@ -542,15 +544,18 @@ pub struct EntailBatchStats {
     pub cache_hits: usize,
     /// Lookups that missed and forced an evaluation.
     pub cache_misses: usize,
-    /// Keys evicted from the bounded [`EntailCache`] during this batch
+    /// Keys evicted from the bounded [`EntailCache`] during this sweep
     /// (approximate when the cache is concurrently shared with other runs).
     pub evictions: usize,
+    /// Body groups whose evaluation panicked and was contained; their
+    /// candidates keep `Unknown` verdicts.
+    pub panics_contained: usize,
     /// Aggregated engine stats of the body chases.
     pub chase: ChaseStats,
 }
 
 impl EntailBatchStats {
-    /// Folds another batch's counters into `self`.
+    /// Folds another sweep's counters into `self`.
     pub fn absorb(&mut self, other: &EntailBatchStats) {
         self.candidates += other.candidates;
         self.body_groups += other.body_groups;
@@ -559,6 +564,7 @@ impl EntailBatchStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.evictions += other.evictions;
+        self.panics_contained += other.panics_contained;
         self.chase.absorb(&other.chase);
     }
 }
@@ -582,7 +588,7 @@ impl EntailBatchStats {
 /// cache is keyed by budget alone, and a deadline-induced `Unknown` must
 /// not shadow the verdict an unhurried rerun would reach. `Proved` /
 /// `Disproved` stay storable: both are sound regardless of truncation.
-pub fn evaluate_group(
+fn evaluate_group(
     schema: &Schema,
     sigma: &[Tgd],
     group: &BodyGroup,
@@ -702,119 +708,303 @@ pub fn evaluate_group(
     verdicts
 }
 
-/// Batch entailment `{ Σ ⊨ σ | σ ∈ candidates }` with body-grouped chase
-/// sharing and optional memoization.
+/// Progress of one candidate sweep ([`sweep`]): which body groups are
+/// settled, one verdict slot per candidate, the sweep's counters, and
+/// whether any verdict was reached under a tainted token.
 ///
-/// Returns one verdict per candidate (in input order) plus the batch's
-/// sharing/caching counters. Verdicts agree with calling
-/// [`crate::entails_auto`] per candidate.
-pub fn entails_batch(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    cache: Option<&EntailCache>,
-) -> (Vec<Entailment>, EntailBatchStats) {
-    entails_batch_governed(
-        schema,
-        sigma,
-        candidates,
-        budget,
-        cache,
-        &CancelToken::new(),
-    )
+/// This is the whole resumable state of a suspended sweep. The batch
+/// checkpoint ([`BatchCheckpoint`]) and the rewrite checkpoint (in
+/// `tgdkit-core`) embed it next to their own context fingerprints, and both
+/// encode it with one codec ([`crate::checkpoint::write_sweep`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepState {
+    /// Settled flag per body group, in group order.
+    pub done: Vec<bool>,
+    /// Verdict slot per candidate, in candidate order (`Unknown` until the
+    /// candidate's group settles).
+    pub verdicts: Vec<Entailment>,
+    /// Counters accumulated so far, contained group panics included.
+    pub stats: EntailBatchStats,
+    /// Whether any verdict was reached under a tainted token (see
+    /// [`CancelToken::is_tainted`]), carried so resumed runs keep gating
+    /// cache persistence correctly.
+    pub tainted: bool,
 }
 
-/// [`entails_batch`] under a [`CancelToken`]: once the token reports
-/// cancellation, remaining groups are skipped and their candidates settle
-/// as `Unknown` (pre-initialized in the shared loop), so the returned
-/// vector is always full-length and sound. The batch also trips on the
-/// byte budget at group boundaries (same sites as the checkpointing entry
-/// point), settling remaining candidates as `Unknown`.
-pub fn entails_batch_governed(
+/// How [`sweep`] visits the body groups. The rule: only the serial
+/// schedule suspends, so only it resumes.
+#[derive(Debug, Clone, Copy)]
+pub enum Schedule<'a> {
+    /// One group after another, in group order — the resumable schedule.
+    /// Groups the given state already settled are skipped. At each group
+    /// boundary the sweep charges resident bytes (cache residency plus the
+    /// peak chase arena) against [`ChaseBudget::max_bytes`], consults
+    /// [`FaultSite::MemBudgetTrip`], and polls the quantum
+    /// ([`CancelToken::should_suspend`]); any of the three suspends it.
+    Serial(Option<&'a SweepState>),
+    /// Work stealing on all available cores: workers claim the next group
+    /// from an atomic index and publish verdicts into per-candidate slots,
+    /// so the output is identical to the serial one whatever the claim
+    /// order. No suspension points: it runs to completion or cancellation.
+    Stealing,
+}
+
+/// What [`sweep`] returns.
+#[derive(Debug)]
+pub struct SweepRun {
+    /// Verdicts, counters and group progress — the checkpoint payload when
+    /// the sweep suspended.
+    pub state: SweepState,
+    /// `true` when the serial schedule stopped at a group boundary on a
+    /// byte trip or a quantum expiry (a trip also counts in
+    /// `state.stats.chase.mem_trips`).
+    pub suspended: bool,
+    /// Work-stealing imbalance: groups claimed beyond an even static split
+    /// (`Σ_w max(0, claimed_w − ⌈groups/workers⌉)`); 0 when serial.
+    pub steals: usize,
+    /// Highest estimated resident bytes seen: the peak chase arena, and for
+    /// the serial schedule also cache residency at group boundaries.
+    pub mem_peak_bytes: usize,
+}
+
+/// Decides `Σ ⊨ σ` for every member of `groups` — the one candidate sweep
+/// behind batch entailment ([`batch_entailment`]) and the rewriting filter
+/// `Σ′ = {σ ∈ C_{n,m} | Σ ⊨ σ}` (in `tgdkit-core`).
+///
+/// Each group is evaluated behind a panic barrier: a panic
+/// inside one group (a bug in the chase stack, or a fault injected at
+/// [`FaultSite::GroupEvalPanic`]) leaves that group's candidates `Unknown`,
+/// discards its partial counters, and counts one
+/// [`EntailBatchStats::panics_contained`]. `Unknown` is always sound, so
+/// containment can degrade precision but never invert a verdict.
+///
+/// Cancellation is honored at group granularity: remaining candidates stay
+/// `Unknown`. The [`Schedule`] picks serial (resumable) or work-stealing
+/// evaluation; both give identical verdicts.
+///
+/// # Panics
+///
+/// If a resumed state does not match `groups` (group or candidate count);
+/// the entry points check this and return a typed error first.
+pub fn sweep(
     schema: &Schema,
     sigma: &[Tgd],
-    candidates: &[Tgd],
+    groups: &[BodyGroup],
     budget: ChaseBudget,
     cache: Option<&EntailCache>,
     token: &CancelToken,
-) -> (Vec<Entailment>, EntailBatchStats) {
-    let fp = sigma_fingerprint(sigma);
-    let (verdicts, stats, _) =
-        batch_impl(schema, sigma, candidates, budget, cache, token, None, fp);
-    (verdicts, stats)
+    schedule: Schedule<'_>,
+) -> SweepRun {
+    let keyed = cache.map(|c| (c, sigma_fingerprint(sigma)));
+    let evictions_before = cache.map_or(0, EntailCache::evictions);
+    let candidates = groups.iter().map(|g| g.members.len()).sum();
+    let mut state = match schedule {
+        Schedule::Serial(Some(resumed)) => {
+            assert_eq!(resumed.done.len(), groups.len(), "resumed group count");
+            assert_eq!(
+                resumed.verdicts.len(),
+                candidates,
+                "resumed candidate count"
+            );
+            let mut state = resumed.clone();
+            state.stats.chase.resumes += 1;
+            state
+        }
+        _ => SweepState {
+            done: vec![false; groups.len()],
+            verdicts: vec![Entailment::Unknown; candidates],
+            stats: EntailBatchStats {
+                candidates,
+                body_groups: groups.len(),
+                ..Default::default()
+            },
+            tainted: false,
+        },
+    };
+    let (suspended, steals, mem_peak_bytes) = match schedule {
+        Schedule::Serial(_) => {
+            let accountant = MemoryAccountant::new(budget.effective_max_bytes());
+            let mut suspended = false;
+            for (gi, group) in groups.iter().enumerate() {
+                if state.done[gi] {
+                    continue;
+                }
+                if token.is_cancelled() {
+                    break;
+                }
+                let resident =
+                    cache.map_or(0, EntailCache::approx_bytes) + state.stats.chase.mem_peak_bytes;
+                let tripped =
+                    accountant.charge_to(resident) || token.fault(FaultSite::MemBudgetTrip);
+                // A quantum expiry lands on the same resumable boundary as
+                // a byte trip but is not one: the scheduler that asked for
+                // it resumes with the same budget.
+                if tripped || token.should_suspend() {
+                    if tripped {
+                        state.stats.chase.mem_trips += 1;
+                    }
+                    suspended = true;
+                    break;
+                }
+                let decided = evaluate_group_contained(
+                    schema,
+                    sigma,
+                    group,
+                    budget,
+                    keyed,
+                    &mut state.stats,
+                    token,
+                );
+                for (idx, v) in decided {
+                    state.verdicts[idx] = v;
+                }
+                state.done[gi] = true;
+            }
+            let peak = state
+                .stats
+                .chase
+                .mem_peak_bytes
+                .max(accountant.peak_bytes());
+            (suspended, 0, peak)
+        }
+        Schedule::Stealing => {
+            let steals = steal(schema, sigma, groups, budget, keyed, token, &mut state);
+            (false, steals, state.stats.chase.mem_peak_bytes)
+        }
+    };
+    if let Some(c) = cache {
+        state.stats.evictions += c.evictions().saturating_sub(evictions_before);
+    }
+    state.tainted |= token.is_tainted();
+    SweepRun {
+        state,
+        suspended,
+        steals,
+        mem_peak_bytes,
+    }
 }
 
-/// [`entails_batch_governed`] that additionally returns a resumable
-/// [`BatchCheckpoint`] when the run suspends on the byte budget
-/// ([`ChaseBudget::max_bytes`]) or an injected
-/// [`FaultSite::MemBudgetTrip`].
-///
-/// Memory is charged at **group boundaries**: before each body group the
-/// accountant observes the cache's resident bytes plus the peak chase
-/// arena so far, and a trip suspends the batch with every already-decided
-/// verdict captured in the checkpoint (remaining candidates stay
-/// `Unknown`, which is sound). Feeding the checkpoint to
-/// [`entails_batch_resume`] — with the same budget after an injected trip,
-/// or a larger one (or a smaller cache) after a real byte trip, which
-/// would otherwise re-trip at the first boundary — completes the batch
-/// with verdicts identical to an uninterrupted run. A run that finishes
-/// (or is merely cancelled) returns no checkpoint.
-pub fn entails_batch_checkpointing(
+/// The work-stealing schedule of [`sweep`]: the calling thread and
+/// `workers − 1` scoped threads repeatedly claim the next unevaluated group
+/// from an atomic index, so a worker that drew cheap groups keeps pulling
+/// work while another grinds through an expensive chase. Verdicts land in
+/// pre-sized atomic slots (hence in `state` in candidate order); returns the
+/// steal count.
+fn steal(
     schema: &Schema,
     sigma: &[Tgd],
-    candidates: &[Tgd],
+    groups: &[BodyGroup],
     budget: ChaseBudget,
-    cache: Option<&EntailCache>,
+    keyed: Option<(&EntailCache, u64)>,
     token: &CancelToken,
-) -> BatchRun {
-    let fp = sigma_fingerprint(sigma);
-    batch_impl(schema, sigma, candidates, budget, cache, token, None, fp)
+    state: &mut SweepState,
+) -> usize {
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(groups.len().max(1));
+    let next = AtomicUsize::new(0);
+    let slots: Vec<AtomicU8> = (0..state.verdicts.len())
+        .map(|_| AtomicU8::new(verdict_tag(Entailment::Unknown)))
+        .collect();
+    let work = || {
+        let mut local = EntailBatchStats::default();
+        let mut claimed = 0usize;
+        while !token.is_cancelled() {
+            let gi = next.fetch_add(1, Ordering::Relaxed);
+            if gi >= groups.len() {
+                break;
+            }
+            claimed += 1;
+            let group = &groups[gi];
+            for (idx, v) in
+                evaluate_group_contained(schema, sigma, group, budget, keyed, &mut local, token)
+            {
+                slots[idx].store(verdict_tag(v), Ordering::Release);
+            }
+        }
+        (local, claimed)
+    };
+    let mut claims = Vec::with_capacity(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        claims.push(work());
+        for handle in handles {
+            // Worker bodies contain per-group panics themselves; a panic
+            // escaping here is a bug in the scheduler shell, worth aborting on.
+            claims.push(handle.join().expect("entailment worker panicked"));
+        }
+    });
+    for (local, _) in &claims {
+        state.stats.absorb(local);
+    }
+    for (slot, verdict) in slots.iter().zip(&mut state.verdicts) {
+        *verdict = verdict_from_tag(slot.load(Ordering::Acquire)).expect("slots hold verdict tags");
+    }
+    // Claims are handed out in group order and every claimed group was
+    // evaluated before its worker joined.
+    let claimed = next.into_inner().min(groups.len());
+    state.done[..claimed].fill(true);
+    let fair_share = groups.len().div_ceil(workers);
+    claims
+        .iter()
+        .map(|&(_, c)| c.saturating_sub(fair_share))
+        .sum()
 }
 
-/// Resumes a suspended [`entails_batch_checkpointing`] run.
-///
-/// `schema`, `sigma`, and `candidates` must be the ones the checkpoint was
-/// taken under; the tgd-set fingerprint, candidate count and body-group
-/// count are validated and a mismatch is a typed
-/// [`CheckpointError::ContextMismatch`], never a wrong verdict. `budget`
-/// is absolute, not incremental — resume with the suspended budget after
-/// an injected trip, or a larger `max_bytes` after a real one.
-pub fn entails_batch_resume(
+/// [`evaluate_group`] behind [`sweep`]'s panic barrier. On a panic the
+/// group's verdicts are dropped (callers keep the pre-initialized
+/// `Unknown`s), its partial counters are discarded — a fresh accumulator
+/// is absorbed only on success — and one contained panic is counted.
+fn evaluate_group_contained(
     schema: &Schema,
     sigma: &[Tgd],
-    candidates: &[Tgd],
+    group: &BodyGroup,
     budget: ChaseBudget,
-    cache: Option<&EntailCache>,
-    checkpoint: &BatchCheckpoint,
+    keyed: Option<(&EntailCache, u64)>,
+    stats: &mut EntailBatchStats,
     token: &CancelToken,
-) -> Result<BatchRun, CheckpointError> {
-    let fp = sigma_fingerprint(sigma);
-    if checkpoint.sigma_fp != fp {
-        return Err(CheckpointError::ContextMismatch("tgd set"));
+) -> Vec<(usize, Entailment)> {
+    let mut local = EntailBatchStats::default();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if token.fault(FaultSite::GroupEvalPanic) {
+            panic!("{INJECTED_PANIC}: group evaluation");
+        }
+        evaluate_group(schema, sigma, group, budget, keyed, &mut local, token)
+    }));
+    match outcome {
+        Ok(verdicts) => {
+            stats.absorb(&local);
+            verdicts
+        }
+        Err(_) => {
+            stats.panics_contained += 1;
+            Vec::new()
+        }
     }
-    if checkpoint.verdicts.len() != candidates.len() {
-        return Err(CheckpointError::ContextMismatch("candidate count"));
-    }
-    if checkpoint.done.len() != group_by_body(candidates).len() {
-        return Err(CheckpointError::ContextMismatch("body-group count"));
-    }
-    Ok(batch_impl(
-        schema,
-        sigma,
-        candidates,
-        budget,
-        cache,
-        token,
-        Some(checkpoint),
-        fp,
-    ))
 }
 
-/// Shared loop of the batch entry points: group, skip groups already done
-/// by a resumed checkpoint, charge memory at each group boundary, evaluate.
-#[allow(clippy::too_many_arguments)]
-fn batch_impl(
+/// Batch entailment `{ Σ ⊨ σ | σ ∈ candidates }` — the one entry point:
+/// body-grouped chase sharing, optional memoization, cancellation, and
+/// suspend/resume, over the serial schedule of [`sweep`].
+///
+/// Returns one verdict per candidate (in input order; agreeing with
+/// [`crate::entails_auto`] per candidate), the batch counters, and a
+/// [`BatchCheckpoint`] when the run suspended at a group boundary — on the
+/// byte budget ([`ChaseBudget::max_bytes`]), an injected
+/// [`FaultSite::MemBudgetTrip`], or a quantum expiry. Remaining candidates
+/// of a cancelled or suspended run stay `Unknown`, which is sound. A group
+/// that panics is contained and settles as `Unknown`.
+///
+/// `resume` continues a suspended run: `schema`, `sigma` and `candidates`
+/// must be the ones it was taken under. The tgd-set fingerprint, candidate
+/// count and body-group count are validated; a mismatch is a typed
+/// [`CheckpointError::ContextMismatch`], never a wrong verdict. `budget` is
+/// absolute, not incremental — resume with the suspended budget after an
+/// injected trip or a quantum, or a larger `max_bytes` (or a smaller cache)
+/// after a real trip, which would otherwise re-trip at the first boundary.
+/// *Trip → checkpoint → resume* yields the verdicts of an uninterrupted run.
+pub fn batch_entailment(
     schema: &Schema,
     sigma: &[Tgd],
     candidates: &[Tgd],
@@ -822,79 +1012,50 @@ fn batch_impl(
     cache: Option<&EntailCache>,
     token: &CancelToken,
     resume: Option<&BatchCheckpoint>,
-    sigma_fp: u64,
-) -> BatchRun {
+) -> Result<BatchRun, CheckpointError> {
+    let sigma_fp = sigma_fingerprint(sigma);
     let groups = group_by_body(candidates);
-    let (mut stats, mut verdicts, mut done, mut tainted) = match resume {
-        Some(cp) => {
-            let mut stats = cp.stats;
-            stats.chase.resumes += 1;
-            (
-                stats,
-                cp.verdicts.clone(),
-                cp.done.clone(),
-                cp.cache_tainted,
-            )
+    if let Some(cp) = resume {
+        if cp.sigma_fp != sigma_fp {
+            return Err(CheckpointError::ContextMismatch("tgd set"));
         }
-        None => {
-            let stats = EntailBatchStats {
-                candidates: candidates.len(),
-                body_groups: groups.len(),
-                ..Default::default()
-            };
-            (
-                stats,
-                vec![Entailment::Unknown; candidates.len()],
-                vec![false; groups.len()],
-                false,
-            )
+        if cp.sweep.verdicts.len() != candidates.len() {
+            return Err(CheckpointError::ContextMismatch("candidate count"));
         }
-    };
-    let accountant = MemoryAccountant::new(budget.effective_max_bytes());
-    let keyed = cache.map(|c| (c, sigma_fp));
-    let evictions_before = cache.map_or(0, EntailCache::evictions);
-    let mut suspended = false;
-    for (gi, group) in groups.iter().enumerate() {
-        if done[gi] {
-            continue;
+        if cp.sweep.done.len() != groups.len() {
+            return Err(CheckpointError::ContextMismatch("body-group count"));
         }
-        if token.is_cancelled() {
-            break;
-        }
-        let resident = cache.map_or(0, EntailCache::approx_bytes) + stats.chase.mem_peak_bytes;
-        let tripped = accountant.charge_to(resident) || token.fault(FaultSite::MemBudgetTrip);
-        // A quantum expiry ([`CancelToken::should_suspend`]) lands on the
-        // same resumable boundary as a byte trip, but is not a trip: the
-        // scheduler that requested it resumes with the same budget.
-        if tripped || token.should_suspend() {
-            if tripped {
-                stats.chase.mem_trips += 1;
-            }
-            suspended = true;
-            break;
-        }
-        for (idx, v) in evaluate_group(schema, sigma, group, budget, keyed, &mut stats, token) {
-            verdicts[idx] = v;
-        }
-        done[gi] = true;
     }
-    if let Some(c) = cache {
-        stats.evictions += c.evictions().saturating_sub(evictions_before);
-    }
-    tainted = tainted || token.is_tainted();
-    let checkpoint = if suspended {
-        Some(Box::new(BatchCheckpoint {
+    let schedule = Schedule::Serial(resume.map(|cp| &cp.sweep));
+    let run = sweep(schema, sigma, &groups, budget, cache, token, schedule);
+    let checkpoint = run.suspended.then(|| {
+        Box::new(BatchCheckpoint {
             sigma_fp,
-            budget,
-            done,
-            verdicts: verdicts.clone(),
-            stats,
-            cache_tainted: tainted,
-        }))
-    } else {
-        None
-    };
-    (verdicts, stats, checkpoint)
+            sweep: run.state.clone(),
+        })
+    });
+    Ok((run.state.verdicts, run.state.stats, checkpoint))
+}
+
+/// [`batch_entailment`] run to completion without a token or a resume.
+pub fn entails_batch(
+    schema: &Schema,
+    sigma: &[Tgd],
+    candidates: &[Tgd],
+    budget: ChaseBudget,
+    cache: Option<&EntailCache>,
+) -> (Vec<Entailment>, EntailBatchStats) {
+    let run = batch_entailment(
+        schema,
+        sigma,
+        candidates,
+        budget,
+        cache,
+        &CancelToken::new(),
+        None,
+    );
+    let (verdicts, stats, _) = run.expect("a fresh run has no checkpoint to mismatch");
+    (verdicts, stats)
 }
 
 /// [`crate::entails_auto`] through an [`EntailCache`].
@@ -909,7 +1070,7 @@ pub fn entails_auto_cached(
 }
 
 /// [`entails_auto_cached`] under a [`CancelToken`]. Cache stores are
-/// taint-gated the same way as [`evaluate_group`]: an `Unknown` produced
+/// taint-gated the same way as [`sweep`]'s: an `Unknown` produced
 /// while the token is cancelled or fault-injected is returned but not
 /// memoized.
 pub fn entails_auto_cached_governed(
@@ -932,26 +1093,8 @@ pub fn entails_auto_cached_governed(
 }
 
 /// [`crate::entails_all`] through an [`EntailCache`] (three-valued
-/// conjunction, early exit on `Disproved`).
-pub fn entails_all_cached(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    cache: &EntailCache,
-) -> Entailment {
-    entails_all_cached_governed(
-        schema,
-        sigma,
-        candidates,
-        budget,
-        cache,
-        &CancelToken::new(),
-    )
-}
-
-/// [`entails_all_cached`] under a [`CancelToken`]: a cancellation observed
-/// between candidates degrades the conjunction to `Unknown` (never a false
+/// conjunction, early exit on `Disproved`) under a [`CancelToken`]: a
+/// cancellation observed between candidates degrades the conjunction to `Unknown` (never a false
 /// `Proved` from an unfinished sweep) unless some candidate already
 /// disproved it.
 pub fn entails_all_cached_governed(
@@ -1166,18 +1309,18 @@ mod tests {
             };
             let token = CancelToken::with_faults(plan);
             let (_, _, cp) =
-                entails_batch_checkpointing(&s, &sigma, &candidates, budget, None, &token);
+                batch_entailment(&s, &sigma, &candidates, budget, None, &token, None).unwrap();
             let Some(cp) = cp else { continue };
             // Round-trip through the binary frame, as a real caller would.
             let cp = BatchCheckpoint::decode(&cp.encode()).unwrap();
-            let (resumed, resumed_stats, again) = entails_batch_resume(
+            let (resumed, resumed_stats, again) = batch_entailment(
                 &s,
                 &sigma,
                 &candidates,
                 budget,
                 None,
-                &cp,
                 &CancelToken::new(),
+                Some(&cp),
             )
             .unwrap();
             assert!(again.is_none(), "fault-free resume runs to completion");
@@ -1218,41 +1361,43 @@ mod tests {
             ..ChaseBudget::default()
         };
         let cache = EntailCache::new();
-        let (_, stats, cp) = entails_batch_checkpointing(
+        let (_, stats, cp) = batch_entailment(
             &s,
             &sigma,
             &candidates,
             tight,
             Some(&cache),
             &CancelToken::new(),
-        );
+            None,
+        )
+        .unwrap();
         let cp = cp.expect("tight byte budget suspends the batch");
         assert!(stats.chase.mem_trips >= 1);
         assert!(cp.groups_done() < cp.groups_total());
         // Same budget after a real trip re-trips immediately at the first
         // boundary — the residency that tripped is still resident.
-        let (_, _, re) = entails_batch_resume(
+        let (_, _, re) = batch_entailment(
             &s,
             &sigma,
             &candidates,
             tight,
             Some(&cache),
-            &cp,
             &CancelToken::new(),
+            Some(&cp),
         )
         .unwrap();
         assert!(
             re.is_some(),
             "same-budget resume after a real trip re-trips"
         );
-        let (resumed, resumed_stats, none) = entails_batch_resume(
+        let (resumed, resumed_stats, none) = batch_entailment(
             &s,
             &sigma,
             &candidates,
             ChaseBudget::default(),
             Some(&cache),
-            &cp,
             &CancelToken::new(),
+            Some(&cp),
         )
         .unwrap();
         assert!(none.is_none());
@@ -1271,30 +1416,31 @@ mod tests {
         let token =
             CancelToken::with_faults(crate::faults::FaultPlan::always(FaultSite::MemBudgetTrip));
         let budget = ChaseBudget::default();
-        let (_, _, cp) = entails_batch_checkpointing(&s, &sigma, &candidates, budget, None, &token);
+        let (_, _, cp) =
+            batch_entailment(&s, &sigma, &candidates, budget, None, &token, None).unwrap();
         let cp = cp.unwrap();
         let (_, other) = schema_and_sigma("R(x,y) -> T(y).");
         assert!(matches!(
-            entails_batch_resume(
+            batch_entailment(
                 &s,
                 &other,
                 &candidates,
                 budget,
                 None,
-                &cp,
-                &CancelToken::new()
+                &CancelToken::new(),
+                Some(&cp)
             ),
             Err(CheckpointError::ContextMismatch("tgd set"))
         ));
         assert!(matches!(
-            entails_batch_resume(
+            batch_entailment(
                 &s,
                 &sigma,
                 &candidates[..1],
                 budget,
                 None,
-                &cp,
-                &CancelToken::new()
+                &CancelToken::new(),
+                Some(&cp)
             ),
             Err(CheckpointError::ContextMismatch("candidate count"))
         ));
@@ -1383,19 +1529,19 @@ mod tests {
         for boundary in 0..4u64 {
             let token = CancelToken::with_suspend_after_checks(boundary);
             let (_, _, mut cp) =
-                entails_batch_checkpointing(&s, &sigma, &candidates, budget, None, &token);
+                batch_entailment(&s, &sigma, &candidates, budget, None, &token, None).unwrap();
             let mut resumed = None;
             let mut hops = 0;
             while let Some(inner) = cp {
                 let decoded = BatchCheckpoint::decode(&inner.encode()).unwrap();
-                let (v, st, next) = entails_batch_resume(
+                let (v, st, next) = batch_entailment(
                     &s,
                     &sigma,
                     &candidates,
                     budget,
                     None,
-                    &decoded,
                     &CancelToken::new(),
+                    Some(&decoded),
                 )
                 .unwrap();
                 resumed = Some((v, st));

@@ -5,7 +5,7 @@
 //! group boundary, so the suspended state is small and fully logical: the
 //! instance arena, the semi-naive frontier, the round counter, and the
 //! stats so far. [`ChaseCheckpoint`] and [`BatchCheckpoint`] capture that
-//! state; [`crate::chase_resume`] / [`crate::entails_batch_resume`]
+//! state; [`crate::chase_resume`] / [`crate::batch_entailment`]
 //! continue a run such that *trip → checkpoint → resume* is byte-identical
 //! to an uninterrupted run (property-tested in
 //! `tests/proptest_checkpoint.rs`).
@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! [0..4)   magic  b"TGCK"
-//! [4..6)   format version, u16 LE (currently 2)
+//! [4..6)   format version, u16 LE (currently 3)
 //! [6]      payload kind: 1 chase, 2 batch, 3 rewrite
 //! [7..15)  payload length, u64 LE
 //! [15..N)  payload (kind-specific, little-endian, length-prefixed vectors)
@@ -39,12 +39,17 @@
 //! is bumped (never reinterpreted in place) whenever a captured struct
 //! gains, loses, or reorders a field. Version 2 added the shard count to
 //! the chase payload and changed nothing else, so version-1 frames still
-//! open, and a version-1 chase checkpoint decodes as a one-shard run. Checkpoints are short-lived
+//! open, and a version-1 chase checkpoint decodes as a one-shard run.
+//! Version 3 dropped the never-read budget from the batch payload, which
+//! now ends in the shared sweep state ([`write_sweep`]) exactly like the
+//! rewrite payload; batch frames older than version 3 are rejected as
+//! [`CheckpointError::UnsupportedVersion`], every other kind is unchanged.
+//! Checkpoints are short-lived
 //! suspend/resume tokens, not archival storage — cross-version migration
 //! is out of scope by design.
 
-use crate::cache::EntailBatchStats;
-use crate::chase::{ChaseBudget, ChaseVariant};
+use crate::cache::{EntailBatchStats, SweepState};
+use crate::chase::ChaseVariant;
 use crate::entail::Entailment;
 use crate::govern::CancelToken;
 use crate::stats::ChaseStats;
@@ -123,7 +128,7 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 const MAGIC: [u8; 4] = *b"TGCK";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 /// Oldest format version readers accept (see the versioning policy).
 const MIN_VERSION: u16 = 1;
 /// Payload kind of a [`ChaseCheckpoint`] frame.
@@ -409,8 +414,9 @@ pub fn read_chase_stats(r: &mut CheckpointReader<'_>) -> Result<ChaseStats, Chec
     })
 }
 
-/// Writes an [`EntailBatchStats`] block.
-pub fn write_batch_stats(w: &mut CheckpointWriter, s: &EntailBatchStats) {
+/// Writes an [`EntailBatchStats`] block (without the contained panics,
+/// which [`write_sweep`] places after it).
+fn write_batch_stats(w: &mut CheckpointWriter, s: &EntailBatchStats) {
     for v in [
         s.candidates,
         s.body_groups,
@@ -426,7 +432,7 @@ pub fn write_batch_stats(w: &mut CheckpointWriter, s: &EntailBatchStats) {
 }
 
 /// Reads an [`EntailBatchStats`] block written by [`write_batch_stats`].
-pub fn read_batch_stats(r: &mut CheckpointReader<'_>) -> Result<EntailBatchStats, CheckpointError> {
+fn read_batch_stats(r: &mut CheckpointReader<'_>) -> Result<EntailBatchStats, CheckpointError> {
     Ok(EntailBatchStats {
         candidates: r.u64()? as usize,
         body_groups: r.u64()? as usize,
@@ -435,27 +441,87 @@ pub fn read_batch_stats(r: &mut CheckpointReader<'_>) -> Result<EntailBatchStats
         cache_hits: r.u64()? as usize,
         cache_misses: r.u64()? as usize,
         evictions: r.u64()? as usize,
+        panics_contained: 0,
         chase: read_chase_stats(r)?,
     })
 }
 
-/// Writes an [`Entailment`] verdict as one byte.
-pub fn write_verdict(w: &mut CheckpointWriter, v: Entailment) {
-    w.u8(match v {
+/// The one-byte tag of an [`Entailment`], shared by the checkpoint codec
+/// and the work-stealing verdict slots of [`crate::sweep`].
+pub(crate) fn verdict_tag(v: Entailment) -> u8 {
+    match v {
         Entailment::Proved => 0,
         Entailment::Disproved => 1,
         Entailment::Unknown => 2,
-    });
+    }
+}
+
+/// The verdict a [`verdict_tag`] byte stands for, if any.
+pub(crate) fn verdict_from_tag(tag: u8) -> Option<Entailment> {
+    match tag {
+        0 => Some(Entailment::Proved),
+        1 => Some(Entailment::Disproved),
+        2 => Some(Entailment::Unknown),
+        _ => None,
+    }
+}
+
+/// Writes an [`Entailment`] verdict as one byte.
+fn write_verdict(w: &mut CheckpointWriter, v: Entailment) {
+    w.u8(verdict_tag(v));
 }
 
 /// Reads an [`Entailment`] verdict byte.
-pub fn read_verdict(r: &mut CheckpointReader<'_>) -> Result<Entailment, CheckpointError> {
+fn read_verdict(r: &mut CheckpointReader<'_>) -> Result<Entailment, CheckpointError> {
+    verdict_from_tag(r.u8()?).ok_or(CheckpointError::Malformed("verdict tag"))
+}
+
+fn read_flag(r: &mut CheckpointReader<'_>, what: &'static str) -> Result<bool, CheckpointError> {
     match r.u8()? {
-        0 => Ok(Entailment::Proved),
-        1 => Ok(Entailment::Disproved),
-        2 => Ok(Entailment::Unknown),
-        _ => Err(CheckpointError::Malformed("verdict tag")),
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CheckpointError::Malformed(what)),
     }
+}
+
+/// Writes a [`SweepState`] — the one codec of the batch and rewrite
+/// payloads' shared tail: done flags, verdict slots, the counters, the
+/// contained-panic count, then the taint flag.
+pub fn write_sweep(w: &mut CheckpointWriter, sweep: &SweepState) {
+    w.count(sweep.done.len());
+    for &d in &sweep.done {
+        w.u8(d as u8);
+    }
+    w.count(sweep.verdicts.len());
+    for &v in &sweep.verdicts {
+        write_verdict(w, v);
+    }
+    write_batch_stats(w, &sweep.stats);
+    w.count(sweep.stats.panics_contained);
+    w.u8(sweep.tainted as u8);
+}
+
+/// Reads a [`SweepState`] written by [`write_sweep`].
+pub fn read_sweep(r: &mut CheckpointReader<'_>) -> Result<SweepState, CheckpointError> {
+    let done_count = r.count(1)?;
+    let mut done = Vec::with_capacity(done_count);
+    for _ in 0..done_count {
+        done.push(read_flag(r, "done tag")?);
+    }
+    let verdict_count = r.count(1)?;
+    let mut verdicts = Vec::with_capacity(verdict_count);
+    for _ in 0..verdict_count {
+        verdicts.push(read_verdict(r)?);
+    }
+    let mut stats = read_batch_stats(r)?;
+    stats.panics_contained = r.u64()? as usize;
+    let tainted = read_flag(r, "taint tag")?;
+    Ok(SweepState {
+        done,
+        verdicts,
+        stats,
+        tainted,
+    })
 }
 
 /// Writes an instance (relations in schema order, then the domain and the
@@ -732,54 +798,39 @@ impl ChaseCheckpoint {
     }
 }
 
-/// A suspended [`crate::entails_batch`] run, captured at a body-group
-/// boundary: which groups are settled, the per-candidate verdict slots,
-/// the stats so far, and whether the run was taint-gated
-/// ([`CancelToken::is_tainted`]) when it suspended.
+/// A suspended [`crate::batch_entailment`] run, captured at a body-group
+/// boundary: the renaming-invariant fingerprint of the tgd set it decides
+/// against, plus the sweep state (settled groups, verdict slots, stats,
+/// taint). The budget is not part of it: resume takes the budget as an
+/// argument, and that budget is absolute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchCheckpoint {
     pub(crate) sigma_fp: u64,
-    pub(crate) budget: ChaseBudget,
-    pub(crate) done: Vec<bool>,
-    pub(crate) verdicts: Vec<Entailment>,
-    pub(crate) stats: EntailBatchStats,
-    pub(crate) cache_tainted: bool,
+    pub(crate) sweep: SweepState,
 }
 
 impl BatchCheckpoint {
     /// Body groups already settled when the run was suspended.
     pub fn groups_done(&self) -> usize {
-        self.done.iter().filter(|&&d| d).count()
+        self.sweep.done.iter().filter(|&&d| d).count()
     }
 
     /// Total body groups in the suspended run.
     pub fn groups_total(&self) -> usize {
-        self.done.len()
+        self.sweep.done.len()
     }
 
     /// Serializes to a sealed frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = CheckpointWriter::new();
         w.u64(self.sigma_fp);
-        w.count(self.budget.max_facts);
-        w.count(self.budget.max_rounds);
-        w.count(self.budget.max_bytes);
-        w.u8(self.cache_tainted as u8);
-        w.count(self.done.len());
-        for &d in &self.done {
-            w.u8(d as u8);
-        }
-        w.count(self.verdicts.len());
-        for &v in &self.verdicts {
-            write_verdict(&mut w, v);
-        }
-        write_batch_stats(&mut w, &self.stats);
+        write_sweep(&mut w, &self.sweep);
         seal(KIND_BATCH, &w.into_payload())
     }
 
     /// Decodes a sealed frame produced by [`BatchCheckpoint::encode`].
     pub fn decode(bytes: &[u8]) -> Result<BatchCheckpoint, CheckpointError> {
-        Self::decode_payload(open(bytes, KIND_BATCH)?)
+        Self::decode_payload(open(bytes, KIND_BATCH)?, frame_version(bytes))
     }
 
     /// [`BatchCheckpoint::decode`] with
@@ -789,48 +840,25 @@ impl BatchCheckpoint {
         bytes: &[u8],
         token: &CancelToken,
     ) -> Result<BatchCheckpoint, CheckpointError> {
-        Self::decode_payload(open_governed(bytes, KIND_BATCH, token)?)
+        Self::decode_payload(
+            open_governed(bytes, KIND_BATCH, token)?,
+            frame_version(bytes),
+        )
     }
 
-    fn decode_payload(payload: &[u8]) -> Result<BatchCheckpoint, CheckpointError> {
+    fn decode_payload(payload: &[u8], version: u16) -> Result<BatchCheckpoint, CheckpointError> {
+        // Versions 1 and 2 carried a budget between the fingerprint and the
+        // sweep state (see the versioning policy).
+        if version < 3 {
+            return Err(CheckpointError::UnsupportedVersion(version));
+        }
         let mut r = CheckpointReader::new(payload);
         let sigma_fp = r.u64()?;
-        let budget = ChaseBudget {
-            max_facts: r.u64()? as usize,
-            max_rounds: r.u64()? as usize,
-            max_bytes: r.u64()? as usize,
-        };
-        let cache_tainted = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(CheckpointError::Malformed("taint tag")),
-        };
-        let done_count = r.count(1)?;
-        let mut done = Vec::with_capacity(done_count);
-        for _ in 0..done_count {
-            done.push(match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(CheckpointError::Malformed("done tag")),
-            });
-        }
-        let verdict_count = r.count(1)?;
-        let mut verdicts = Vec::with_capacity(verdict_count);
-        for _ in 0..verdict_count {
-            verdicts.push(read_verdict(&mut r)?);
-        }
-        let stats = read_batch_stats(&mut r)?;
+        let sweep = read_sweep(&mut r)?;
         if !r.is_exhausted() {
             return Err(CheckpointError::Malformed("trailing bytes"));
         }
-        Ok(BatchCheckpoint {
-            sigma_fp,
-            budget,
-            done,
-            verdicts,
-            stats,
-            cache_tainted,
-        })
+        Ok(BatchCheckpoint { sigma_fp, sweep })
     }
 }
 
@@ -933,30 +961,59 @@ mod tests {
     fn batch_checkpoint_round_trips() {
         let cp = BatchCheckpoint {
             sigma_fp: 0xDEAD_BEEF,
-            budget: ChaseBudget::default(),
-            done: vec![true, false, true],
-            verdicts: vec![
-                Entailment::Proved,
-                Entailment::Unknown,
-                Entailment::Disproved,
-            ],
-            stats: EntailBatchStats {
-                candidates: 3,
-                body_groups: 3,
-                bodies_chased: 2,
-                heads_probed: 1,
-                cache_hits: 1,
-                cache_misses: 2,
-                evictions: 1,
-                chase: ChaseStats {
-                    rounds: 7,
-                    mem_peak_bytes: 4096,
-                    ..ChaseStats::default()
+            sweep: SweepState {
+                done: vec![true, false, true],
+                verdicts: vec![
+                    Entailment::Proved,
+                    Entailment::Unknown,
+                    Entailment::Disproved,
+                ],
+                stats: EntailBatchStats {
+                    candidates: 3,
+                    body_groups: 3,
+                    bodies_chased: 2,
+                    heads_probed: 1,
+                    cache_hits: 1,
+                    cache_misses: 2,
+                    evictions: 1,
+                    panics_contained: 1,
+                    chase: ChaseStats {
+                        rounds: 7,
+                        mem_peak_bytes: 4096,
+                        ..ChaseStats::default()
+                    },
                 },
+                tainted: true,
             },
-            cache_tainted: true,
         };
         let decoded = BatchCheckpoint::decode(&cp.encode()).unwrap();
         assert_eq!(decoded, cp);
+    }
+
+    #[test]
+    fn batch_frame_in_the_version_2_layout_is_a_typed_error() {
+        // The version-2 payload: fingerprint, budget (facts, rounds, bytes),
+        // taint, done flags, verdicts, stats — sealed under a version-2
+        // header, as a binary of that version wrote it.
+        let mut w = CheckpointWriter::new();
+        w.u64(0xDEAD_BEEF);
+        for v in [100_000usize, 128, usize::MAX] {
+            w.count(v);
+        }
+        w.u8(0);
+        w.count(1);
+        w.u8(1);
+        w.count(1);
+        write_verdict(&mut w, Entailment::Proved);
+        write_batch_stats(&mut w, &EntailBatchStats::default());
+        let mut frame = seal(KIND_BATCH, &w.into_payload());
+        frame[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let body = frame.len() - 8;
+        let sum = fnv1a(&frame[..body]);
+        frame[body..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            BatchCheckpoint::decode(&frame),
+            Err(CheckpointError::UnsupportedVersion(2))
+        );
     }
 }

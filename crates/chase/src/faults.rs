@@ -2,7 +2,7 @@
 //! (test/bench-only).
 //!
 //! A [`FaultPlan`] rides inside a [`CancelToken`](crate::CancelToken)
-//! ([`CancelToken::with_faults`](crate::CancelToken::with_faults)) and is
+//! (`CancelToken::with_faults`) and is
 //! consulted by the governed code paths at fixed injection sites
 //! ([`FaultSite`]): worker panics in the trigger search and the candidate
 //! evaluator, spurious budget trips at round starts, and deadline expiries
@@ -105,7 +105,7 @@ pub const FAULT_SITES: [FaultSite; 12] = [
 ];
 
 /// The panic-payload prefix used by injected panics; the containment sites
-/// and [`silence_injected_panics`] recognize it.
+/// and `silence_injected_panics` recognize it.
 pub const INJECTED_PANIC: &str = "injected fault";
 
 /// A seeded, deterministic fault schedule.

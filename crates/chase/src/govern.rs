@@ -10,7 +10,7 @@
 //!
 //! Checks are *cooperative* and placed at round and group-claim
 //! granularity, so a cancelled run stops within one chase round (resp. one
-//! candidate group) and reports [`ChaseOutcome::Cancelled`]
+//! candidate group) and reports [`ChaseOutcome::Cancelled`](crate::ChaseOutcome::Cancelled)
 //! (resp. `RewriteOutcome::Cancelled`) with coherent stats for the work
 //! actually done.
 //!
@@ -19,7 +19,7 @@
 //! Cancellation can only *truncate* a chase at a round boundary, never add
 //! or corrupt facts. A truncated chase keeps the hom-universality property
 //! for the facts it did derive, so `Entailment::Proved` stays sound;
-//! `Disproved` already requires [`ChaseOutcome::Terminated`], which a
+//! `Disproved` already requires [`ChaseOutcome::Terminated`](crate::ChaseOutcome::Terminated), which a
 //! cancelled run never reports. Every verdict site therefore degrades a
 //! cancelled run to `Unknown` at worst — the same discipline as a budget
 //! cutoff (see the crate-level "Soundness discipline" notes).

@@ -40,11 +40,10 @@ pub mod termination;
 pub mod universal;
 
 pub use cache::{
-    entails_all_cached, entails_all_cached_governed, entails_auto_cached,
-    entails_auto_cached_governed, entails_batch, entails_batch_checkpointing,
-    entails_batch_governed, entails_batch_resume, evaluate_group, group_by_body,
-    group_by_body_keyed, sigma_fingerprint, BatchRun, BodyGroup, EntailBatchStats, EntailCache,
-    DEFAULT_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_ENTRIES,
+    batch_entailment, entails_all_cached_governed, entails_auto_cached,
+    entails_auto_cached_governed, entails_batch, group_by_body, group_by_body_keyed,
+    sigma_fingerprint, sweep, BatchRun, BodyGroup, EntailBatchStats, EntailCache, Schedule,
+    SweepRun, SweepState, DEFAULT_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_ENTRIES,
 };
 pub use certain::{certain_answers, certainly_holds, CertainAnswers};
 pub use chase::{

@@ -441,8 +441,10 @@ pub fn entails_linear_governed(
     entails_linear_with_stats_impl(schema, sigma, candidate, max_queries, token).0
 }
 
-/// As [`entails_linear`], additionally reporting saturation statistics (see
-/// [`saturate`] for how the chase vocabulary maps onto rewriting).
+/// As [`entails_linear`], additionally reporting saturation statistics in
+/// the chase vocabulary: a round is one query popped off the frontier, a
+/// trigger found one rewriting generated, a trigger fired one new
+/// rewriting admitted.
 pub fn entails_linear_with_stats(
     schema: &Schema,
     sigma: &[Tgd],

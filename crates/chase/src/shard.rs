@@ -24,7 +24,7 @@
 //! full tgd whose head facts are all already present can never change the
 //! instance, so it is never stored. That membership probe runs before
 //! anything else is done with the binding, since most bindings fail it.
-//! The live ones accumulate into a [`TriggerRun`] — a flat arena of
+//! The live ones accumulate into a `TriggerRun` — a flat arena of
 //! `(tgd, universal-image)` entries — and one global `sort_unstable` +
 //! dedup produces exactly the sequence a `BTreeSet<(usize, Vec<Elem>)>`
 //! would iterate; full-tgd triggers sharing a head image then collapse to

@@ -1,7 +1,7 @@
 //! Observability for the chase engine.
 //!
-//! Every chase entry point ([`crate::chase`], [`crate::chase_with_provenance`],
-//! [`crate::core_chase`], [`crate::chase_with_egds`]) populates a
+//! Every chase entry point ([`crate::chase()`], [`crate::chase_with_provenance`],
+//! [`crate::core_chase`], [`crate::chase::chase_with_egds`]) populates a
 //! [`ChaseStats`] on its [`crate::ChaseResult`], so regressions in the hot
 //! loop — extra index rebuilds, runaway trigger counts, a serial trigger
 //! phase where a parallel one was expected — are observable from tests and
@@ -11,7 +11,7 @@ use std::time::Duration;
 
 /// Counters and phase timings for one chase run.
 ///
-/// Populated by every chase entry point. For [`crate::chase_with_egds`] the
+/// Populated by every chase entry point. For [`crate::chase::chase_with_egds`] the
 /// counters accumulate over all inner tgd-chase passes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaseStats {

@@ -8,7 +8,7 @@
 //! schema, profile and options ⇒ same candidates in the same order) and
 //! validates that it landed in the same space via an order-sensitive
 //! fingerprint of the variant keys. An in-process checkpoint also keeps
-//! the enumerated space in memory ([`SpaceMemo`]), so resuming it with the
+//! the enumerated space in memory, so resuming it with the
 //! same schema, profile, options and target skips the re-enumeration; a
 //! decoded checkpoint has no such copy. A checkpoint fed to a different set,
 //! target class, or enumeration budget is rejected with a typed
@@ -18,19 +18,22 @@
 //! ([`tgdkit_chase::checkpoint`]): magic, version, kind
 //! ([`KIND_REWRITE`]), length, payload, FNV-1a checksum — with the same
 //! guarantee that any single flipped byte is detected before any field is
-//! interpreted.
+//! interpreted. The payload is the rewrite context (target, fingerprints,
+//! exhaustiveness) followed by the sweep state, written by the same
+//! [`write_sweep`] as the batch checkpoint's.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use tgdkit_chase::checkpoint::{
-    open, open_governed, read_batch_stats, read_verdict, seal, write_batch_stats, write_verdict,
-    CheckpointReader, CheckpointWriter, KIND_REWRITE,
+    open, open_governed, read_sweep, seal, write_sweep, CheckpointReader, CheckpointWriter,
+    KIND_REWRITE,
 };
-use tgdkit_chase::{CancelToken, CheckpointError, EntailBatchStats, Entailment};
+use tgdkit_chase::{CancelToken, CheckpointError, SweepState};
 use tgdkit_logic::{Schema, TgdVariantKey};
 
 use crate::enumerate::{EnumOptions, Enumeration};
+use crate::rewrite::RewriteTarget;
 
 /// Order-sensitive fingerprint of an enumerated candidate space (its
 /// variant keys, in enumeration order). Checkpoint verdict slots are
@@ -45,33 +48,20 @@ pub fn keys_fingerprint(keys: &[TgdVariantKey]) -> u64 {
     hasher.finish()
 }
 
-/// Suspended state of a rewriting procedure
-/// ([`crate::guarded_to_linear_checkpointing`] /
-/// [`crate::frontier_guarded_to_guarded_checkpointing`]).
+/// Suspended state of a rewriting procedure ([`crate::rewrite()`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RewriteCheckpoint {
-    /// Target-class tag (`1` linear, `2` guarded), so a checkpoint cannot
-    /// resume the wrong procedure.
-    pub(crate) target: u8,
+    /// Target class, so a checkpoint cannot resume the wrong procedure.
+    pub(crate) target: RewriteTarget,
     /// [`tgdkit_chase::tgds_fingerprint`] of the input set.
     pub(crate) sigma_fp: u64,
     /// [`keys_fingerprint`] of the enumerated candidate space.
     pub(crate) enum_fp: u64,
     /// Whether the enumeration was exhaustive.
     pub(crate) exhaustive: bool,
-    /// Completion flag per body group, in group order.
-    pub(crate) done: Vec<bool>,
-    /// Verdict slot per candidate, in enumeration order (`Unknown` until
-    /// the candidate's group completes).
-    pub(crate) verdicts: Vec<Entailment>,
-    /// Filtering counters accumulated before the suspension.
-    pub(crate) stats: EntailBatchStats,
-    /// Body groups whose evaluation panicked and was contained so far.
-    pub(crate) panics_contained: usize,
-    /// Whether any verdict was computed under a tainted token (see
-    /// [`CancelToken::is_tainted`]); carried so resumed runs keep gating
-    /// cache persistence correctly.
-    pub(crate) cache_tainted: bool,
+    /// The candidate filter's progress: group flags, verdict slots in
+    /// enumeration order, counters, taint.
+    pub(crate) sweep: SweepState,
     /// The enumerated candidate space, for in-process resumes.
     pub(crate) space: SpaceMemo,
 }
@@ -87,7 +77,7 @@ pub(crate) struct CandidateSpace {
     pub(crate) schema: Schema,
     pub(crate) profile: (usize, usize),
     pub(crate) options: EnumOptions,
-    pub(crate) target: u8,
+    pub(crate) target: RewriteTarget,
     pub(crate) enumeration: Arc<Enumeration>,
 }
 
@@ -102,7 +92,7 @@ impl SpaceMemo {
         schema: &Schema,
         profile: (usize, usize),
         options: &EnumOptions,
-        target: u8,
+        target: RewriteTarget,
     ) -> Option<Arc<Enumeration>> {
         let space = self.0.as_ref()?;
         (space.profile == profile
@@ -131,37 +121,27 @@ impl std::fmt::Debug for SpaceMemo {
 impl RewriteCheckpoint {
     /// Body groups already evaluated.
     pub fn groups_done(&self) -> usize {
-        self.done.iter().filter(|&&d| d).count()
+        self.sweep.done.iter().filter(|&&d| d).count()
     }
 
     /// Total body groups in the filtering sweep.
     pub fn groups_total(&self) -> usize {
-        self.done.len()
+        self.sweep.done.len()
     }
 
     /// Candidates in the enumerated space this checkpoint covers.
     pub fn candidates(&self) -> usize {
-        self.verdicts.len()
+        self.sweep.verdicts.len()
     }
 
     /// Serializes into the versioned, checksummed frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = CheckpointWriter::new();
-        w.u8(self.target);
+        w.u8(self.target.into());
         w.u64(self.sigma_fp);
         w.u64(self.enum_fp);
         w.u8(self.exhaustive as u8);
-        w.count(self.done.len());
-        for &d in &self.done {
-            w.u8(d as u8);
-        }
-        w.count(self.verdicts.len());
-        for &v in &self.verdicts {
-            write_verdict(&mut w, v);
-        }
-        write_batch_stats(&mut w, &self.stats);
-        w.u64(self.panics_contained as u64);
-        w.u8(self.cache_tainted as u8);
+        write_sweep(&mut w, &self.sweep);
         seal(KIND_REWRITE, &w.into_payload())
     }
 
@@ -183,26 +163,15 @@ impl RewriteCheckpoint {
 
     fn from_payload(payload: &[u8]) -> Result<RewriteCheckpoint, CheckpointError> {
         let mut r = CheckpointReader::new(payload);
-        let target = r.u8()?;
-        if target != 1 && target != 2 {
-            return Err(CheckpointError::Malformed("rewrite target tag"));
-        }
+        let target = RewriteTarget::try_from(r.u8()?)?;
         let sigma_fp = r.u64()?;
         let enum_fp = r.u64()?;
-        let exhaustive = read_flag(&mut r)?;
-        let done_len = r.count(1)?;
-        let mut done = Vec::with_capacity(done_len);
-        for _ in 0..done_len {
-            done.push(read_flag(&mut r)?);
-        }
-        let verdict_len = r.count(1)?;
-        let mut verdicts = Vec::with_capacity(verdict_len);
-        for _ in 0..verdict_len {
-            verdicts.push(read_verdict(&mut r)?);
-        }
-        let stats = read_batch_stats(&mut r)?;
-        let panics_contained = r.u64()? as usize;
-        let cache_tainted = read_flag(&mut r)?;
+        let exhaustive = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(CheckpointError::Malformed("boolean flag")),
+        };
+        let sweep = read_sweep(&mut r)?;
         if !r.is_exhausted() {
             return Err(CheckpointError::Malformed("trailing bytes"));
         }
@@ -211,47 +180,38 @@ impl RewriteCheckpoint {
             sigma_fp,
             enum_fp,
             exhaustive,
-            done,
-            verdicts,
-            stats,
-            panics_contained,
-            cache_tainted,
+            sweep,
             space: SpaceMemo::default(),
         })
-    }
-}
-
-fn read_flag(r: &mut CheckpointReader<'_>) -> Result<bool, CheckpointError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(CheckpointError::Malformed("boolean flag")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgdkit_chase::{EntailBatchStats, Entailment};
 
     fn sample() -> RewriteCheckpoint {
         RewriteCheckpoint {
-            target: 1,
+            target: RewriteTarget::Linear,
             sigma_fp: 0xDEAD_BEEF,
             enum_fp: 42,
             exhaustive: true,
-            done: vec![true, false, true],
-            verdicts: vec![
-                Entailment::Proved,
-                Entailment::Unknown,
-                Entailment::Disproved,
-            ],
-            stats: EntailBatchStats {
-                candidates: 3,
-                body_groups: 3,
-                ..Default::default()
+            sweep: SweepState {
+                done: vec![true, false, true],
+                verdicts: vec![
+                    Entailment::Proved,
+                    Entailment::Unknown,
+                    Entailment::Disproved,
+                ],
+                stats: EntailBatchStats {
+                    candidates: 3,
+                    body_groups: 3,
+                    panics_contained: 1,
+                    ..Default::default()
+                },
+                tainted: true,
             },
-            panics_contained: 1,
-            cache_tainted: true,
             space: SpaceMemo::default(),
         }
     }
@@ -280,11 +240,11 @@ mod tests {
 
     #[test]
     fn bad_flag_bytes_are_malformed_not_panics() {
-        let mut cp = sample();
-        cp.target = 7;
+        let mut payload = open(&sample().encode(), KIND_REWRITE).unwrap().to_vec();
+        payload[0] = 7;
         // Re-seal with the bogus tag: checksum is fine, content is not.
         assert!(matches!(
-            RewriteCheckpoint::decode(&cp.encode()),
+            RewriteCheckpoint::decode(&seal(KIND_REWRITE, &payload)),
             Err(CheckpointError::Malformed("rewrite target tag"))
         ));
     }

@@ -232,7 +232,7 @@ pub fn linear_candidates(schema: &Schema, n: usize, m: usize, opts: &EnumOptions
 }
 
 /// [`linear_candidates`] under a [`CancelToken`]: the generation and dedup
-/// loops check the token every [`ENUM_CANCEL_STRIDE`] candidates, so a
+/// loops check the token every `ENUM_CANCEL_STRIDE` candidates, so a
 /// deadline expiring mid-enumeration stops the sweep promptly (the result is
 /// then marked non-exhaustive; governed rewriting discards it as
 /// `Cancelled`).

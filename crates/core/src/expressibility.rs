@@ -22,11 +22,10 @@
 
 use crate::properties::sample_members;
 use crate::rewrite::{
-    frontier_guarded_to_guarded, frontier_guarded_to_guarded_cached, guarded_to_linear,
-    guarded_to_linear_cached, RewriteOptions, RewriteOutcome,
+    frontier_guarded_to_guarded, guarded_to_linear, RewriteOptions, RewriteOutcome,
 };
 use crate::verdict::Verdict;
-use tgdkit_chase::{chase, satisfies_tgds, ChaseBudget, ChaseVariant, EntailCache};
+use tgdkit_chase::{chase, satisfies_tgds, ChaseBudget, ChaseVariant};
 use tgdkit_instance::{disjoint_union, union, Elem, Instance};
 use tgdkit_logic::TgdSet;
 
@@ -150,27 +149,6 @@ pub fn is_linear_expressible(set: &TgdSet, opts: &RewriteOptions, seed: u64) -> 
     }
 }
 
-/// [`is_linear_expressible`] against a caller-provided [`EntailCache`], so
-/// sweeps over many sets (or repeated checks of one set) reuse entailment
-/// verdicts across the underlying Algorithm 1 runs.
-pub fn is_linear_expressible_cached(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    seed: u64,
-    cache: &EntailCache,
-) -> Verdict {
-    if union_closure_witness(set, 6, seed).is_some() {
-        return Verdict::No;
-    }
-    match guarded_to_linear_cached(set, opts, cache).0 {
-        RewriteOutcome::Rewritten(_) => Verdict::Yes,
-        RewriteOutcome::NotRewritable => Verdict::No,
-        RewriteOutcome::Inconclusive | RewriteOutcome::Cancelled | RewriteOutcome::Suspended => {
-            Verdict::Unknown
-        }
-    }
-}
-
 /// Decides whether a frontier-guarded set is expressible with guarded tgds,
 /// with the disjoint-union fast path and Algorithm 2.
 pub fn is_guarded_expressible(set: &TgdSet, opts: &RewriteOptions, seed: u64) -> Verdict {
@@ -178,25 +156,6 @@ pub fn is_guarded_expressible(set: &TgdSet, opts: &RewriteOptions, seed: u64) ->
         return Verdict::No;
     }
     match frontier_guarded_to_guarded(set, opts) {
-        RewriteOutcome::Rewritten(_) => Verdict::Yes,
-        RewriteOutcome::NotRewritable => Verdict::No,
-        RewriteOutcome::Inconclusive | RewriteOutcome::Cancelled | RewriteOutcome::Suspended => {
-            Verdict::Unknown
-        }
-    }
-}
-
-/// [`is_guarded_expressible`] against a caller-provided [`EntailCache`].
-pub fn is_guarded_expressible_cached(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    seed: u64,
-    cache: &EntailCache,
-) -> Verdict {
-    if disjoint_union_closure_witness(set, 6, seed).is_some() {
-        return Verdict::No;
-    }
-    match frontier_guarded_to_guarded_cached(set, opts, cache).0 {
         RewriteOutcome::Rewritten(_) => Verdict::Yes,
         RewriteOutcome::NotRewritable => Verdict::No,
         RewriteOutcome::Inconclusive | RewriteOutcome::Cancelled | RewriteOutcome::Suspended => {

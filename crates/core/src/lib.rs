@@ -18,9 +18,9 @@
 //!   `LTGD ⊊ GTGD ⊊ FGTGD`, with machine-checked locality violations;
 //! - [`mv`]: the Makowsky–Vardi correction of §5 — Example 5.2 and
 //!   non-oblivious duplicating extensions;
-//! - [`rewrite`]: Algorithms 1 and 2 of §9.2 — `Rewrite(GTGD, LTGD)` and
+//! - [`rewrite`](mod@rewrite): Algorithms 1 and 2 of §9.2 — `Rewrite(GTGD, LTGD)` and
 //!   `Rewrite(FGTGD, GTGD)` — with canonical candidate enumeration and
-//!   parallel entailment filtering;
+//!   one entailment sweep over the candidates, serial or work-stealing;
 //! - [`characterize`]: the constructive direction of Theorem 4.1 — synthesis
 //!   of a `TGD_{n,m}` axiomatization from a membership oracle;
 //! - [`reductions`]: the Appendix F lower-bound constructions.
@@ -50,11 +50,8 @@ pub use locality::{
 };
 pub use ontology::{DependencyOntology, FiniteOntology, Ontology, TgdOntology};
 pub use rewrite::{
-    frontier_guarded_to_guarded, frontier_guarded_to_guarded_cached,
-    frontier_guarded_to_guarded_cached_governed, frontier_guarded_to_guarded_checkpointing,
-    frontier_guarded_to_guarded_governed, frontier_guarded_to_guarded_resume, guarded_to_linear,
-    guarded_to_linear_cached, guarded_to_linear_cached_governed, guarded_to_linear_checkpointing,
-    guarded_to_linear_governed, guarded_to_linear_resume, PoolEval, RewriteOptions, RewriteOutcome,
-    RewriteStats,
+    frontier_guarded_to_guarded, frontier_guarded_to_guarded_cached, guarded_to_linear,
+    guarded_to_linear_cached, rewrite, RewriteOptions, RewriteOutcome, RewriteRun, RewriteStats,
+    RewriteTarget,
 };
 pub use verdict::Verdict;

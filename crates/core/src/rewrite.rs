@@ -10,9 +10,13 @@
 //!
 //! 1. enumerates the canonical candidate space `C_{n,m}` over the schema
 //!    ([`crate::enumerate`]);
-//! 2. keeps `Σ' = {σ ∈ C_{n,m} | Σ ⊨ σ}` (chase-based entailment, in
-//!    parallel across candidates);
+//! 2. keeps `Σ' = {σ ∈ C_{n,m} | Σ ⊨ σ}` (one chase-based candidate sweep,
+//!    [`tgdkit_chase::sweep`], serial or work-stealing);
 //! 3. answers *rewritable with `Σ'`* iff `Σ' ⊨ Σ`.
+//!
+//! [`rewrite`] is the one entry point (target class, cache, token,
+//! resume); [`guarded_to_linear`] and [`frontier_guarded_to_guarded`] and
+//! their `_cached` forms are plain calls into it.
 //!
 //! Entailment under non-weakly-acyclic sets may return `Unknown`; the
 //! procedure then reports [`RewriteOutcome::Inconclusive`] rather than
@@ -24,14 +28,11 @@ use crate::checkpoint::{keys_fingerprint, CandidateSpace, RewriteCheckpoint, Spa
 use crate::enumerate::{
     guarded_candidates_governed, linear_candidates_governed, EnumOptions, Enumeration,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use tgdkit_chase::faults::INJECTED_PANIC;
 use tgdkit_chase::{
-    entails_all_cached_governed, entails_auto_cached_governed, evaluate_group, group_by_body,
-    group_by_body_keyed, sigma_fingerprint, tgds_fingerprint, CancelToken, ChaseBudget,
-    CheckpointError, EntailBatchStats, EntailCache, Entailment, FaultSite, MemoryAccountant,
+    entails_all_cached_governed, entails_auto_cached_governed, group_by_body_keyed, sweep,
+    tgds_fingerprint, CancelToken, ChaseBudget, CheckpointError, EntailBatchStats, EntailCache,
+    Entailment, Schedule,
 };
 use tgdkit_logic::{Schema, Tgd, TgdSet, TgdVariantKey};
 
@@ -42,8 +43,42 @@ pub struct RewriteOptions {
     pub budget: ChaseBudget,
     /// Candidate enumeration budgets.
     pub enumeration: EnumOptions,
-    /// Run the candidate filtering on all available cores.
+    /// Filter the candidates by work stealing on all available cores
+    /// instead of the serial, resumable schedule (see
+    /// [`tgdkit_chase::Schedule`]).
     pub parallel: bool,
+}
+
+/// The target class of a rewriting — which of the two procedures runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RewriteTarget {
+    /// Algorithm 1 (`G-to-L`): guarded → linear.
+    Linear,
+    /// Algorithm 2 (`FG-to-G`): frontier-guarded → guarded.
+    Guarded,
+}
+
+/// The target's tag in rewrite checkpoints and on the service wire:
+/// `1` linear, `2` guarded.
+impl From<RewriteTarget> for u8 {
+    fn from(target: RewriteTarget) -> u8 {
+        match target {
+            RewriteTarget::Linear => 1,
+            RewriteTarget::Guarded => 2,
+        }
+    }
+}
+
+impl TryFrom<u8> for RewriteTarget {
+    type Error = CheckpointError;
+
+    fn try_from(tag: u8) -> Result<RewriteTarget, CheckpointError> {
+        match tag {
+            1 => Ok(RewriteTarget::Linear),
+            2 => Ok(RewriteTarget::Guarded),
+            _ => Err(CheckpointError::Malformed("rewrite target tag")),
+        }
+    }
 }
 
 /// The answer of a rewriting procedure.
@@ -64,12 +99,13 @@ pub enum RewriteOutcome {
     /// uncancelled run would answer; [`RewriteStats`] still describes the
     /// work completed before the cut.
     Cancelled,
-    /// The run suspended on its memory budget
-    /// ([`ChaseBudget::max_bytes`], or an injected
-    /// [`FaultSite::MemBudgetTrip`]) at a body-group boundary. Only the
-    /// checkpointing entry points ([`guarded_to_linear_checkpointing`] /
-    /// [`frontier_guarded_to_guarded_checkpointing`]) report this; they
-    /// return the [`RewriteCheckpoint`] that resumes the run alongside.
+    /// The serial candidate filter suspended at a body-group boundary: on
+    /// its memory budget ([`ChaseBudget::max_bytes`], or the
+    /// `TGDKIT_BUDGET_MAX_BYTES` fallback), an injected
+    /// [`tgdkit_chase::FaultSite::MemBudgetTrip`], or a quantum expiry.
+    /// [`rewrite`] returns the [`RewriteCheckpoint`] that resumes the run
+    /// alongside; the plain calls drop it. Work-stealing runs
+    /// (`RewriteOptions::parallel`) never suspend.
     Suspended,
 }
 
@@ -121,9 +157,10 @@ pub struct RewriteStats {
     /// other group's verdict is untouched (includes panics the chase layer
     /// contained, via [`tgdkit_chase::ChaseStats::panics_contained`]).
     pub panics_contained: usize,
-    /// Peak estimated resident bytes observed by the memory accounting
-    /// (chase arenas; for the checkpointing entry points, also entailment
-    /// cache residency at group boundaries).
+    /// Peak estimated resident bytes observed by the memory accounting:
+    /// the chase arenas, and for the serial schedule also the entailment
+    /// cache's residency at group boundaries (work stealing does not charge
+    /// memory, so its figure is the chase arenas alone).
     pub mem_peak_bytes: usize,
     /// Memory-budget trips (real or injected) during the run.
     pub mem_trips: usize,
@@ -132,6 +169,10 @@ pub struct RewriteStats {
     /// Keys evicted from the bounded [`EntailCache`] during the run.
     pub evictions: usize,
 }
+
+/// Result of [`rewrite`]: the outcome, the run's statistics, and the
+/// checkpoint when the outcome is [`RewriteOutcome::Suspended`].
+pub type RewriteRun = (RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>);
 
 /// Algorithm 1 (paper §9.2, `G-to-L`): rewrites a set of **guarded** tgds
 /// into an equivalent set of **linear** tgds, if one exists.
@@ -148,70 +189,17 @@ pub struct RewriteStats {
 /// assert!(matches!(outcome, RewriteOutcome::Rewritten(_)));
 /// ```
 pub fn guarded_to_linear(set: &TgdSet, opts: &RewriteOptions) -> RewriteOutcome {
-    rewrite(set, opts, Target::Linear, &CancelToken::new()).0
+    fresh(set, RewriteTarget::Linear, opts, &EntailCache::new()).0
 }
 
 /// Algorithm 2 (paper §9.2, `FG-to-G`): rewrites a set of
 /// **frontier-guarded** tgds into an equivalent set of **guarded** tgds, if
 /// one exists.
 pub fn frontier_guarded_to_guarded(set: &TgdSet, opts: &RewriteOptions) -> RewriteOutcome {
-    rewrite(set, opts, Target::Guarded, &CancelToken::new()).0
+    fresh(set, RewriteTarget::Guarded, opts, &EntailCache::new()).0
 }
 
-/// [`guarded_to_linear`] under a [`CancelToken`]: a deadline expiry or an
-/// explicit [`CancelToken::cancel`] stops the run cooperatively (within one
-/// chase round / one body group) and yields [`RewriteOutcome::Cancelled`]
-/// with the statistics of the work completed so far.
-///
-/// ```
-/// use std::time::Duration;
-/// use tgdkit_chase::CancelToken;
-/// use tgdkit_core::{guarded_to_linear_governed, RewriteOptions, RewriteOutcome};
-/// use tgdkit_logic::{parse_tgds, Schema, TgdSet};
-/// let mut schema = Schema::default();
-/// let tgds = parse_tgds(&mut schema, "R(x,y), R(x,x) -> T(x).").unwrap();
-/// let set = TgdSet::new(schema, tgds).unwrap();
-/// let token = CancelToken::new();
-/// token.cancel(); // already expired: the run must stop immediately
-/// let (outcome, stats) = guarded_to_linear_governed(&set, &RewriteOptions::default(), &token);
-/// assert_eq!(outcome, RewriteOutcome::Cancelled);
-/// assert!(stats.cancelled);
-/// ```
-pub fn guarded_to_linear_governed(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite(set, opts, Target::Linear, token)
-}
-
-/// [`frontier_guarded_to_guarded`] under a [`CancelToken`]; see
-/// [`guarded_to_linear_governed`].
-pub fn frontier_guarded_to_guarded_governed(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite(set, opts, Target::Guarded, token)
-}
-
-/// [`guarded_to_linear`] with run statistics.
-pub fn guarded_to_linear_with_stats(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite(set, opts, Target::Linear, &CancelToken::new())
-}
-
-/// [`frontier_guarded_to_guarded`] with run statistics.
-pub fn frontier_guarded_to_guarded_with_stats(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite(set, opts, Target::Guarded, &CancelToken::new())
-}
-
-/// [`guarded_to_linear_with_stats`] against a caller-provided
+/// [`guarded_to_linear`] with run statistics, against a caller-provided
 /// [`EntailCache`], so repeated rewrites (equivalent inputs, warm reruns,
 /// expressibility sweeps) reuse entailment verdicts across calls.
 pub fn guarded_to_linear_cached(
@@ -219,147 +207,40 @@ pub fn guarded_to_linear_cached(
     opts: &RewriteOptions,
     cache: &EntailCache,
 ) -> (RewriteOutcome, RewriteStats) {
-    rewrite_cached(set, opts, Target::Linear, cache, &CancelToken::new())
+    fresh(set, RewriteTarget::Linear, opts, cache)
 }
 
-/// [`frontier_guarded_to_guarded_with_stats`] against a caller-provided
-/// [`EntailCache`].
+/// [`frontier_guarded_to_guarded`] with run statistics, against a
+/// caller-provided [`EntailCache`].
 pub fn frontier_guarded_to_guarded_cached(
     set: &TgdSet,
     opts: &RewriteOptions,
     cache: &EntailCache,
 ) -> (RewriteOutcome, RewriteStats) {
-    rewrite_cached(set, opts, Target::Guarded, cache, &CancelToken::new())
+    fresh(set, RewriteTarget::Guarded, opts, cache)
 }
 
-/// [`guarded_to_linear_cached`] under a [`CancelToken`]. Verdicts decided
-/// before the cut are cached (and sound); cancellation-induced `Unknown`s
-/// are not persisted, so a warm rerun with a fresh token re-decides them.
-pub fn guarded_to_linear_cached_governed(
+/// [`rewrite`] without a token or a resume.
+fn fresh(
     set: &TgdSet,
+    target: RewriteTarget,
     opts: &RewriteOptions,
     cache: &EntailCache,
-    token: &CancelToken,
 ) -> (RewriteOutcome, RewriteStats) {
-    rewrite_cached(set, opts, Target::Linear, cache, token)
+    let run = rewrite(set, target, opts, cache, &CancelToken::new(), None);
+    let (outcome, stats, _) = run.expect("a fresh run has no checkpoint to mismatch");
+    (outcome, stats)
 }
 
-/// [`frontier_guarded_to_guarded_cached`] under a [`CancelToken`]; see
-/// [`guarded_to_linear_cached_governed`].
-pub fn frontier_guarded_to_guarded_cached_governed(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
-    rewrite_cached(set, opts, Target::Guarded, cache, token)
-}
-
-/// [`guarded_to_linear_cached_governed`] with **suspend/resume support**:
-/// the candidate filtering charges estimated resident memory (entailment
-/// cache bytes + peak chase arena) against [`ChaseBudget::max_bytes`] at
-/// every body-group boundary, and a trip — real, or injected at
-/// [`FaultSite::MemBudgetTrip`] — suspends the run as
-/// [`RewriteOutcome::Suspended`] with a [`RewriteCheckpoint`] capturing
-/// the verdict slots and group progress so far.
-///
-/// Checkpointing pins the **serial** evaluator (`opts.parallel` is
-/// ignored): group completion order must be deterministic for the done
-/// flags to mean the same thing on resume, and the serial and parallel
-/// evaluators are verdict-identical anyway. The decision tail after
-/// filtering (`Σ' ⊨ Σ`, minimization) runs without suspension points —
-/// it revisits already-cached verdicts and is cheap next to the sweep.
-///
-/// Feeding the checkpoint to [`guarded_to_linear_resume`] — with the same
-/// budget after an injected trip, or a larger `max_bytes` (or a smaller
-/// cache) after a real one — finishes the run with an outcome identical
-/// to an uninterrupted run's. A run that completes (or is merely
-/// cancelled) returns no checkpoint.
-pub fn guarded_to_linear_checkpointing(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>) {
-    rewrite_checkpointed(set, opts, Target::Linear, cache, token, None)
-        .expect("fresh runs have no checkpoint to mismatch")
-}
-
-/// [`guarded_to_linear_checkpointing`] for Algorithm 2 (`FG-to-G`).
-pub fn frontier_guarded_to_guarded_checkpointing(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>) {
-    rewrite_checkpointed(set, opts, Target::Guarded, cache, token, None)
-        .expect("fresh runs have no checkpoint to mismatch")
-}
-
-/// Resumes a suspended [`guarded_to_linear_checkpointing`] run.
-///
-/// `set` and `opts.enumeration` must be the ones the checkpoint was taken
-/// under — resume re-enumerates the candidate space (deterministic; an
-/// in-process checkpoint instead reuses the space it was cut from when
-/// schema, profile, options and target all match) and validates the
-/// input-set and enumeration fingerprints, the target class, and the slot
-/// counts; any mismatch is a typed
-/// [`CheckpointError::ContextMismatch`], never a wrong answer.
-/// `opts.budget` is absolute, not incremental.
-pub fn guarded_to_linear_resume(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    checkpoint: &RewriteCheckpoint,
-    token: &CancelToken,
-) -> Result<(RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>), CheckpointError> {
-    rewrite_checkpointed(set, opts, Target::Linear, cache, token, Some(checkpoint))
-}
-
-/// Resumes a suspended [`frontier_guarded_to_guarded_checkpointing`] run;
-/// see [`guarded_to_linear_resume`].
-pub fn frontier_guarded_to_guarded_resume(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    cache: &EntailCache,
-    checkpoint: &RewriteCheckpoint,
-    token: &CancelToken,
-) -> Result<(RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>), CheckpointError> {
-    rewrite_checkpointed(set, opts, Target::Guarded, cache, token, Some(checkpoint))
-}
-
-/// Filters an explicit candidate pool through the evaluator the rewriting
-/// procedures use internally: body-grouped chase sharing, the entailment
-/// cache, and (when `parallel`) work stealing over the body groups.
+/// Filters an enumerator-produced candidate pool through the sweep the
+/// rewriting procedures use: body-grouped chase sharing, the entailment
+/// cache, and (when `parallel`) work stealing over the body groups. `keys`
+/// are the candidates' variant keys (parallel to `candidates`, as in
+/// [`Enumeration::keys`](crate::enumerate::Enumeration)), so grouping
+/// reuses them instead of re-running the canonical ordering search.
 ///
 /// Exposed for bulk entailment filtering and benchmarking; returns
-/// `(verdicts in candidate order, batch stats, steals)`.
-pub fn evaluate_pool(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    parallel: bool,
-    cache: &EntailCache,
-) -> (Vec<Entailment>, EntailBatchStats, usize) {
-    let eval = evaluate_candidates(
-        schema,
-        sigma,
-        candidates,
-        None,
-        budget,
-        parallel,
-        cache,
-        &CancelToken::new(),
-    );
-    (eval.verdicts, eval.stats, eval.steals)
-}
-
-/// [`evaluate_pool`] for an enumerator-produced pool: `keys` are the
-/// candidates' variant keys (parallel to `candidates`, as in
-/// [`Enumeration::keys`](crate::enumerate::Enumeration)), so body-grouping
-/// reuses them instead of re-running the canonical ordering search per
-/// candidate. Verdicts are identical to [`evaluate_pool`].
+/// `(verdicts in candidate order, sweep stats, steals)`.
 pub fn evaluate_pool_keyed(
     schema: &Schema,
     sigma: &[Tgd],
@@ -369,54 +250,23 @@ pub fn evaluate_pool_keyed(
     parallel: bool,
     cache: &EntailCache,
 ) -> (Vec<Entailment>, EntailBatchStats, usize) {
-    let eval = evaluate_candidates(
+    let groups = group_by_body_keyed(candidates, keys);
+    let schedule = if parallel {
+        Schedule::Stealing
+    } else {
+        Schedule::Serial(None)
+    };
+    let token = CancelToken::new();
+    let run = sweep(
         schema,
         sigma,
-        candidates,
-        Some(keys),
+        &groups,
         budget,
-        parallel,
-        cache,
-        &CancelToken::new(),
+        Some(cache),
+        &token,
+        schedule,
     );
-    (eval.verdicts, eval.stats, eval.steals)
-}
-
-/// [`evaluate_pool`] under a [`CancelToken`]: cancellation stops the sweep
-/// at the next group boundary (remaining candidates settle as `Unknown`),
-/// and a panic inside one group's evaluation is contained to that group.
-pub fn evaluate_pool_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    parallel: bool,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> PoolEval {
-    evaluate_candidates(
-        schema, sigma, candidates, None, budget, parallel, cache, token,
-    )
-}
-
-/// Result of [`evaluate_pool_governed`] / the internal candidate evaluator.
-#[derive(Debug, Default)]
-pub struct PoolEval {
-    /// One verdict per candidate, in input order.
-    pub verdicts: Vec<Entailment>,
-    /// Sharing/caching counters for the sweep.
-    pub stats: EntailBatchStats,
-    /// Work-stealing imbalance (see [`RewriteStats::steals`]).
-    pub steals: usize,
-    /// Body groups whose evaluation panicked and was contained; their
-    /// candidates report `Unknown`.
-    pub panics_contained: usize,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Target {
-    Linear,
-    Guarded,
+    (run.state.verdicts, run.state.stats, run.steals)
 }
 
 fn enumerate(
@@ -424,70 +274,161 @@ fn enumerate(
     n: usize,
     m: usize,
     opts: &RewriteOptions,
-    target: Target,
+    target: RewriteTarget,
     token: &CancelToken,
 ) -> Enumeration {
     match target {
-        Target::Linear => linear_candidates_governed(schema, n, m, &opts.enumeration, token),
-        Target::Guarded => guarded_candidates_governed(schema, n, m, &opts.enumeration, token),
+        RewriteTarget::Linear => linear_candidates_governed(schema, n, m, &opts.enumeration, token),
+        RewriteTarget::Guarded => {
+            guarded_candidates_governed(schema, n, m, &opts.enumeration, token)
+        }
     }
 }
 
-fn rewrite(
+/// Rewrites `set` into an equivalent set of the `target` class, if one
+/// exists — the one entry point of Algorithms 1 and 2.
+///
+/// The candidate filter `Σ′ = {σ ∈ C_{n,m} | Σ ⊨ σ}` is one
+/// [`tgdkit_chase::sweep`] against `cache`. `opts.parallel` selects its
+/// schedule: work stealing, which runs to completion or cancellation, or
+/// the serial schedule, which at every body-group boundary charges
+/// estimated resident memory (cache bytes + peak chase arena) against
+/// `opts.budget.max_bytes` and polls the token's quantum. A trip — real, or
+/// injected at [`tgdkit_chase::FaultSite::MemBudgetTrip`] — or a quantum
+/// expiry suspends the run as [`RewriteOutcome::Suspended`] with a
+/// [`RewriteCheckpoint`] of the verdict slots and group progress. The
+/// decision tail after filtering (`Σ′ ⊨ Σ`, minimization) runs without
+/// suspension points: it revisits cached verdicts and is cheap next to the
+/// sweep.
+///
+/// A deadline expiry or [`CancelToken::cancel`] stops the run
+/// cooperatively (within one chase round / one body group) and yields
+/// [`RewriteOutcome::Cancelled`] with the statistics of the work so far.
+/// Verdicts decided before the cut are cached (and sound);
+/// cancellation-induced `Unknown`s are not, so a warm rerun with a fresh
+/// token re-decides them.
+///
+/// `resume` continues a suspended run on the serial schedule, with an
+/// outcome identical to an uninterrupted run's. `set` and
+/// `opts.enumeration` must be the ones it was taken under: resume
+/// re-enumerates the candidate space (deterministic; an in-process
+/// checkpoint instead reuses the space it was cut from when schema,
+/// profile, options and target all match) and validates the target class,
+/// the input-set and enumeration fingerprints, and the slot counts; any
+/// mismatch is a typed [`CheckpointError::ContextMismatch`], never a wrong
+/// answer. `opts.budget` is absolute, not incremental — the same budget
+/// after an injected trip or a quantum, a larger `max_bytes` (or a smaller
+/// cache) after a real trip.
+///
+/// ```
+/// use tgdkit_chase::{CancelToken, EntailCache};
+/// use tgdkit_core::{rewrite, RewriteOptions, RewriteOutcome, RewriteTarget};
+/// use tgdkit_logic::{parse_tgds, Schema, TgdSet};
+/// let mut schema = Schema::default();
+/// let tgds = parse_tgds(&mut schema, "R(x,y), R(x,x) -> T(x).").unwrap();
+/// let set = TgdSet::new(schema, tgds).unwrap();
+/// let token = CancelToken::new();
+/// token.cancel(); // already expired: the run must stop immediately
+/// let opts = RewriteOptions::default();
+/// let (outcome, stats, checkpoint) =
+///     rewrite(&set, RewriteTarget::Linear, &opts, &EntailCache::new(), &token, None).unwrap();
+/// assert_eq!(outcome, RewriteOutcome::Cancelled);
+/// assert!(stats.cancelled && checkpoint.is_none());
+/// ```
+pub fn rewrite(
     set: &TgdSet,
+    target: RewriteTarget,
     opts: &RewriteOptions,
-    target: Target,
-    token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
-    // Fresh per-run cache: within one run it still pays (minimization and
-    // the Σ' ⊨ Σ check revisit filtered candidates); callers wanting
-    // cross-run reuse pass their own via the `_cached` entry points.
-    let cache = EntailCache::new();
-    rewrite_cached(set, opts, target, &cache, token)
-}
-
-fn rewrite_cached(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    target: Target,
     cache: &EntailCache,
     token: &CancelToken,
-) -> (RewriteOutcome, RewriteStats) {
+    resume: Option<&RewriteCheckpoint>,
+) -> Result<RewriteRun, CheckpointError> {
     let schema = set.schema();
     let (n, m) = set.profile();
-    let enumeration = enumerate(schema, n, m, opts, target, token);
-    let mut stats = RewriteStats {
-        candidates: enumeration.tgds.len(),
-        exhaustive: enumeration.exhaustive,
-        ..Default::default()
+    // An in-process checkpoint carries the space it was cut from; any
+    // other resume re-enumerates, and the checks below hold either way.
+    let enumeration = resume
+        .and_then(|cp| cp.space.get(schema, (n, m), &opts.enumeration, target))
+        .unwrap_or_else(|| Arc::new(enumerate(schema, n, m, opts, target, token)));
+    let groups = group_by_body_keyed(&enumeration.tgds, &enumeration.keys);
+    if let Some(cp) = resume {
+        if cp.target != target {
+            return Err(CheckpointError::ContextMismatch("rewrite target class"));
+        }
+        if cp.sigma_fp != tgds_fingerprint(set.tgds()) {
+            return Err(CheckpointError::ContextMismatch("tgd set"));
+        }
+        if cp.enum_fp != keys_fingerprint(&enumeration.keys)
+            || cp.sweep.verdicts.len() != enumeration.tgds.len()
+        {
+            return Err(CheckpointError::ContextMismatch("candidate enumeration"));
+        }
+        if cp.sweep.done.len() != groups.len() {
+            return Err(CheckpointError::ContextMismatch("body-group count"));
+        }
+    }
+    let schedule = match resume {
+        Some(cp) => Schedule::Serial(Some(&cp.sweep)),
+        None if opts.parallel => Schedule::Stealing,
+        None => Schedule::Serial(None),
     };
-
-    // Σ' := { σ ∈ C_{n,m} | Σ ⊨ σ }.
-    let eval = evaluate_candidates(
+    let run = sweep(
         schema,
         set.tgds(),
-        &enumeration.tgds,
-        Some(&enumeration.keys),
+        &groups,
         opts.budget,
-        opts.parallel,
+        Some(cache),
+        token,
+        schedule,
+    );
+    let filtered = &run.state.stats;
+    let stats = RewriteStats {
+        candidates: enumeration.tgds.len(),
+        exhaustive: enumeration.exhaustive,
+        body_groups: filtered.body_groups,
+        bodies_chased: filtered.bodies_chased,
+        heads_probed: filtered.heads_probed,
+        cache_hits: filtered.cache_hits,
+        cache_misses: filtered.cache_misses,
+        steals: run.steals,
+        panics_contained: filtered.panics_contained + filtered.chase.panics_contained,
+        mem_peak_bytes: run.mem_peak_bytes,
+        mem_trips: filtered.chase.mem_trips,
+        resumes: filtered.chase.resumes,
+        evictions: filtered.evictions,
+        ..Default::default()
+    };
+    if run.suspended {
+        let checkpoint = Box::new(RewriteCheckpoint {
+            target,
+            sigma_fp: tgds_fingerprint(set.tgds()),
+            enum_fp: keys_fingerprint(&enumeration.keys),
+            exhaustive: enumeration.exhaustive,
+            sweep: run.state,
+            space: SpaceMemo::new(CandidateSpace {
+                schema: schema.clone(),
+                profile: (n, m),
+                options: opts.enumeration,
+                target,
+                enumeration,
+            }),
+        });
+        return Ok((RewriteOutcome::Suspended, stats, Some(checkpoint)));
+    }
+    let (outcome, stats) = conclude(
+        set,
+        opts,
+        &enumeration,
+        &run.state.verdicts,
+        stats,
         cache,
         token,
     );
-    stats.body_groups = eval.stats.body_groups;
-    stats.bodies_chased = eval.stats.bodies_chased;
-    stats.heads_probed = eval.stats.heads_probed;
-    stats.cache_hits = eval.stats.cache_hits;
-    stats.cache_misses = eval.stats.cache_misses;
-    stats.steals = eval.steals;
-    stats.panics_contained = eval.panics_contained + eval.stats.chase.panics_contained;
-    stats.mem_peak_bytes = eval.stats.chase.mem_peak_bytes;
-    stats.mem_trips = eval.stats.chase.mem_trips;
-    stats.evictions = eval.stats.evictions;
-    conclude(set, opts, &enumeration, &eval.verdicts, stats, cache, token)
+    Ok((outcome, stats, None))
 }
 
-/// The decision tail shared by the plain and checkpointing procedures:
-/// builds `Σ' = {σ | Σ ⊨ σ}` from the verdict slots, then answers
+/// The decision tail after the candidate filter: builds
+/// `Σ' = {σ | Σ ⊨ σ}` from the verdict slots, then answers
 /// *rewritable with `Σ'`* iff `Σ' ⊨ Σ` (minimizing on success).
 fn conclude(
     set: &TgdSet,
@@ -539,157 +480,6 @@ fn conclude(
     }
 }
 
-fn target_tag(target: Target) -> u8 {
-    match target {
-        Target::Linear => 1,
-        Target::Guarded => 2,
-    }
-}
-
-/// The checkpointing rewrite: a serial, resumable candidate filtering
-/// sweep with memory charging at group boundaries, then the shared
-/// decision tail. `resume` restores verdict slots and group progress from
-/// a prior suspension after validating it belongs to this exact run.
-fn rewrite_checkpointed(
-    set: &TgdSet,
-    opts: &RewriteOptions,
-    target: Target,
-    cache: &EntailCache,
-    token: &CancelToken,
-    resume: Option<&RewriteCheckpoint>,
-) -> Result<(RewriteOutcome, RewriteStats, Option<Box<RewriteCheckpoint>>), CheckpointError> {
-    let schema = set.schema();
-    let (n, m) = set.profile();
-    let tag = target_tag(target);
-    // An in-process checkpoint carries the space it was cut from; any
-    // other resume re-enumerates, and the checks below hold either way.
-    let enumeration = resume
-        .and_then(|cp| cp.space.get(schema, (n, m), &opts.enumeration, tag))
-        .unwrap_or_else(|| Arc::new(enumerate(schema, n, m, opts, target, token)));
-    let sigma_fp = tgds_fingerprint(set.tgds());
-    let enum_fp = keys_fingerprint(&enumeration.keys);
-    let groups = group_by_body_keyed(&enumeration.tgds, &enumeration.keys);
-    if let Some(cp) = resume {
-        if cp.target != tag {
-            return Err(CheckpointError::ContextMismatch("rewrite target class"));
-        }
-        if cp.sigma_fp != sigma_fp {
-            return Err(CheckpointError::ContextMismatch("tgd set"));
-        }
-        if cp.enum_fp != enum_fp || cp.verdicts.len() != enumeration.tgds.len() {
-            return Err(CheckpointError::ContextMismatch("candidate enumeration"));
-        }
-        if cp.done.len() != groups.len() {
-            return Err(CheckpointError::ContextMismatch("body-group count"));
-        }
-    }
-    let mut stats = RewriteStats {
-        candidates: enumeration.tgds.len(),
-        exhaustive: enumeration.exhaustive,
-        ..Default::default()
-    };
-    let (mut batch, mut verdicts, mut done, mut panics, mut tainted) = match resume {
-        Some(cp) => {
-            let mut batch = cp.stats;
-            batch.chase.resumes += 1;
-            (
-                batch,
-                cp.verdicts.clone(),
-                cp.done.clone(),
-                cp.panics_contained,
-                cp.cache_tainted,
-            )
-        }
-        None => (
-            EntailBatchStats {
-                candidates: enumeration.tgds.len(),
-                body_groups: groups.len(),
-                ..Default::default()
-            },
-            vec![Entailment::Unknown; enumeration.tgds.len()],
-            vec![false; groups.len()],
-            0usize,
-            false,
-        ),
-    };
-    let accountant = MemoryAccountant::new(opts.budget.effective_max_bytes());
-    let cache_fp = sigma_fingerprint(set.tgds());
-    let evictions_before = cache.evictions();
-    let mut suspended = false;
-    for (gi, group) in groups.iter().enumerate() {
-        if done[gi] {
-            continue;
-        }
-        if token.is_cancelled() {
-            break;
-        }
-        let resident = cache.approx_bytes() + batch.chase.mem_peak_bytes;
-        let tripped = accountant.charge_to(resident) || token.fault(FaultSite::MemBudgetTrip);
-        // Quantum expiry suspends at the same boundary as a byte trip but
-        // does not count as one — the scheduler resumes with the same
-        // budget (see `CancelToken::should_suspend`).
-        if tripped || token.should_suspend() {
-            if tripped {
-                batch.chase.mem_trips += 1;
-            }
-            suspended = true;
-            break;
-        }
-        match evaluate_group_contained(
-            schema,
-            set.tgds(),
-            group,
-            opts.budget,
-            Some((cache, cache_fp)),
-            &mut batch,
-            token,
-        ) {
-            Some(group_verdicts) => {
-                for (idx, v) in group_verdicts {
-                    verdicts[idx] = v;
-                }
-            }
-            None => panics += 1,
-        }
-        done[gi] = true;
-    }
-    batch.evictions += cache.evictions().saturating_sub(evictions_before);
-    tainted = tainted || token.is_tainted();
-    stats.body_groups = batch.body_groups;
-    stats.bodies_chased = batch.bodies_chased;
-    stats.heads_probed = batch.heads_probed;
-    stats.cache_hits = batch.cache_hits;
-    stats.cache_misses = batch.cache_misses;
-    stats.panics_contained = panics + batch.chase.panics_contained;
-    stats.mem_peak_bytes = batch.chase.mem_peak_bytes.max(accountant.peak_bytes());
-    stats.mem_trips = batch.chase.mem_trips;
-    stats.resumes = batch.chase.resumes;
-    stats.evictions = batch.evictions;
-    if suspended {
-        let checkpoint = Box::new(RewriteCheckpoint {
-            target: tag,
-            sigma_fp,
-            enum_fp,
-            exhaustive: enumeration.exhaustive,
-            done,
-            verdicts,
-            stats: batch,
-            panics_contained: panics,
-            cache_tainted: tainted,
-            space: SpaceMemo::new(CandidateSpace {
-                schema: schema.clone(),
-                profile: (n, m),
-                options: opts.enumeration,
-                target: tag,
-                enumeration: enumeration.clone(),
-            }),
-        });
-        return Ok((RewriteOutcome::Suspended, stats, Some(checkpoint)));
-    }
-    let (outcome, stats) = conclude(set, opts, &enumeration, &verdicts, stats, cache, token);
-    Ok((outcome, stats, None))
-}
-
 fn negative(stats: &RewriteStats, enumeration: &Enumeration) -> RewriteOutcome {
     if enumeration.exhaustive && stats.unknown_checks == 0 {
         RewriteOutcome::NotRewritable
@@ -732,228 +522,6 @@ fn minimize(
         }
     }
     tgds
-}
-
-/// `Entailment` packed into a byte, so parallel workers can publish
-/// verdicts into pre-sized atomic slots without locks.
-fn encode_verdict(v: Entailment) -> u8 {
-    match v {
-        Entailment::Proved => 0,
-        Entailment::Disproved => 1,
-        Entailment::Unknown => 2,
-    }
-}
-
-fn decode_verdict(b: u8) -> Entailment {
-    match b {
-        0 => Entailment::Proved,
-        1 => Entailment::Disproved,
-        _ => Entailment::Unknown,
-    }
-}
-
-/// Evaluates one body group behind a panic barrier.
-///
-/// A panic inside the group (a bug in the chase/entailment stack, or a
-/// fault injected at [`FaultSite::GroupEvalPanic`]) is caught here: the
-/// group's candidates keep their pre-initialized `Unknown` verdicts, its
-/// partial stats are discarded (a fresh local accumulator is absorbed only
-/// on success), and the caller counts one contained panic. `Unknown` is
-/// always sound, so containment can only degrade precision, never invert a
-/// verdict.
-fn evaluate_group_contained(
-    schema: &Schema,
-    sigma: &[Tgd],
-    group: &tgdkit_chase::BodyGroup,
-    budget: ChaseBudget,
-    keyed: Option<(&EntailCache, u64)>,
-    stats: &mut EntailBatchStats,
-    token: &CancelToken,
-) -> Option<Vec<(usize, Entailment)>> {
-    let mut local = EntailBatchStats::default();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if token.fault(FaultSite::GroupEvalPanic) {
-            panic!("{INJECTED_PANIC}: group evaluation");
-        }
-        evaluate_group(schema, sigma, group, budget, keyed, &mut local, token)
-    }));
-    match outcome {
-        Ok(verdicts) => {
-            stats.absorb(&local);
-            Some(verdicts)
-        }
-        Err(_) => None,
-    }
-}
-
-/// Filters candidates through the body-grouped, cache-aware evaluator
-/// ([`evaluate_group`]): serially, or — when `parallel` — on all available
-/// cores with **work stealing**.
-///
-/// The parallel scheduler is an atomic claim index over the body groups:
-/// each worker repeatedly claims the next unevaluated group, so a worker
-/// that drew cheap groups keeps pulling work while another grinds through an
-/// expensive chase (the fixed-chunk split this replaces would have left it
-/// idle). Verdicts are published into pre-sized per-candidate slots, so the
-/// output vector — and therefore the rewriting built from it — is
-/// byte-identical to the serial evaluation regardless of claim order.
-///
-/// Cancellation is honored at group-claim granularity (workers stop
-/// claiming once the token trips; unevaluated candidates stay `Unknown`),
-/// and each group evaluates behind [`evaluate_group_contained`]'s panic
-/// barrier, so one poisoned group cannot take down the sweep — or the
-/// process.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_candidates(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    keys: Option<&[TgdVariantKey]>,
-    budget: ChaseBudget,
-    parallel: bool,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> PoolEval {
-    // A token that tripped during enumeration must not pay for grouping:
-    // non-keyed grouping canonicalizes every candidate (~1µs each), which
-    // on a 20k pool is tens of milliseconds of post-deadline work. All
-    // candidates settle as `Unknown`, same as an immediate break below.
-    if token.is_cancelled() {
-        return PoolEval {
-            verdicts: vec![Entailment::Unknown; candidates.len()],
-            stats: EntailBatchStats {
-                candidates: candidates.len(),
-                ..Default::default()
-            },
-            steals: 0,
-            panics_contained: 0,
-        };
-    }
-    // Enumerator-produced pools carry their variant keys (dedup computed
-    // them anyway); grouping then skips the canonical ordering search.
-    let groups = match keys {
-        Some(keys) => group_by_body_keyed(candidates, keys),
-        None => group_by_body(candidates),
-    };
-    let fingerprint = sigma_fingerprint(sigma);
-    let mut stats = EntailBatchStats {
-        candidates: candidates.len(),
-        body_groups: groups.len(),
-        ..Default::default()
-    };
-    let workers = if parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(groups.len().max(1))
-    } else {
-        1
-    };
-    if workers <= 1 {
-        let mut verdicts = vec![Entailment::Unknown; candidates.len()];
-        let mut panics = 0usize;
-        for group in &groups {
-            if token.is_cancelled() {
-                break;
-            }
-            match evaluate_group_contained(
-                schema,
-                sigma,
-                group,
-                budget,
-                Some((cache, fingerprint)),
-                &mut stats,
-                token,
-            ) {
-                Some(group_verdicts) => {
-                    for (idx, v) in group_verdicts {
-                        verdicts[idx] = v;
-                    }
-                }
-                None => panics += 1,
-            }
-        }
-        return PoolEval {
-            verdicts,
-            stats,
-            steals: 0,
-            panics_contained: panics,
-        };
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<AtomicU8> = (0..candidates.len())
-        .map(|_| AtomicU8::new(encode_verdict(Entailment::Unknown)))
-        .collect();
-    let mut claims: Vec<usize> = Vec::with_capacity(workers);
-    let mut panics = 0usize;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, slots, groups) = (&next, &slots, &groups);
-                scope.spawn(move || {
-                    let mut local = EntailBatchStats::default();
-                    let mut claimed = 0usize;
-                    let mut contained = 0usize;
-                    loop {
-                        if token.is_cancelled() {
-                            break;
-                        }
-                        let gi = next.fetch_add(1, Ordering::Relaxed);
-                        if gi >= groups.len() {
-                            break;
-                        }
-                        claimed += 1;
-                        match evaluate_group_contained(
-                            schema,
-                            sigma,
-                            &groups[gi],
-                            budget,
-                            Some((cache, fingerprint)),
-                            &mut local,
-                            token,
-                        ) {
-                            Some(group_verdicts) => {
-                                for (idx, v) in group_verdicts {
-                                    slots[idx].store(encode_verdict(v), Ordering::Release);
-                                }
-                            }
-                            None => contained += 1,
-                        }
-                    }
-                    (local, claimed, contained)
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Worker bodies contain per-group panics themselves; a panic
-            // escaping here would be a bug in the scheduler shell, which is
-            // worth aborting on.
-            let (local, claimed, contained) = handle.join().expect("entailment worker panicked");
-            stats.absorb(&local);
-            claims.push(claimed);
-            panics += contained;
-        }
-    });
-    // `absorb` also summed the workers' zeroed candidates/body_groups;
-    // restore the batch-level figures.
-    stats.candidates = candidates.len();
-    stats.body_groups = groups.len();
-    let fair_share = groups.len().div_ceil(workers);
-    let steals = claims
-        .iter()
-        .map(|&c| c.saturating_sub(fair_share))
-        .sum::<usize>();
-    let verdicts = slots
-        .iter()
-        .map(|s| decode_verdict(s.load(Ordering::Acquire)))
-        .collect();
-    PoolEval {
-        verdicts,
-        stats,
-        steals,
-        panics_contained: panics,
-    }
 }
 
 #[cfg(test)]
@@ -1066,13 +634,20 @@ mod tests {
     fn sharing_and_cache_counters_are_populated() {
         let mut s = Schema::default();
         let sigma = set(&mut s, "R(x,y), R(x,x) -> T(x). R(x,y) -> T(x).");
-        let (outcome, stats) = guarded_to_linear_with_stats(
+        let opts = RewriteOptions {
+            parallel: true,
+            ..Default::default()
+        };
+        let token = CancelToken::new();
+        let (outcome, stats, _) = rewrite(
             &sigma,
-            &RewriteOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        );
+            RewriteTarget::Linear,
+            &opts,
+            &EntailCache::new(),
+            &token,
+            None,
+        )
+        .unwrap();
         assert!(matches!(outcome, RewriteOutcome::Rewritten(_)));
         assert!(
             stats.body_groups > 0 && stats.body_groups < stats.candidates,
@@ -1103,7 +678,17 @@ mod tests {
     fn stats_are_populated() {
         let mut s = Schema::default();
         let sigma = set(&mut s, "R(x,y) -> T(x).");
-        let (outcome, stats) = guarded_to_linear_with_stats(&sigma, &RewriteOptions::default());
+        let opts = RewriteOptions::default();
+        let token = CancelToken::new();
+        let (outcome, stats, _) = rewrite(
+            &sigma,
+            RewriteTarget::Linear,
+            &opts,
+            &EntailCache::new(),
+            &token,
+            None,
+        )
+        .unwrap();
         assert!(matches!(outcome, RewriteOutcome::Rewritten(_)));
         assert!(stats.candidates > 0);
         assert!(stats.entailed > 0);
@@ -1117,11 +702,18 @@ mod tests {
         let opts = RewriteOptions::default();
         let clean = guarded_to_linear(&sigma, &opts);
         let token = CancelToken::with_suspend_after_checks(1);
-        let (outcome, _, cp) =
-            guarded_to_linear_checkpointing(&sigma, &opts, &EntailCache::new(), &token);
+        let (outcome, _, cp) = rewrite(
+            &sigma,
+            RewriteTarget::Linear,
+            &opts,
+            &EntailCache::new(),
+            &token,
+            None,
+        )
+        .unwrap();
         assert_eq!(outcome, RewriteOutcome::Suspended);
         let cp = cp.expect("suspended runs return a checkpoint");
-        let tag = target_tag(Target::Linear);
+        let tag = RewriteTarget::Linear;
         let profile = sigma.profile();
         assert!(cp.space.get(&s, profile, &opts.enumeration, tag).is_some());
         let decoded = RewriteCheckpoint::decode(&cp.encode()).unwrap();
@@ -1131,12 +723,13 @@ mod tests {
             .is_none());
         // The cached space and a re-enumerated one resume to the same answer.
         for resumed in [cp.as_ref(), &decoded] {
-            let (outcome, _, rest) = guarded_to_linear_resume(
+            let (outcome, _, rest) = rewrite(
                 &sigma,
+                RewriteTarget::Linear,
                 &opts,
                 &EntailCache::new(),
-                resumed,
                 &CancelToken::new(),
+                Some(resumed),
             )
             .unwrap();
             assert!(rest.is_none());
@@ -1156,22 +749,24 @@ mod tests {
             .get(&s, profile, &truncated.enumeration, tag)
             .is_none());
         assert!(matches!(
-            guarded_to_linear_resume(
+            rewrite(
                 &sigma,
+                RewriteTarget::Linear,
                 &truncated,
                 &EntailCache::new(),
-                &cp,
-                &CancelToken::new()
+                &CancelToken::new(),
+                Some(&cp),
             ),
             Err(CheckpointError::ContextMismatch("candidate enumeration"))
         ));
         assert!(matches!(
-            frontier_guarded_to_guarded_resume(
+            rewrite(
                 &sigma,
+                RewriteTarget::Guarded,
                 &opts,
                 &EntailCache::new(),
-                &cp,
-                &CancelToken::new()
+                &CancelToken::new(),
+                Some(&cp),
             ),
             Err(CheckpointError::ContextMismatch("rewrite target class"))
         ));

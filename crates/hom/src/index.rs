@@ -3,7 +3,7 @@
 //! Tuples are stored column-major (struct-of-arrays, mirroring the
 //! [`tgdkit_instance::Relation`] layout): one contiguous `Vec<Elem>` per
 //! argument position. Single-position lookups go through hash postings,
-//! multi-position lookups through lazily built [`JoinTable`]s (hash maps
+//! multi-position lookups through lazily built `JoinTable`s (hash maps
 //! keyed by the joint value of a *set* of positions — the build side of the
 //! executor's hash joins), and batched filters read whole column slices.
 

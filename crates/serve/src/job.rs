@@ -1,14 +1,14 @@
 //! One admitted request, runnable one scheduler slice at a time.
 //!
-//! A [`Job`] wraps the engine's suspendable entry points
-//! ([`entails_batch_checkpointing`]/[`entails_batch_resume`] and the
-//! rewrite `*_checkpointing`/`*_resume` pair) behind a single
-//! [`Job::run_slice`]: the scheduler hands it a [`SliceLimit`], the job
-//! runs until it finishes or the engine suspends at the next body-group
-//! boundary, and a suspended job carries its checkpoint to the next slice.
-//! Because suspension rides the exact same checkpoint machinery as the
-//! PR-5 memory trips, a time-sliced job's verdicts are byte-identical to a
-//! dedicated run — the property `proptest_serve.rs` exercises.
+//! A [`Job`] wraps the engine's two suspendable entry points
+//! ([`batch_entailment`] and [`rewrite()`], each taking an optional
+//! checkpoint to resume) behind a single [`Job::run_slice`]: the scheduler
+//! hands it a [`SliceLimit`], the job runs until it finishes or the engine
+//! suspends at the next body-group boundary, and a suspended job carries
+//! its checkpoint to the next slice. Because suspension rides the exact
+//! same checkpoint machinery as the memory trips, a time-sliced job's
+//! verdicts are byte-identical to a dedicated run — the property
+//! `proptest_serve.rs` exercises.
 //!
 //! The job also tells a *quantum* suspension apart from a *byte-budget*
 //! trip: both return a checkpoint, but only a trip increments the engine's
@@ -18,17 +18,12 @@
 use std::time::Duration;
 
 use tgdkit_chase::{
-    entails_batch_checkpointing, entails_batch_resume, BatchCheckpoint, CancelToken, ChaseBudget,
-    EntailCache, Entailment,
+    batch_entailment, BatchCheckpoint, CancelToken, ChaseBudget, EntailCache, Entailment,
 };
-use tgdkit_core::rewrite::{
-    frontier_guarded_to_guarded_checkpointing, frontier_guarded_to_guarded_resume,
-    guarded_to_linear_checkpointing, guarded_to_linear_resume, RewriteOptions, RewriteOutcome,
-};
-use tgdkit_core::RewriteCheckpoint;
+use tgdkit_core::{rewrite, RewriteCheckpoint, RewriteOptions, RewriteOutcome, RewriteTarget};
 use tgdkit_logic::{parse_program, parse_tgds, Schema, Tgd, TgdSet};
 
-use crate::proto::{Request, RewriteTarget, WireStats};
+use crate::proto::{Request, WireStats};
 
 /// How long one scheduler slice may run before the engine suspends at the
 /// next resumable boundary.
@@ -219,45 +214,31 @@ impl Job {
                 candidates,
                 checkpoint,
             } => {
-                let run = match checkpoint.take() {
-                    None => entails_batch_checkpointing(
-                        schema,
-                        sigma,
-                        candidates,
-                        self.budget,
-                        Some(cache),
-                        &token,
-                    ),
-                    Some(cp) => match entails_batch_resume(
-                        schema,
-                        sigma,
-                        candidates,
-                        self.budget,
-                        Some(cache),
-                        &cp,
-                        &token,
-                    ) {
-                        Ok(run) => run,
-                        Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
-                    },
+                let resume = checkpoint.take();
+                let run = batch_entailment(
+                    schema,
+                    sigma,
+                    candidates,
+                    self.budget,
+                    Some(cache),
+                    &token,
+                    resume.as_deref(),
+                );
+                let (verdicts, stats, new_cp) = match run {
+                    Ok(run) => run,
+                    Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
                 };
-                let (verdicts, stats, new_cp) = run;
-                self.stats.mem_peak_bytes = self
-                    .stats
-                    .mem_peak_bytes
-                    .max(stats.chase.mem_peak_bytes as u64);
-                let trips = stats.chase.mem_trips;
+                let peak = stats.chase.mem_peak_bytes as u64;
+                self.stats.mem_peak_bytes = self.stats.mem_peak_bytes.max(peak);
                 match new_cp {
                     None => JobStep::Done(JobOutput::Verdicts(verdicts)),
                     Some(cp) => {
                         *checkpoint = Some(cp);
-                        if trips > self.mem_trips_seen {
-                            self.mem_trips_seen = trips;
-                            JobStep::MemExceeded
-                        } else {
-                            self.stats.suspensions += 1;
-                            JobStep::Suspended
-                        }
+                        Self::suspension(
+                            &mut self.stats,
+                            &mut self.mem_trips_seen,
+                            stats.chase.mem_trips,
+                        )
                     }
                 }
             }
@@ -267,49 +248,23 @@ impl Job {
                 target,
                 checkpoint,
             } => {
-                let run = match (checkpoint.take(), *target) {
-                    (None, RewriteTarget::Linear) => {
-                        guarded_to_linear_checkpointing(set, opts, cache, &token)
-                    }
-                    (None, RewriteTarget::Guarded) => {
-                        frontier_guarded_to_guarded_checkpointing(set, opts, cache, &token)
-                    }
-                    (Some(cp), RewriteTarget::Linear) => {
-                        match guarded_to_linear_resume(set, opts, cache, &cp, &token) {
-                            Ok(run) => run,
-                            Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
-                        }
-                    }
-                    (Some(cp), RewriteTarget::Guarded) => {
-                        match frontier_guarded_to_guarded_resume(set, opts, cache, &cp, &token) {
-                            Ok(run) => run,
-                            Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
-                        }
-                    }
+                let resume = checkpoint.take();
+                let run = rewrite(set, *target, opts, cache, &token, resume.as_deref());
+                let (outcome, stats, new_cp) = match run {
+                    Ok(run) => run,
+                    Err(e) => return JobStep::Failed(format!("resume rejected: {e}")),
                 };
-                let (outcome, stats, new_cp) = run;
                 self.stats.mem_peak_bytes =
                     self.stats.mem_peak_bytes.max(stats.mem_peak_bytes as u64);
-                let trips = stats.mem_trips;
-                match outcome {
-                    RewriteOutcome::Suspended => {
-                        match new_cp {
-                            Some(cp) => *checkpoint = Some(cp),
-                            None => {
-                                return JobStep::Failed(
-                                    "engine suspended without a checkpoint".into(),
-                                )
-                            }
-                        }
-                        if trips > self.mem_trips_seen {
-                            self.mem_trips_seen = trips;
-                            JobStep::MemExceeded
-                        } else {
-                            self.stats.suspensions += 1;
-                            JobStep::Suspended
-                        }
+                match (outcome, new_cp) {
+                    (RewriteOutcome::Suspended, Some(cp)) => {
+                        *checkpoint = Some(cp);
+                        Self::suspension(&mut self.stats, &mut self.mem_trips_seen, stats.mem_trips)
                     }
-                    outcome => {
+                    (RewriteOutcome::Suspended, None) => {
+                        return JobStep::Failed("engine suspended without a checkpoint".into())
+                    }
+                    (outcome, _) => {
                         let rewritten = match &outcome {
                             RewriteOutcome::Rewritten(tgds) => tgds
                                 .iter()
@@ -325,6 +280,19 @@ impl Job {
         self.stats.cache_hits += cache.hits() as u64 - hits_before;
         self.stats.cache_misses += cache.misses() as u64 - misses_before;
         step
+    }
+
+    /// Classifies a suspension by the engine's cumulative `mem_trips`: a
+    /// new trip means the request exceeded its own byte budget, anything
+    /// else is a quantum expiry to re-queue.
+    fn suspension(stats: &mut WireStats, trips_seen: &mut usize, trips: usize) -> JobStep {
+        if trips > *trips_seen {
+            *trips_seen = trips;
+            JobStep::MemExceeded
+        } else {
+            stats.suspensions += 1;
+            JobStep::Suspended
+        }
     }
 
     /// Runs the job to completion in dedicated (unlimited) slices —

@@ -8,11 +8,11 @@
 //! The procedures served here are 2EXPTIME in the worst case (the
 //! rewriting characterizations of the source paper), so a fair server
 //! cannot run requests to completion: the [`scheduler`] runs each request
-//! for a quantum, suspends long runs through the engine's
-//! checkpoint/resume entry points (`entails_batch_checkpointing`,
-//! `guarded_to_linear_checkpointing`, ...), round-robins across tenants,
+//! for a quantum, suspends long runs at the engine's body-group
+//! boundaries (the serial schedule of its one batch and rewrite entry
+//! points, `batch_entailment` and `rewrite`), round-robins across tenants,
 //! and resumes. Because suspension rides the same byte-exact checkpoint
-//! machinery as the PR-5 memory trips, **verdicts under time-slicing are
+//! machinery as the memory trips, **verdicts under time-slicing are
 //! identical to dedicated runs** — property-tested in
 //! `tests/proptest_serve.rs` and re-checked end-to-end by the
 //! [`smoke`] workload CI runs.
@@ -45,8 +45,9 @@ pub mod tenant;
 
 pub use client::{Client, ClientConfig};
 pub use job::{Job, JobOutput, JobStep, SliceLimit};
-pub use proto::{Request, Response, RewriteTarget, TenantSnapshot, WireFact, WireStats};
+pub use proto::{Request, Response, TenantSnapshot, WireFact, WireStats};
 pub use scheduler::{DrainReport, Scheduler, SchedulerConfig};
 pub use server::{Server, ServerConfig};
 pub use smoke::{run_smoke, SmokeConfig, SmokeReport};
 pub use tenant::{KbSlot, TenantConfig, TenantState};
+pub use tgdkit_core::RewriteTarget;

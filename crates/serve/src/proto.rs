@@ -20,6 +20,7 @@ use std::io::{Read, Write};
 
 use tgdkit_chase::checkpoint::{open, seal, CheckpointReader, CheckpointWriter};
 use tgdkit_chase::{ChaseBudget, CheckpointError, Entailment};
+use tgdkit_core::RewriteTarget;
 
 /// Request frame kind: single-candidate entailment.
 pub const REQ_ENTAIL: u8 = 0x10;
@@ -47,32 +48,6 @@ pub const RESP_KB: u8 = 0x23;
 pub const RESP_STATS: u8 = 0x28;
 /// Response frame kind: bare acknowledgement.
 pub const RESP_OK: u8 = 0x2F;
-
-/// Which rewriting procedure a [`Request::Rewrite`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RewriteTarget {
-    /// Algorithm 1: guarded → linear.
-    Linear,
-    /// Algorithm 2: frontier-guarded → guarded.
-    Guarded,
-}
-
-impl RewriteTarget {
-    fn to_wire(self) -> u8 {
-        match self {
-            RewriteTarget::Linear => 1,
-            RewriteTarget::Guarded => 2,
-        }
-    }
-
-    fn from_wire(v: u8) -> Result<Self, CheckpointError> {
-        match v {
-            1 => Ok(RewriteTarget::Linear),
-            2 => Ok(RewriteTarget::Guarded),
-            _ => Err(CheckpointError::Malformed("rewrite target")),
-        }
-    }
-}
 
 /// A ground fact on the wire: predicate by name, arguments as raw element
 /// ids. Element ids share one flat space with the chase's invented nulls
@@ -441,7 +416,7 @@ impl Request {
                 w.str(tenant);
                 encode_budget(&mut w, budget);
                 w.str(program);
-                w.u8(target.to_wire());
+                w.u8((*target).into());
                 REQ_REWRITE
             }
             Request::KbApply {
@@ -495,7 +470,7 @@ impl Request {
                 tenant: r.str()?,
                 budget: decode_budget(&mut r)?,
                 program: r.str()?,
-                target: RewriteTarget::from_wire(r.u8()?)?,
+                target: RewriteTarget::try_from(r.u8()?)?,
             },
             REQ_KB_APPLY => Request::KbApply {
                 tenant: r.str()?,

@@ -13,10 +13,11 @@ use tgdkit_chase::ChaseBudget;
 
 use crate::client::Client;
 use crate::job::{Job, JobOutput, JobStep};
-use crate::proto::{Request, Response, RewriteTarget};
+use crate::proto::{Request, Response};
 use crate::scheduler::SchedulerConfig;
 use crate::server::{Server, ServerConfig};
 use crate::tenant::TenantConfig;
+use tgdkit_core::RewriteTarget;
 
 /// The pathological ontology: a guarded branching chain whose candidate
 /// filtering does levels-deep chase work per body group — long enough to

@@ -1,5 +1,5 @@
 //! The WAL batch: one acknowledged unit of knowledge-base change, encoded
-//! as a sealed [`KIND_WAL_BATCH`](crate::KIND_WAL_BATCH) frame.
+//! as a sealed [`KIND_WAL_BATCH`] frame.
 
 use crate::segment::KIND_WAL_BATCH;
 use tgdkit_chase::checkpoint::{

@@ -51,23 +51,20 @@ pub use tgdkit_store as store;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use tgdkit_chase::{
-        certain_answers, certainly_holds, chase, chase_checkpointing, chase_governed, chase_resume,
-        chase_sharded, chase_sharded_checkpointing, chase_sharded_governed, entails, entails_all,
-        entails_auto, entails_auto_cached, entails_auto_governed, entails_batch,
-        entails_batch_checkpointing, entails_batch_resume, entails_linear, equivalent,
-        is_weakly_acyclic, satisfies_tgd, satisfies_tgds, shard_stats, shards_from_env,
-        BatchCheckpoint, CancelToken, CertainAnswers, ChaseBudget, ChaseCheckpoint, ChaseOutcome,
-        ChaseStats, ChaseVariant, CheckpointError, EntailCache, Entailment, MemoryAccountant,
-        ShardStats,
+        batch_entailment, certain_answers, certainly_holds, chase, chase_checkpointing,
+        chase_governed, chase_resume, chase_sharded, chase_sharded_checkpointing,
+        chase_sharded_governed, entails, entails_all, entails_auto, entails_auto_cached,
+        entails_auto_governed, entails_batch, entails_linear, equivalent, is_weakly_acyclic,
+        satisfies_tgd, satisfies_tgds, shard_stats, shards_from_env, BatchCheckpoint, CancelToken,
+        CertainAnswers, ChaseBudget, ChaseCheckpoint, ChaseOutcome, ChaseStats, ChaseVariant,
+        CheckpointError, EntailCache, Entailment, MemoryAccountant, ShardStats,
     };
     pub use tgdkit_core::{
-        frontier_guarded_to_guarded, frontier_guarded_to_guarded_cached,
-        frontier_guarded_to_guarded_checkpointing, frontier_guarded_to_guarded_governed,
-        frontier_guarded_to_guarded_resume, guarded_to_linear, guarded_to_linear_cached,
-        guarded_to_linear_checkpointing, guarded_to_linear_governed, guarded_to_linear_resume,
-        locality_counterexample, locally_embeddable, DependencyOntology, FiniteOntology,
-        LocalityFlavor, LocalityOptions, Ontology, RewriteCheckpoint, RewriteOptions,
-        RewriteOutcome, RewriteStats, TgdOntology, Verdict,
+        frontier_guarded_to_guarded, frontier_guarded_to_guarded_cached, guarded_to_linear,
+        guarded_to_linear_cached, locality_counterexample, locally_embeddable, rewrite,
+        DependencyOntology, FiniteOntology, LocalityFlavor, LocalityOptions, Ontology,
+        RewriteCheckpoint, RewriteOptions, RewriteOutcome, RewriteStats, RewriteTarget,
+        TgdOntology, Verdict,
     };
     pub use tgdkit_hom::{are_isomorphic, core_of, embeds_fixing, find_instance_hom, Cq};
     pub use tgdkit_instance::{

@@ -9,7 +9,7 @@
 
 use tgdkit::chase_crate::faults::{silence_injected_panics, FaultPlan, FaultSite};
 use tgdkit::chase_crate::{
-    entails_batch, entails_batch_governed, CancelToken, ChaseBudget, EntailCache, Entailment,
+    batch_entailment, entails_batch, CancelToken, ChaseBudget, EntailCache, Entailment,
 };
 use tgdkit::logic::{parse_tgds, Schema};
 use tgdkit::serve::{Job, JobOutput, JobStep, Request, SliceLimit};
@@ -48,9 +48,9 @@ fn poisoned_cache_keeps_serving_batch_queries() {
 }
 
 /// A contained in-engine panic (the deterministic `GroupEvalPanic` fault)
-/// leaves the shared cache usable: the faulted run degrades its own
-/// group's verdicts to `Unknown` at worst, and a clean rerun against the
-/// same cache produces the clean verdicts.
+/// leaves the shared cache usable: the faulted batch counts its contained
+/// group panics, every verdict it reports is `Unknown`, and a clean rerun
+/// against the same cache produces the clean verdicts.
 #[test]
 fn contained_group_panic_leaves_cache_usable() {
     silence_injected_panics();
@@ -64,9 +64,22 @@ fn contained_group_panic_leaves_cache_usable() {
     // Panic inside every group evaluation: all verdicts degrade to
     // Unknown, but nothing aborts and nothing poisons permanently.
     let token = CancelToken::with_faults(FaultPlan::only(7, FaultSite::GroupEvalPanic, 1));
-    let (faulted, stats) =
-        entails_batch_governed(&schema, &sigma, &candidates, budget, Some(&cache), &token);
-    assert!(stats.chase.panics_contained >= 1 || faulted == clean_reference);
+    let (faulted, stats, checkpoint) = batch_entailment(
+        &schema,
+        &sigma,
+        &candidates,
+        budget,
+        Some(&cache),
+        &token,
+        None,
+    )
+    .unwrap();
+    assert!(
+        checkpoint.is_none(),
+        "a contained panic is not a suspension"
+    );
+    assert!(stats.panics_contained >= 1, "no group panic was counted");
+    assert_eq!(faulted, vec![Entailment::Unknown; candidates.len()]);
 
     let (rerun, _) = entails_batch(&schema, &sigma, &candidates, budget, Some(&cache));
     assert_eq!(

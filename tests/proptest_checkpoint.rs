@@ -13,16 +13,13 @@ use proptest::prelude::*;
 use tgdkit::chase_crate::checkpoint::KIND_CHASE;
 use tgdkit::chase_crate::faults::{env_seed, FaultPlan, FaultSite};
 use tgdkit::chase_crate::{
-    chase_checkpointing, chase_resume, CancelToken, ChaseBudget, ChaseCheckpoint, ChaseOutcome,
-    ChaseVariant, CheckpointError, EntailCache,
+    batch_entailment, chase_checkpointing, chase_resume, BatchCheckpoint, CancelToken, ChaseBudget,
+    ChaseCheckpoint, ChaseOutcome, ChaseVariant, CheckpointError, EntailBatchStats, EntailCache,
 };
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
-use tgdkit::core::{
-    guarded_to_linear_checkpointing, guarded_to_linear_resume, RewriteCheckpoint, RewriteOptions,
-    RewriteOutcome,
-};
+use tgdkit::core::{rewrite, RewriteCheckpoint, RewriteOptions, RewriteOutcome, RewriteTarget};
 use tgdkit::instance::{Elem, Instance};
-use tgdkit::logic::TgdSet;
+use tgdkit::logic::{Tgd, TgdSet};
 
 fn random_set(seed: u64, rules: usize, existentials: usize) -> TgdSet {
     let params = WorkloadParams {
@@ -35,6 +32,32 @@ fn random_set(seed: u64, rules: usize, existentials: usize) -> TgdSet {
         existentials,
     };
     generate_set(&params, Family::Guarded, seed)
+}
+
+/// A batch candidate pool: the members of a second random set over the
+/// same schema, one body atom each.
+fn random_candidates(seed: u64, count: usize) -> Vec<Tgd> {
+    let params = WorkloadParams {
+        predicates: 3,
+        max_arity: 2,
+        rules: count,
+        body_atoms: 1,
+        head_atoms: 1,
+        universals: 2,
+        existentials: 0,
+    };
+    generate_set(&params, Family::Unrestricted, seed)
+        .tgds()
+        .to_vec()
+}
+
+/// Batch stats with the fields a suspension legitimately changes (trip
+/// and resume counts, timings) zeroed.
+fn normalized(stats: &EntailBatchStats) -> EntailBatchStats {
+    EntailBatchStats {
+        chase: stats.chase.normalized(),
+        ..*stats
+    }
 }
 
 /// A small start instance over the set's schema: one fact per predicate on
@@ -140,33 +163,36 @@ proptest! {
     /// Property 1 (rewrite): an injected memory trip mid-filtering
     /// suspends with a checkpoint; resuming (through encode/decode)
     /// produces the exact outcome — including the identical rewriting —
-    /// and filtering counters of the uninterrupted run.
+    /// and filtering counters of the uninterrupted run, for both
+    /// algorithms.
     #[test]
     fn rewrite_trip_resume_is_invisible(
         set_seed in 0u64..120,
         rules in 1usize..3,
         schedule in 0u64..4,
+        target_tag in 1u8..3,
     ) {
         let set = random_set(set_seed, rules, 0);
+        let target = RewriteTarget::try_from(target_tag).unwrap();
         let opts = RewriteOptions::default();
         let clean_token = CancelToken::new();
-        let (clean, clean_stats, none) = guarded_to_linear_checkpointing(
-            &set, &opts, &EntailCache::new(), &clean_token,
-        );
+        let (clean, clean_stats, none) = rewrite(
+            &set, target, &opts, &EntailCache::new(), &clean_token, None,
+        ).unwrap();
         prop_assert!(none.is_none(), "unlimited budget never suspends");
         let seed = env_seed().wrapping_mul(1000) + schedule;
         let token = CancelToken::with_faults(FaultPlan::only(seed, FaultSite::MemBudgetTrip, 2));
         let cache = EntailCache::new();
         let (mut outcome, mut stats, mut cp) =
-            guarded_to_linear_checkpointing(&set, &opts, &cache, &token);
+            rewrite(&set, target, &opts, &cache, &token, None).unwrap();
         let mut resumes = 0usize;
         while let Some(checkpoint) = cp {
             prop_assert_eq!(&outcome, &RewriteOutcome::Suspended);
             // Property 2 for rewrite checkpoints: binary round-trip.
             let decoded = RewriteCheckpoint::decode(&checkpoint.encode()).unwrap();
             prop_assert_eq!(&decoded, checkpoint.as_ref());
-            let (o, s, c) = guarded_to_linear_resume(
-                &set, &opts, &cache, &decoded, &clean_token,
+            let (o, s, c) = rewrite(
+                &set, target, &opts, &cache, &clean_token, Some(&decoded),
             ).unwrap();
             outcome = o;
             stats = s;
@@ -182,6 +208,53 @@ proptest! {
         if resumes > 0 {
             prop_assert_eq!(stats.resumes, resumes);
             prop_assert!(stats.mem_trips >= 1);
+        }
+    }
+
+    /// Property 1 (batch): the same invisibility for batch entailment —
+    /// an injected trip suspends at a group boundary, and resuming through
+    /// encode/decode yields the verdicts and normalized counters of the
+    /// uninterrupted batch.
+    #[test]
+    fn batch_trip_resume_is_invisible(
+        set_seed in 0u64..120,
+        cand_seed in 0u64..120,
+        rules in 1usize..3,
+        schedule in 0u64..4,
+    ) {
+        let set = random_set(set_seed, rules, 1);
+        let (schema, sigma) = (set.schema(), set.tgds());
+        let candidates = random_candidates(cand_seed, 6);
+        let budget = ChaseBudget::default();
+        let clean_token = CancelToken::new();
+        let (clean, clean_stats, none) = batch_entailment(
+            schema, sigma, &candidates, budget, Some(&EntailCache::new()), &clean_token, None,
+        ).unwrap();
+        prop_assert!(none.is_none(), "unlimited budget never suspends");
+        let seed = env_seed().wrapping_mul(1000) + schedule;
+        let token = CancelToken::with_faults(FaultPlan::only(seed, FaultSite::MemBudgetTrip, 2));
+        let cache = EntailCache::new();
+        let (mut verdicts, mut stats, mut cp) = batch_entailment(
+            schema, sigma, &candidates, budget, Some(&cache), &token, None,
+        ).unwrap();
+        let mut resumes = 0usize;
+        while let Some(checkpoint) = cp {
+            let decoded = BatchCheckpoint::decode(&checkpoint.encode()).unwrap();
+            prop_assert_eq!(&decoded, checkpoint.as_ref());
+            let (v, s, c) = batch_entailment(
+                schema, sigma, &candidates, budget, Some(&cache), &clean_token, Some(&decoded),
+            ).unwrap();
+            verdicts = v;
+            stats = s;
+            cp = c;
+            resumes += 1;
+            prop_assert!(resumes <= 1, "clean-token resume cannot re-trip");
+        }
+        prop_assert_eq!(&verdicts, &clean, "suspension changed a verdict");
+        prop_assert_eq!(normalized(&stats), normalized(&clean_stats));
+        if resumes > 0 {
+            prop_assert_eq!(stats.chase.resumes, resumes);
+            prop_assert!(stats.chase.mem_trips >= 1);
         }
     }
 

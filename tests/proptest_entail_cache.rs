@@ -6,12 +6,10 @@
 
 use proptest::prelude::*;
 use tgdkit::chase_crate::{
-    entails_auto, entails_auto_cached, entails_batch, sigma_fingerprint, ChaseBudget, EntailCache,
-    Entailment,
+    entails_auto, entails_auto_cached, entails_batch, sigma_fingerprint, CancelToken, ChaseBudget,
+    EntailCache, Entailment,
 };
-use tgdkit::core::rewrite::{
-    guarded_to_linear_cached, guarded_to_linear_with_stats, RewriteOptions,
-};
+use tgdkit::core::rewrite::{guarded_to_linear_cached, rewrite, RewriteOptions, RewriteTarget};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit::logic::{Tgd, TgdSet};
 
@@ -121,12 +119,12 @@ proptest! {
         rules in 1usize..3,
     ) {
         let set = random_set(sigma_seed, rules, 0);
-        let serial = guarded_to_linear_with_stats(&set, &RewriteOptions::default()).0;
-        let parallel = guarded_to_linear_with_stats(
-            &set,
-            &RewriteOptions { parallel: true, ..Default::default() },
-        )
-        .0;
+        let fresh = |opts: &RewriteOptions| {
+            let (cache, token) = (EntailCache::new(), CancelToken::new());
+            rewrite(&set, RewriteTarget::Linear, opts, &cache, &token, None).unwrap().0
+        };
+        let serial = fresh(&RewriteOptions::default());
+        let parallel = fresh(&RewriteOptions { parallel: true, ..Default::default() });
         prop_assert_eq!(&serial, &parallel);
         let cache = EntailCache::new();
         let opts = RewriteOptions { parallel: true, ..Default::default() };

@@ -10,11 +10,12 @@
 
 use proptest::prelude::*;
 use tgdkit::chase_crate::faults::{env_seed, silence_injected_panics, FaultPlan, FaultSite};
+use tgdkit::chase_crate::EntailCache;
 use tgdkit::chase_crate::{
     chase, chase_governed, entails_auto, entails_auto_governed, CancelToken, ChaseBudget,
     ChaseOutcome, ChaseVariant, Entailment,
 };
-use tgdkit::core::rewrite::{guarded_to_linear_governed, guarded_to_linear_with_stats};
+use tgdkit::core::rewrite::{rewrite, RewriteOptions, RewriteStats, RewriteTarget};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit::core::RewriteOutcome;
 use tgdkit::instance::Instance;
@@ -31,6 +32,18 @@ fn random_set(seed: u64, rules: usize, existentials: usize) -> TgdSet {
         existentials,
     };
     generate_set(&params, Family::Guarded, seed)
+}
+
+/// Algorithm 1 on a fresh cache under `token`.
+fn linearize(
+    set: &TgdSet,
+    opts: &RewriteOptions,
+    token: &CancelToken,
+) -> (RewriteOutcome, RewriteStats) {
+    let cache = EntailCache::new();
+    let (outcome, stats, _) =
+        rewrite(set, RewriteTarget::Linear, opts, &cache, token, None).unwrap();
+    (outcome, stats)
 }
 
 fn random_candidates(seed: u64, count: usize) -> Vec<Tgd> {
@@ -168,10 +181,10 @@ proptest! {
         silence_injected_panics();
         let set = random_set(set_seed, rules, 0);
         let opts = tgdkit::core::RewriteOptions::default();
-        let (clean, _) = guarded_to_linear_with_stats(&set, &opts);
+        let (clean, _) = linearize(&set, &opts, &CancelToken::new());
         let seed = env_seed().wrapping_mul(1000) + schedule;
         let token = CancelToken::with_faults(FaultPlan::seeded(seed));
-        let (faulted, stats) = guarded_to_linear_governed(&set, &opts, &token);
+        let (faulted, stats) = linearize(&set, &opts, &token);
         match (&clean, &faulted) {
             (RewriteOutcome::Rewritten(_), RewriteOutcome::NotRewritable) => {
                 panic!("faults flipped Rewritten to NotRewritable");
@@ -195,7 +208,7 @@ fn injected_group_eval_panics_are_contained() {
     let opts = tgdkit::core::RewriteOptions::default();
     let token = CancelToken::with_faults(FaultPlan::only(1, FaultSite::GroupEvalPanic, 2));
     // Must return (not unwind), and every poisoned group reports Unknown.
-    let (outcome, stats) = guarded_to_linear_governed(&set, &opts, &token);
+    let (outcome, stats) = linearize(&set, &opts, &token);
     if stats.panics_contained > 0 {
         assert_ne!(
             outcome,
