@@ -446,9 +446,10 @@ fn read_batch_stats(r: &mut CheckpointReader<'_>) -> Result<EntailBatchStats, Ch
     })
 }
 
-/// The one-byte tag of an [`Entailment`], shared by the checkpoint codec
-/// and the work-stealing verdict slots of [`crate::sweep`].
-pub(crate) fn verdict_tag(v: Entailment) -> u8 {
+/// The one-byte tag of an [`Entailment`] (0 proved, 1 disproved,
+/// 2 unknown), shared by the checkpoint codec, the work-stealing verdict
+/// slots of [`crate::sweep`] and the serve wire protocol.
+pub fn verdict_tag(v: Entailment) -> u8 {
     match v {
         Entailment::Proved => 0,
         Entailment::Disproved => 1,
@@ -457,7 +458,7 @@ pub(crate) fn verdict_tag(v: Entailment) -> u8 {
 }
 
 /// The verdict a [`verdict_tag`] byte stands for, if any.
-pub(crate) fn verdict_from_tag(tag: u8) -> Option<Entailment> {
+pub fn verdict_from_tag(tag: u8) -> Option<Entailment> {
     match tag {
         0 => Some(Entailment::Proved),
         1 => Some(Entailment::Disproved),

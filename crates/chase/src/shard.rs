@@ -23,7 +23,12 @@
 //! Both paths drop **dead** triggers as they are found: a binding of a
 //! full tgd whose head facts are all already present can never change the
 //! instance, so it is never stored. That membership probe runs before
-//! anything else is done with the binding, since most bindings fail it.
+//! anything else is done with the binding, since most bindings fail it. It
+//! reads the head arguments straight off the binding, with no tuple
+//! buffer, and for a unary or binary head predicate whose element ids are
+//! dense it is one bit test ([`InstanceIndex::contains_bound`]); the
+//! anchored search is generic over its visitor, so the probe inlines into
+//! the join loop.
 //! The live ones accumulate into a `TriggerRun` — a flat arena of
 //! `(tgd, universal-image)` entries — and one global `sort_unstable` +
 //! dedup produces exactly the sequence a `BTreeSet<(usize, Vec<Elem>)>`
@@ -159,7 +164,6 @@ pub(crate) struct TriggerRun {
     /// The kept entry of each `(tgd, head image)` this round, keyed by
     /// [`head_hash`] and verified against the entry's image in `elems`.
     by_head: RowSet,
-    probe: Vec<Elem>,
     /// Bindings offered this round, live or dead: with an exact
     /// semi-naive search, one per distinct body match touching the delta.
     offered: u64,
@@ -197,7 +201,6 @@ impl TriggerRun {
             heads,
             head_vars,
             by_head: RowSet::new(),
-            probe: Vec::new(),
             offered: 0,
         }
     }
@@ -233,9 +236,10 @@ impl TriggerRun {
     ///   head fact present. So only the smallest universal image is kept.
     ///
     /// The dead check runs first: it is one membership probe per head atom,
-    /// and most bindings fail it. The order cannot change what is kept: the
-    /// index does not change during the search, so a head image found live
-    /// stays live for the whole round.
+    /// read straight off the binding (a bit test for a dense unary or
+    /// binary head, else one hash), and most bindings fail it. The order
+    /// cannot change what is kept: the index does not change during the
+    /// search, so a head image found live stays live for the whole round.
     fn offer(&mut self, ti: usize, tgd: &Tgd, binding: &Binding, index: &InstanceIndex) {
         self.offered += 1;
         let Some((lo, hi)) = self.heads[ti] else {
@@ -243,12 +247,10 @@ impl TriggerRun {
             return;
         };
         let universal = |v: usize| binding[v].expect("universal bound");
-        let dead = tgd.head().iter().all(|atom| {
-            self.probe.clear();
-            self.probe
-                .extend(atom.args.iter().map(|v| universal(v.index())));
-            index.contains(atom.pred, &self.probe)
-        });
+        let dead = tgd
+            .head()
+            .iter()
+            .all(|atom| index.contains_bound(atom.pred, &atom.args, binding));
         if dead {
             return;
         }

@@ -125,16 +125,20 @@ pub fn for_each_hom(
 /// anchor, so the anchor loop lives with the caller.
 ///
 /// Returns [`ControlFlow::Break`] iff `visit` broke (so a caller looping
-/// over anchors can stop early).
-pub fn for_each_hom_anchored(
+/// over anchors can stop early). Generic over the visitor, so a concrete
+/// closure inlines into the search loop; `&mut dyn FnMut` works too.
+pub fn for_each_hom_anchored<V>(
     atoms: &[Atom<Var>],
     num_vars: usize,
     index: &InstanceIndex,
     anchor: usize,
     delta: &[Fact],
     old: &[usize],
-    visit: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
-) -> ControlFlow<()> {
+    visit: &mut V,
+) -> ControlFlow<()>
+where
+    V: FnMut(&Binding) -> ControlFlow<()> + ?Sized,
+{
     let mut anchor_undo: Vec<u32> = Vec::new();
     let atom = &atoms[anchor];
     // The non-anchor conjunction is the same for every delta fact at
@@ -206,11 +210,7 @@ pub fn for_each_hom_anchored(
             }
         }
         if ok {
-            let _ = exec.run(0, &mut binding, &mut |binding| {
-                let flow = visit(binding);
-                stop = flow.is_break();
-                flow
-            });
+            stop = exec.run(0, &mut binding, visit).is_break();
         }
         for &vi in &anchor_undo {
             binding[vi as usize] = None;
@@ -323,25 +323,23 @@ impl<'a> Watermark<'a> {
 
 /// One planned search over a fixed conjunction: the plan's step slice, the
 /// index, its watermark, and the per-search scratch state (a shared undo
-/// stack instead of a per-tuple `Vec` of newly bound variables, and a
-/// reusable key buffer for fully-bound probes).
+/// stack instead of a per-tuple `Vec` of newly bound variables).
 struct Exec<'a> {
     atoms: &'a [Atom<Var>],
     steps: &'a [PlanStep],
     index: &'a InstanceIndex,
     watermark: Watermark<'a>,
     undo: Vec<Var>,
-    key_buf: Vec<Elem>,
     counters: JoinCounters,
 }
 
 std::thread_local! {
-    /// Parked scratch buffers handed to the next [`Exec`] on this thread.
+    /// A parked undo stack handed to the next [`Exec`] on this thread.
     /// Probe-heavy callers run millions of one-atom searches; without the
-    /// pool each search pays a malloc/free for its first `undo`/`key_buf`
-    /// push. A nested search (a visit callback starting its own) finds the
-    /// slot empty and allocates fresh — correct, just unpooled.
-    static EXEC_SCRATCH: std::cell::Cell<Option<(Vec<Var>, Vec<Elem>)>> =
+    /// pool each search pays a malloc/free for its first `undo` push. A
+    /// nested search (a visit callback starting its own) finds the slot
+    /// empty and allocates fresh — correct, just unpooled.
+    static EXEC_SCRATCH: std::cell::Cell<Option<Vec<Var>>> =
         const { std::cell::Cell::new(None) };
 }
 
@@ -352,14 +350,12 @@ impl<'a> Exec<'a> {
         index: &'a InstanceIndex,
         watermark: Watermark<'a>,
     ) -> Exec<'a> {
-        let (undo, key_buf) = EXEC_SCRATCH.take().unwrap_or_default();
         Exec {
             atoms,
             steps,
             index,
             watermark,
-            undo,
-            key_buf,
+            undo: EXEC_SCRATCH.take().unwrap_or_default(),
             counters: JoinCounters::default(),
         }
     }
@@ -378,15 +374,18 @@ impl<'a> Exec<'a> {
 
     /// Unifies the atom of step `depth` with row `row` of `tuples`,
     /// recursing on success; the binding is restored either way.
-    fn try_row(
+    fn try_row<V>(
         &mut self,
         depth: usize,
         atom: &Atom<Var>,
         tuples: Tuples<'a>,
         row: usize,
         binding: &mut Binding,
-        visit: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
+        visit: &mut V,
+    ) -> ControlFlow<()>
+    where
+        V: FnMut(&Binding) -> ControlFlow<()> + ?Sized,
+    {
         let mark = self.undo.len();
         let mut ok = true;
         for (pos, &v) in atom.args.iter().enumerate() {
@@ -415,13 +414,12 @@ impl<'a> Exec<'a> {
     }
 
     /// Executes plan steps from `depth` on, visiting every extension of
-    /// `binding` that matches the remaining atoms.
-    fn run(
-        &mut self,
-        depth: usize,
-        binding: &mut Binding,
-        visit: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
+    /// `binding` that matches the remaining atoms. Returns
+    /// [`ControlFlow::Break`] iff `visit` broke.
+    fn run<V>(&mut self, depth: usize, binding: &mut Binding, visit: &mut V) -> ControlFlow<()>
+    where
+        V: FnMut(&Binding) -> ControlFlow<()> + ?Sized,
+    {
         let Some(step) = self.steps.get(depth) else {
             return visit(binding);
         };
@@ -442,20 +440,12 @@ impl<'a> Exec<'a> {
         let n_bound = step.n_bound as usize;
 
         // Fully bound atom: a single containment probe against the index's
-        // collision-safe membership table decides the step.
+        // exact membership (dense bits or the collision-safe row set)
+        // decides the step.
         if arity > 0 && n_bound == arity && arity <= 64 {
             self.counters.hash_joins += 1;
             self.counters.probe_rows += 1;
-            let mut key_buf = std::mem::take(&mut self.key_buf);
-            key_buf.clear();
-            key_buf.extend(
-                atom.args
-                    .iter()
-                    .map(|v| binding[v.index()].expect("planned-bound var is bound")),
-            );
-            let present = index.contains_below(atom.pred, &key_buf, rows);
-            self.key_buf = key_buf;
-            if !present {
+            if !index.contains_bound_below(atom.pred, &atom.args, binding, rows) {
                 return ControlFlow::Continue(());
             }
             return self.run(depth + 1, binding, visit);
@@ -560,10 +550,7 @@ impl<'a> Exec<'a> {
 impl Drop for Exec<'_> {
     fn drop(&mut self) {
         self.undo.clear();
-        EXEC_SCRATCH.set(Some((
-            std::mem::take(&mut self.undo),
-            std::mem::take(&mut self.key_buf),
-        )));
+        EXEC_SCRATCH.set(Some(std::mem::take(&mut self.undo)));
     }
 }
 

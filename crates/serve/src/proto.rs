@@ -18,7 +18,9 @@
 
 use std::io::{Read, Write};
 
-use tgdkit_chase::checkpoint::{open, seal, CheckpointReader, CheckpointWriter};
+use tgdkit_chase::checkpoint::{
+    open, seal, verdict_from_tag, verdict_tag, CheckpointReader, CheckpointWriter,
+};
 use tgdkit_chase::{ChaseBudget, CheckpointError, Entailment};
 use tgdkit_core::RewriteTarget;
 
@@ -353,28 +355,11 @@ fn decode_budget(r: &mut CheckpointReader<'_>) -> Result<ChaseBudget, Checkpoint
     })
 }
 
-fn verdict_to_wire(v: Entailment) -> u8 {
-    match v {
-        Entailment::Proved => 0,
-        Entailment::Disproved => 1,
-        Entailment::Unknown => 2,
-    }
-}
-
 fn decode_bool(v: u8) -> Result<bool, CheckpointError> {
     match v {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(CheckpointError::Malformed("bool")),
-    }
-}
-
-fn verdict_from_wire(v: u8) -> Result<Entailment, CheckpointError> {
-    match v {
-        0 => Ok(Entailment::Proved),
-        1 => Ok(Entailment::Disproved),
-        2 => Ok(Entailment::Unknown),
-        _ => Err(CheckpointError::Malformed("verdict")),
     }
 }
 
@@ -502,7 +487,7 @@ impl Response {
             Response::Verdicts { verdicts, stats } => {
                 w.count(verdicts.len());
                 for &v in verdicts {
-                    w.u8(verdict_to_wire(v));
+                    w.u8(verdict_tag(v));
                 }
                 stats.encode(&mut w);
                 RESP_VERDICTS
@@ -565,7 +550,9 @@ impl Response {
                 let n = r.count(1)?;
                 let mut verdicts = Vec::with_capacity(n);
                 for _ in 0..n {
-                    verdicts.push(verdict_from_wire(r.u8()?)?);
+                    verdicts.push(
+                        verdict_from_tag(r.u8()?).ok_or(CheckpointError::Malformed("verdict"))?,
+                    );
                 }
                 Response::Verdicts {
                     verdicts,

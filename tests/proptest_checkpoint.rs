@@ -305,4 +305,46 @@ proptest! {
         prop_assert_eq!(decoded.encode(), bytes);
         let _ = KIND_CHASE; // the frame's kind tag is part of the public API
     }
+
+    /// Property 3 for the batch and rewrite frames: injected corruption at
+    /// decode time is a typed error there too, never a panic, and the
+    /// pristine frame still decodes through the same governed entry point.
+    #[test]
+    fn batch_and_rewrite_frames_reject_injected_corruption(
+        set_seed in 0u64..120,
+        cand_seed in 0u64..120,
+        rules in 1usize..3,
+        target_tag in 1u8..3,
+    ) {
+        let set = random_set(set_seed, rules, 1);
+        let trip = CancelToken::with_faults(FaultPlan::always(FaultSite::MemBudgetTrip));
+        let corrupt = CancelToken::with_faults(FaultPlan::always(FaultSite::CheckpointCorrupt));
+        let clean = CancelToken::new();
+
+        let candidates = random_candidates(cand_seed, 6);
+        let (_, _, cp) = batch_entailment(
+            set.schema(), set.tgds(), &candidates, ChaseBudget::default(),
+            Some(&EntailCache::new()), &trip, None,
+        ).unwrap();
+        let bytes = cp.expect("an always-tripping batch suspends").encode();
+        prop_assert!(matches!(
+            BatchCheckpoint::decode_governed(&bytes, &corrupt).unwrap_err(),
+            CheckpointError::ChecksumMismatch { .. }
+        ));
+        let decoded = BatchCheckpoint::decode_governed(&bytes, &clean).unwrap();
+        prop_assert_eq!(decoded.encode(), bytes);
+
+        let set = random_set(set_seed, rules, 0);
+        let target = RewriteTarget::try_from(target_tag).unwrap();
+        let (_, _, cp) = rewrite(
+            &set, target, &RewriteOptions::default(), &EntailCache::new(), &trip, None,
+        ).unwrap();
+        let bytes = cp.expect("an always-tripping rewrite suspends").encode();
+        prop_assert!(matches!(
+            RewriteCheckpoint::decode_governed(&bytes, &corrupt).unwrap_err(),
+            CheckpointError::ChecksumMismatch { .. }
+        ));
+        let decoded = RewriteCheckpoint::decode_governed(&bytes, &clean).unwrap();
+        prop_assert_eq!(decoded.encode(), bytes);
+    }
 }

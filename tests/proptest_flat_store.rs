@@ -11,11 +11,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use tgdkit::chase_crate::{group_by_body, group_by_body_keyed};
 use tgdkit::hom::{for_each_hom_indexed, plan_join, plan_join_cached, Binding, InstanceIndex};
-use tgdkit::instance::Relation;
+use tgdkit::instance::{Fact, Relation};
 use tgdkit::logic::{canonical_tgd_with_key, Atom, PredId, TgdVariantKey};
 use tgdkit::prelude::*;
 
@@ -31,8 +31,184 @@ fn random_tuples(seed: u64, arity: usize, count: usize) -> Vec<Vec<Elem>> {
         .collect()
 }
 
+/// A tuple stream that drives a unary or binary index predicate across its
+/// dense-membership rule in both directions. Ids are drawn below a bound
+/// that grows with the position `i`: `48 + i/4` (`slow` false) switches a
+/// binary predicate's bits on at 32 rows under side 64, off when an id
+/// reaches 64, on again at 128 rows, and so on; `48 + i/16` (`slow`) lets
+/// them grow from side 64 to 128 while on. With `far`, one element in a
+/// hundred is an id in `1000..5000` instead, which a unary predicate absorbs
+/// only once it has enough rows; `huge` puts an id near `u32::MAX` at that
+/// position.
+fn dense_tuples(
+    seed: u64,
+    arity: usize,
+    count: usize,
+    slow: bool,
+    far: bool,
+    huge: Option<usize>,
+) -> Vec<Vec<Elem>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pace = if slow { 16 } else { 4 };
+    (0..count)
+        .map(|i| {
+            (0..arity)
+                .map(|pos| {
+                    if huge == Some(i) && pos + 1 == arity {
+                        Elem(u32::MAX - rng.random_range(0u32..2))
+                    } else if far && rng.random_bool(0.01) {
+                        Elem(rng.random_range(1000u32..5000))
+                    } else {
+                        Elem(rng.random_range(0..48 + (i / pace) as u32))
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every tuple of `arity` over the ids `0..n`, with `n` chosen per arity so
+/// the grid covers each dense side the streams reach (one id per bit for
+/// arity 1, side 128 squared for arity 2).
+fn id_grid(arity: usize) -> Vec<Vec<Elem>> {
+    let n = [1u32, 600, 160, 12][arity];
+    let mut grid = vec![Vec::new()];
+    for _ in 0..arity {
+        grid = grid
+            .into_iter()
+            .flat_map(|t: Vec<Elem>| {
+                (0..n).map(move |id| {
+                    let mut t = t.clone();
+                    t.push(Elem(id));
+                    t
+                })
+            })
+            .collect();
+    }
+    grid
+}
+
+/// Checks `index`'s membership answers for predicate `pred` against the
+/// reference `rows` (each indexed tuple and its row id): `contains`, the
+/// binding probe `contains_bound`, and `contains_below` at watermarks from
+/// none to all rows, over every tuple of `probes` and, per probe, variants
+/// that swap in ids around the dense sides and near `u32::MAX`, plus a
+/// probe of the wrong arity; then `contains` over the whole id grid, where
+/// a bit set at a wrong position would show.
+fn check_membership(
+    index: &InstanceIndex,
+    pred: PredId,
+    rows: &HashMap<Vec<Elem>, usize>,
+    probes: &[Vec<Elem>],
+    grid: &[Vec<Elem>],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let n = rows.len();
+    prop_assert_eq!(index.count(pred), n);
+    let limits = [0, n / 2, n.saturating_sub(1), n, n + 1, usize::MAX];
+    let swaps = [1u32, 63, 64, 127, 128, 255, 256, u32::MAX - 1, u32::MAX];
+    let mut variants: Vec<Vec<Elem>> = Vec::new();
+    for probe in probes {
+        variants.push(probe.clone());
+        for &id in &swaps {
+            for pos in 0..probe.len() {
+                let mut v = probe.clone();
+                v[pos] = Elem(id);
+                variants.push(v);
+            }
+        }
+    }
+    for t in &variants {
+        let row = rows.get(t).copied();
+        prop_assert_eq!(index.contains(pred, t), row.is_some(), "contains {:?}", t);
+        for &limit in &limits {
+            prop_assert_eq!(
+                index.contains_below(pred, t, limit),
+                row.is_some_and(|r| r < limit),
+                "contains_below {:?} {}",
+                t,
+                limit
+            );
+        }
+        // The atom reads the tuple off the binding back to front, around
+        // an unbound slot, so the probe reads each argument's own slot.
+        let arity = t.len();
+        let args: Vec<Var> = (0..arity).map(|pos| Var((arity - pos) as u32)).collect();
+        let mut binding: Binding = vec![None; arity + 1];
+        for (pos, v) in args.iter().enumerate() {
+            binding[v.index()] = Some(t[pos]);
+        }
+        prop_assert_eq!(
+            index.contains_bound(pred, &args, &binding),
+            row.is_some(),
+            "contains_bound {:?}",
+            t
+        );
+        let mut longer = t.clone();
+        longer.push(Elem(0));
+        prop_assert!(!index.contains(pred, &longer));
+    }
+    for t in grid {
+        prop_assert_eq!(
+            index.contains(pred, t),
+            rows.contains_key(t),
+            "grid {:?}",
+            t
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
+
+    /// The index's membership answers — the dense bits of unary and binary
+    /// predicates, the row set behind them and the watermark probes — match
+    /// a `BTreeSet` reference over arities 0–3, whether the index is built
+    /// at once ([`InstanceIndex::new`], canonical row order) or grown chunk
+    /// by chunk ([`InstanceIndex::extend`], insertion row order), while the
+    /// drawn ids cross the density rule in both directions.
+    #[test]
+    fn index_membership_matches_btreeset_model(
+        seed in 0u64..1000,
+        arity_pick in 0usize..6,
+        count in 1usize..700,
+        slow in 0u8..2,
+        far in 0u8..3,
+        huge in 0usize..2100,
+        chunks in 1usize..6,
+    ) {
+        // Unary and binary predicates, the ones with dense bits, twice as
+        // often as the others.
+        let arity = [0, 1, 2, 3, 1, 2][arity_pick];
+        let huge = (huge < count).then_some(huge);
+        let tuples = dense_tuples(seed, arity, count, slow == 1, far == 0, huge);
+        let grid = id_grid(arity);
+        let schema = Schema::builder().pred("R", arity).build();
+        let r = schema.pred_id("R").unwrap();
+
+        // Grown by `extend`: rows in first-insertion order.
+        let mut grown = InstanceIndex::new(&Instance::new(schema.clone()));
+        let mut rows: HashMap<Vec<Elem>, usize> = HashMap::new();
+        for chunk in tuples.chunks(count.div_ceil(chunks)) {
+            let facts: Vec<Fact> = chunk.iter().map(|t| Fact::new(r, t.clone())).collect();
+            grown.extend(&facts);
+            for t in chunk {
+                let next = rows.len();
+                rows.entry(t.clone()).or_insert(next);
+            }
+            check_membership(&grown, r, &rows, &tuples, &grid)?;
+        }
+
+        // Built by `new`: rows in the instance's canonical (sorted) order.
+        let mut inst = Instance::new(schema);
+        for t in &tuples {
+            inst.add_fact(r, t.clone());
+        }
+        let sorted: BTreeSet<Vec<Elem>> = tuples.iter().cloned().collect();
+        let rows: HashMap<Vec<Elem>, usize> =
+            sorted.into_iter().enumerate().map(|(i, t)| (t, i)).collect();
+        check_membership(&InstanceIndex::new(&inst), r, &rows, &tuples, &grid)?;
+    }
 
     /// A [`Relation`] under a random insert/remove workload is
     /// observationally equivalent to a `BTreeSet<Vec<Elem>>`: same membership
@@ -442,6 +618,41 @@ proptest! {
             let a: Vec<usize> = g_keyed.members.iter().map(|(i, _, _)| *i).collect();
             let b: Vec<usize> = g_plain.members.iter().map(|(i, _, _)| *i).collect();
             prop_assert_eq!(a, b);
+        }
+    }
+}
+
+/// The streams of `index_membership_matches_btreeset_model` switch the
+/// dense bits on, grow them while on and switch them off again, for unary
+/// and binary predicates, so the property cannot pass on inputs that never
+/// leave one side of the density rule.
+#[test]
+fn dense_tuple_streams_cross_the_density_rule() {
+    let mut events: BTreeSet<(usize, &str)> = BTreeSet::new();
+    for seed in 0..16u64 {
+        for arity in [1, 2] {
+            let huge = (seed % 4 == 0).then_some(400);
+            let tuples = dense_tuples(seed, arity, 699, seed % 3 == 0, seed % 2 == 0, huge);
+            let schema = Schema::builder().pred("R", arity).build();
+            let r = schema.pred_id("R").unwrap();
+            let mut index = InstanceIndex::new(&Instance::new(schema));
+            let mut side = None;
+            for t in tuples {
+                index.extend(&[Fact::new(r, t)]);
+                let now = index.dense_side(r);
+                match (side, now) {
+                    (None, Some(_)) => events.insert((arity, "on")),
+                    (Some(_), None) => events.insert((arity, "off")),
+                    (Some(a), Some(b)) if b > a => events.insert((arity, "grow")),
+                    _ => false,
+                };
+                side = now;
+            }
+        }
+    }
+    for arity in [1, 2] {
+        for event in ["on", "grow", "off"] {
+            assert!(events.contains(&(arity, event)), "{events:?}");
         }
     }
 }

@@ -11,9 +11,11 @@
 mod support;
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use support::oracle::naive_chase;
-use tgdkit::chase_crate::chase_with_provenance;
+use tgdkit::chase_crate::{chase_with_provenance, DerivationStep};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
+use tgdkit::hom::InstanceIndex;
 use tgdkit::instance::Fact;
 use tgdkit::prelude::*;
 
@@ -51,6 +53,47 @@ fn class_set(class: u8, seed: u64, existentials: usize) -> (Schema, Vec<Tgd>) {
     (set.schema().clone(), tgds)
 }
 
+/// Room for the dense-domain case: a few hundred facts, and enough nulls
+/// for their ids to pass the 64-id minimum side of the index's dense
+/// membership bits.
+const DENSE_BUDGET: ChaseBudget = ChaseBudget {
+    max_facts: 400,
+    max_rounds: 6,
+    max_bytes: usize::MAX,
+};
+
+/// A start instance over `size` elements, sparse enough that a binary
+/// predicate over a small domain starts below the dense bits' row floor.
+fn dense_start(schema: Schema, seed: u64, size: usize) -> Instance {
+    InstanceGen::new(schema, seed).generate(size, 0.12)
+}
+
+/// What the chase's index does with its dense membership bits over a run:
+/// the index is rebuilt from `start` and extended fact by fact in firing
+/// order, exactly the push sequence of the chase's own index, and each
+/// predicate's bits are watched switch `"on"`, `"grow"` (a new id passed
+/// the side) and switch `"off"` after the start.
+fn dense_events(start: &Instance, steps: &[DerivationStep]) -> BTreeSet<&'static str> {
+    let preds: Vec<_> = start.schema().preds().collect();
+    let mut index = InstanceIndex::new(start);
+    let mut sides: Vec<Option<u64>> = preds.iter().map(|&p| index.dense_side(p)).collect();
+    let mut events = BTreeSet::new();
+    for step in steps {
+        index.extend(&step.added);
+        for (&p, side) in preds.iter().zip(&mut sides) {
+            let now = index.dense_side(p);
+            match (*side, now) {
+                (None, Some(_)) => events.insert("on"),
+                (Some(_), None) => events.insert("off"),
+                (Some(a), Some(b)) if b > a => events.insert("grow"),
+                _ => false,
+            };
+            *side = now;
+        }
+    }
+    events
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -84,6 +127,37 @@ proptest! {
         }
         prop_assert_eq!(&provenance.steps, &oracle.steps);
     }
+
+    /// The same agreement over 12–24 element domains, where unary and
+    /// binary predicates cross the dense-membership rule of the chase's
+    /// index mid-run (switching on, growing as null ids pass the side,
+    /// switching off; see `dense_inputs_switch_the_index_bits`).
+    #[test]
+    fn chase_matches_the_naive_oracle_on_dense_domains(
+        class in 0u8..4,
+        set_seed in 0u64..400,
+        data_seed in 0u64..400,
+        size in 12usize..25,
+        existentials in 0usize..2,
+        shards in 1usize..3,
+    ) {
+        let (schema, tgds) = class_set(class, set_seed, existentials);
+        let start = dense_start(schema, data_seed, size);
+        let variant = ChaseVariant::Restricted;
+        let oracle = naive_chase(&start, &tgds, variant, DENSE_BUDGET);
+
+        let (logged, provenance) = chase_with_provenance(&start, &tgds, variant, DENSE_BUDGET);
+        let sharded = chase_sharded(&start, &tgds, variant, DENSE_BUDGET, shards);
+        for result in [&logged, &sharded] {
+            let facts: BTreeSet<Fact> = result.instance.facts().collect();
+            prop_assert_eq!(&facts, &oracle.facts);
+            prop_assert_eq!(&result.nulls, &oracle.nulls);
+            prop_assert_eq!(result.rounds, oracle.rounds);
+            prop_assert_eq!(result.outcome, oracle.outcome);
+            prop_assert_eq!(result.stats.triggers_fired, oracle.triggers_fired);
+        }
+        prop_assert_eq!(&provenance.steps, &oracle.steps);
+    }
 }
 
 /// The differential test reaches every class, both outcomes and the
@@ -106,4 +180,37 @@ fn oracle_inputs_cover_classes_and_outcomes() {
     }
     assert!(outcomes.contains("Terminated"));
     assert!(outcomes.contains("BudgetExceeded"));
+}
+
+/// The dense-domain inputs make the chase's index switch its dense bits
+/// on, grow them past a null id and switch them off mid-run, for full and
+/// existential sets alike, so the differential test above exercises every
+/// transition and cannot pass on a generator that never reaches them.
+#[test]
+fn dense_inputs_switch_the_index_bits() {
+    let mut full = BTreeSet::new();
+    let mut existential = BTreeSet::new();
+    for class in 0u8..4 {
+        for seed in 0..24u64 {
+            let (schema, tgds) = class_set(class, seed, 1);
+            let size = 12 + (seed % 13) as usize;
+            let start = dense_start(schema, seed, size);
+            let (_, provenance) =
+                chase_with_provenance(&start, &tgds, ChaseVariant::Restricted, DENSE_BUDGET);
+            let events = dense_events(&start, &provenance.steps);
+            let into = if tgds.iter().all(Tgd::is_full) {
+                &mut full
+            } else {
+                &mut existential
+            };
+            into.extend(events);
+        }
+    }
+    assert!(full.contains("on"), "full sets: {full:?}");
+    for event in ["on", "grow", "off"] {
+        assert!(
+            existential.contains(event),
+            "existential sets: {existential:?}"
+        );
+    }
 }
