@@ -12,8 +12,8 @@
 
 use tgdkit_bench::{fmt_count, fmt_duration, timed, Table};
 use tgdkit_chase::{
-    chase, chase_sharded, entails, entails_auto, is_weakly_acyclic, satisfies_tgds, shard_stats,
-    shards_from_env, CancelToken, ChaseBudget, ChaseResult, ChaseVariant, EntailCache, Entailment,
+    chase, entails, entails_auto, is_weakly_acyclic, satisfies_tgds, CancelToken, ChaseBudget,
+    ChaseVariant, EntailCache, Entailment,
 };
 use tgdkit_core::characterize::recover_tgds;
 use tgdkit_core::enumerate::{
@@ -528,10 +528,9 @@ fn e10_synthesis() {
     print!("{}", table.render());
 }
 
-/// The shard-scaling workload: transitive closure over a pseudo-random
-/// graph with `degree` out-edges per node. Dense enough that the closure
-/// dwarfs the seed, deterministic so every run, at any shard count,
-/// chases the same instance.
+/// The closure workload: transitive closure over a pseudo-random graph
+/// with `degree` out-edges per node. Dense enough that the closure dwarfs
+/// the seed, deterministic so every run chases the same instance.
 fn tc_workload(nodes: u32, degree: u64) -> (Vec<Tgd>, tgdkit_instance::Instance) {
     let mut schema = Schema::default();
     let tgds = parse_tgds(&mut schema, "E(x,y), E(y,z) -> E(x,z).").expect("TC parses");
@@ -559,26 +558,6 @@ fn tc_budget() -> ChaseBudget {
         max_rounds: 64,
         max_bytes: usize::MAX,
     }
-}
-
-/// Asserts the sharded run reproduced the one-shard run bit-for-bit: same
-/// instance, outcome, round count, nulls, and trigger tallies.
-fn assert_shard_identical(one: &ChaseResult, sharded: &ChaseResult, shards: usize) {
-    assert_eq!(
-        sharded.instance, one.instance,
-        "chase at {shards} shards diverged from one shard"
-    );
-    assert_eq!(sharded.outcome, one.outcome, "outcome at {shards} shards");
-    assert_eq!(sharded.rounds, one.rounds, "rounds at {shards} shards");
-    assert_eq!(sharded.nulls, one.nulls, "nulls at {shards} shards");
-    assert_eq!(
-        sharded.stats.triggers_found, one.stats.triggers_found,
-        "found triggers at {shards} shards"
-    );
-    assert_eq!(
-        sharded.stats.triggers_fired, one.stats.triggers_fired,
-        "fired triggers at {shards} shards"
-    );
 }
 
 /// E11: chase substrate scaling.
@@ -668,57 +647,30 @@ fn e11_chase_scaling() {
     print!("{}", micro.render());
     let _ = Entailment::Proved;
 
-    // Shard-scaling block: the chase at 1, 2 and 4 shards on a
-    // closure-dominated workload. Output is asserted byte-identical at
-    // every shard count; the shards run one after another on one thread,
-    // so the table shows the cost of the partitioned layout, not a
-    // parallel speed-up.
-    println!("\nsharded chase (transitive closure, output asserted identical):");
+    // Closure-dominated workload: few rules over a big instance, so trigger
+    // search, joins and inserts dominate.
+    println!("\nrestricted chase (transitive closure):");
     let (tc_tgds, tc_inst) = tc_workload(160, 3);
-    let mut shard_table = Table::new(&[
-        "shards",
+    let mut tc_table = Table::new(&[
+        "nodes",
         "chase facts",
         "triggers found",
         "triggers fired",
-        "exchanged",
-        "skew",
         "time",
     ]);
-    let mut one_shard: Option<ChaseResult> = None;
-    for shards in [1usize, 2, 4] {
-        tgdkit_chase::reset_shard_stats();
-        let (result, time) = timed(|| {
-            chase_sharded(
-                &tc_inst,
-                &tc_tgds,
-                ChaseVariant::Restricted,
-                tc_budget(),
-                shards,
-            )
-        });
-        let one = one_shard.get_or_insert_with(|| result.clone());
-        assert_shard_identical(one, &result, shards);
-        // Shard telemetry covers multi-shard runs only.
-        let stats = shard_stats();
-        let (exchanged, skew) = if shards > 1 {
-            (
-                fmt_count(stats.exchanged_tuples as f64),
-                format!("{:.3}", stats.skew_max_over_min),
-            )
-        } else {
-            ("-".into(), "-".into())
-        };
-        shard_table.row(&[
-            shards.to_string(),
-            fmt_count(result.instance.fact_count() as f64),
-            fmt_count(result.stats.triggers_found as f64),
-            fmt_count(result.stats.triggers_fired as f64),
-            exchanged,
-            skew,
-            fmt_duration(time),
-        ]);
-    }
-    print!("{}", shard_table.render());
+    let (result, time) = timed(|| chase(&tc_inst, &tc_tgds, ChaseVariant::Restricted, tc_budget()));
+    assert!(
+        result.terminated(),
+        "the closure chase reaches its fixpoint"
+    );
+    tc_table.row(&[
+        "160".into(),
+        fmt_count(result.instance.fact_count() as f64),
+        fmt_count(result.stats.triggers_found as f64),
+        fmt_count(result.stats.triggers_fired as f64),
+        fmt_duration(time),
+    ]);
+    print!("{}", tc_table.render());
 }
 
 /// E12: Algorithm 1 over generated guarded workloads — outcome mix and
@@ -1334,26 +1286,6 @@ fn bench_rewrite_json(smoke: bool) {
         fmt_duration(repl_failover_time),
     );
 
-    // Shard probe: the chase at the TGDKIT_SHARDS count (the CI matrix
-    // sets 1/2/4; an unset or =1 environment probes at 4 shards) against
-    // the one-shard chase on a closure-dominated workload, asserted
-    // byte-identical. Shard telemetry is reset first, so the recorded
-    // counters cover exactly the sharded run.
-    let env_shards = shards_from_env();
-    let probe_shards = if env_shards > 1 { env_shards } else { 4 };
-    let (tc_tgds, tc_inst) = tc_workload(if smoke { 140 } else { 200 }, 3);
-    let shard_one = chase(&tc_inst, &tc_tgds, ChaseVariant::Restricted, tc_budget());
-    tgdkit_chase::reset_shard_stats();
-    let shard_result = chase_sharded(
-        &tc_inst,
-        &tc_tgds,
-        ChaseVariant::Restricted,
-        tc_budget(),
-        probe_shards,
-    );
-    assert_shard_identical(&shard_one, &shard_result, probe_shards);
-    let shard_probe = shard_stats();
-
     let rate = |n: usize, t: std::time::Duration| n as f64 / t.as_secs_f64().max(1e-9);
     let hit_rate = |hits: usize, misses: usize| {
         let total = hits + misses;
@@ -1380,10 +1312,7 @@ fn bench_rewrite_json(smoke: bool) {
          \"bytes_per_tuple\": {:.2}\n  }},\n  \"joins\": {{\n    \
          \"hash_joins\": {},\n    \"nested_loop_joins\": {},\n    \
          \"build_rows\": {},\n    \"probe_rows\": {},\n    \
-         \"plan_cache_hits\": {}\n  }},\n  \"shards\": {{\n    \
-         \"shard_count\": {},\n    \"exchanged_tuples\": {},\n    \
-         \"broadcasts\": {},\n    \"rekeyed_probes\": {},\n    \
-         \"skew_max_over_min\": {:.4}\n  }},\n  \
+         \"plan_cache_hits\": {}\n  }},\n  \
          \"memory\": {{\n    \
          \"peak_bytes\": {},\n    \"trips\": {},\n    \"resumes\": {},\n    \
          \"evictions\": {}\n  }},\n  \"serve\": {{\n    \
@@ -1430,11 +1359,6 @@ fn bench_rewrite_json(smoke: bool) {
         joins.build_rows,
         joins.probe_rows,
         joins.plan_cache_hits,
-        shard_probe.shard_count,
-        shard_probe.exchanged_tuples,
-        shard_probe.broadcasts,
-        shard_probe.rekeyed_probes,
-        shard_probe.skew_max_over_min,
         mem_stats.mem_peak_bytes.max(mem_clean_stats.mem_peak_bytes),
         mem_stats.mem_trips,
         mem_resumes,
@@ -1464,7 +1388,11 @@ fn bench_rewrite_json(smoke: bool) {
         deadline_stats.cancelled,
         deadline_stats.panics_contained,
     );
-    std::fs::write("BENCH_rewrite.json", &json).expect("write BENCH_rewrite.json");
+    // Only the smoke run owns the committed snapshot; a full run prints
+    // the same probes without touching it.
+    if smoke {
+        std::fs::write("BENCH_rewrite.json", &json).expect("write BENCH_rewrite.json");
+    }
     println!(
         "{} candidates in {} body groups; baseline {} vs grouped {} ({:.2}x), warm {}",
         pool.tgds.len(),
@@ -1475,9 +1403,14 @@ fn bench_rewrite_json(smoke: bool) {
         fmt_duration(warm_time),
     );
     println!(
-        "full rewrite: cold {} / warm {}; wrote BENCH_rewrite.json",
+        "full rewrite: cold {} / warm {}{}",
         fmt_duration(rewrite_cold),
         fmt_duration(rewrite_warm),
+        if smoke {
+            "; wrote BENCH_rewrite.json"
+        } else {
+            ""
+        },
     );
     println!(
         "deadline probe ({deadline_ms} ms): {} after {} ({} groups evaluated, {} unknown)",
@@ -1513,17 +1446,6 @@ fn bench_rewrite_json(smoke: bool) {
         serve_report.rewrite_quanta,
         serve_report.small_p50_us(),
         serve_report.small_p99_us(),
-    );
-    println!(
-        "shard probe ({} shards over {} facts): {} of {} live triggers fired; {} tuples exchanged, {} broadcasts, {} rekeyed probes, skew {:.3}; output byte-identical",
-        shard_probe.shard_count,
-        shard_result.instance.fact_count(),
-        shard_result.stats.triggers_fired,
-        shard_result.stats.triggers_found,
-        shard_probe.exchanged_tuples,
-        shard_probe.broadcasts,
-        shard_probe.rekeyed_probes,
-        shard_probe.skew_max_over_min,
     );
 }
 

@@ -5,13 +5,13 @@ use crate::checkpoint::{tgds_fingerprint, ChaseCheckpoint, CheckpointError};
 use crate::faults::FaultSite;
 use crate::govern::CancelToken;
 use crate::memory::MemoryAccountant;
-use crate::shard::{find_triggers, record_run_shape, TriggerRun};
+use crate::search::{find_triggers, TriggerRun};
 use crate::stats::ChaseStats;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::time::Instant;
 use tgdkit_hom::{for_each_hom, Binding, Cq, InstanceIndex};
-use tgdkit_instance::{Elem, Fact, Instance, ShardedInstance};
+use tgdkit_instance::{Elem, Fact, Instance};
 use tgdkit_logic::{Egd, Tgd};
 
 /// Which chase variant to run.
@@ -244,59 +244,6 @@ pub fn chase(
     chase_governed(start, tgds, variant, budget, &CancelToken::new())
 }
 
-/// [`chase`] with the instance hash-partitioned across `shards` shards:
-/// the semi-naive trigger search runs shard-local with a deterministic
-/// cross-shard exchange phase ([`crate::shard`]), and per-round trigger
-/// runs merge with one global sort — so the result is **bit-for-bit
-/// equal** to [`chase`] (its one-shard case) at any shard count: instance,
-/// nulls, null numbering, outcome, rounds and trigger counts.
-///
-/// `shards` is clamped to at least 1. Use [`crate::shards_from_env`] to
-/// honor `TGDKIT_SHARDS`.
-pub fn chase_sharded(
-    start: &Instance,
-    tgds: &[Tgd],
-    variant: ChaseVariant,
-    budget: ChaseBudget,
-    shards: usize,
-) -> ChaseResult {
-    chase_sharded_governed(start, tgds, variant, budget, shards, &CancelToken::new())
-}
-
-/// [`chase_sharded`] under a [`CancelToken`], with the cancellation and
-/// round-prefix guarantees of [`chase_governed`] (the token is polled
-/// inside every shard's enumeration).
-pub fn chase_sharded_governed(
-    start: &Instance,
-    tgds: &[Tgd],
-    variant: ChaseVariant,
-    budget: ChaseBudget,
-    shards: usize,
-    token: &CancelToken,
-) -> ChaseResult {
-    chase_impl(start, tgds, variant, budget, shards, token, None, None).0
-}
-
-/// [`chase_sharded_governed`] that additionally captures a
-/// [`ChaseCheckpoint`] on a resumable stop, exactly like
-/// [`chase_checkpointing`]. The checkpoint records the shard count, so
-/// [`chase_resume`] re-partitions the captured instance (partitioning is a
-/// pure function of the facts) and continues at the same count.
-pub fn chase_sharded_checkpointing(
-    start: &Instance,
-    tgds: &[Tgd],
-    variant: ChaseVariant,
-    budget: ChaseBudget,
-    shards: usize,
-    token: &CancelToken,
-) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
-    let sigma_fp = tgds_fingerprint(tgds);
-    let shards = shards.max(1);
-    let (result, end) = chase_impl(start, tgds, variant, budget, shards, token, None, None);
-    let checkpoint = capture_checkpoint(&result, end, variant, sigma_fp, shards as u32);
-    (result, checkpoint)
-}
-
 /// [`chase`] under a [`CancelToken`]: the token is checked at every round
 /// start, inside the trigger search and inside the apply loop, so a
 /// cancelled run stops within one round and reports
@@ -314,7 +261,7 @@ pub fn chase_governed(
     budget: ChaseBudget,
     token: &CancelToken,
 ) -> ChaseResult {
-    chase_impl(start, tgds, variant, budget, 1, token, None, None).0
+    chase_impl(start, tgds, variant, budget, token, None, None).0
 }
 
 /// [`chase`] with a derivation log: every fired trigger is recorded with
@@ -332,7 +279,6 @@ pub fn chase_with_provenance(
         tgds,
         variant,
         budget,
-        1,
         &CancelToken::new(),
         Some(&mut provenance),
         None,
@@ -370,16 +316,13 @@ struct ChaseRunEnd {
     resumable: bool,
 }
 
-/// The one chase engine. Every entry point lands here with a shard count
-/// (1 unless the caller asked for more), so budgets, mid-apply rollback
-/// and checkpoint capture exist once.
-#[allow(clippy::too_many_arguments)]
+/// The one chase engine. Every entry point lands here, so budgets,
+/// mid-apply rollback and checkpoint capture exist once.
 fn chase_impl(
     start: &Instance,
     tgds: &[Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
-    shards: usize,
     token: &CancelToken,
     mut log: Option<&mut Provenance>,
     resume: Option<&ChaseCheckpoint>,
@@ -422,9 +365,9 @@ fn chase_impl(
 
     // ONE index lives across the whole run: built here, then grown with
     // O(|Δ|) `extend` calls as triggers fire. At every head check and at
-    // every round start it covers exactly the current instance — the union
-    // of the shards — so head-satisfaction checks, broadcast joins and the
-    // search's dead-trigger filter all read the logical instance. At every
+    // every round start it covers exactly the current instance, so
+    // head-satisfaction checks, the anchored joins and the search's
+    // dead-trigger filter all read the same content. At every
     // round start the pending delta is the index tail, which is what the
     // semi-naive search's old-fact watermark relies on; a resumed run sets
     // that up here (the append is part of the build, not an extend).
@@ -433,7 +376,6 @@ fn chase_impl(
         Some(delta) => index_with_tail(&mut instance, delta),
     };
     stats.index_rebuilds += 1;
-    let mut store = ShardedInstance::from_instance(instance, shards.max(1));
     let mut triggers = TriggerRun::new(tgds);
 
     let accountant = MemoryAccountant::new(budget.effective_max_bytes());
@@ -458,10 +400,10 @@ fn chase_impl(
         if rounds >= budget.max_rounds {
             break 'run ChaseOutcome::BudgetExceeded;
         }
-        if store.fact_count() > budget.max_facts {
+        if instance.fact_count() > budget.max_facts {
             break 'run ChaseOutcome::BudgetExceeded;
         }
-        if accountant.charge_to(store.heap_bytes()) || token.fault(FaultSite::MemBudgetTrip) {
+        if accountant.charge_to(instance.heap_bytes()) || token.fault(FaultSite::MemBudgetTrip) {
             stats.mem_trips += 1;
             break 'run ChaseOutcome::MemoryExceeded;
         }
@@ -471,7 +413,7 @@ fn chase_impl(
         // the start of the round (fair, breadth-first scheduling), sorted
         // into canonical `(tgd, universal)` order.
         let search_started = Instant::now();
-        let scan = find_triggers(tgds, &index, &store, delta.as_deref(), &mut triggers, token);
+        let scan = find_triggers(tgds, &index, delta.as_deref(), &mut triggers, token);
         stats.trigger_search_time += search_started.elapsed();
         if scan.aborted || scan.panics_contained > 0 {
             // Discard the partial trigger set without firing: the aborted
@@ -505,7 +447,7 @@ fn chase_impl(
                     // the cancelled instance must be exactly the state
                     // after the last *completed* round.
                     for fact in &added_this_round {
-                        store.remove_fact(fact.pred, &fact.args);
+                        instance.remove_fact(fact.pred, &fact.args);
                     }
                     for (oti, ouni) in oblivious_undo.drain(..) {
                         fired[oti].remove(&ouni);
@@ -531,7 +473,7 @@ fn chase_impl(
                 let mut step_added: Vec<Fact> = Vec::new();
                 for atom in tgd.head() {
                     let args: Vec<Elem> = atom.args.iter().map(|v| universal[v.index()]).collect();
-                    if store.add_fact(atom.pred, args.clone()) {
+                    if instance.add_fact(atom.pred, args.clone()) {
                         let fact = Fact::new(atom.pred, args);
                         added_this_round.push(fact.clone());
                         step_added.push(fact);
@@ -549,7 +491,7 @@ fn chase_impl(
                     }
                     fired_this_round = true;
                     stats.triggers_fired += 1;
-                    if store.fact_count() > hard_fact_cap {
+                    if instance.fact_count() > hard_fact_cap {
                         stats.apply_time += apply_started.elapsed();
                         resumable = false;
                         break 'run ChaseOutcome::BudgetExceeded;
@@ -598,7 +540,7 @@ fn chase_impl(
             let mut step_added: Vec<Fact> = Vec::new();
             for atom in tgd.head() {
                 let args: Vec<Elem> = atom.args.iter().map(|v| assignment[v.index()]).collect();
-                if store.add_fact(atom.pred, args.clone()) {
+                if instance.add_fact(atom.pred, args.clone()) {
                     let fact = Fact::new(atom.pred, args);
                     added_this_round.push(fact.clone());
                     step_added.push(fact);
@@ -614,7 +556,7 @@ fn chase_impl(
             }
             fired_this_round = true;
             stats.triggers_fired += 1;
-            if store.fact_count() > hard_fact_cap {
+            if instance.fact_count() > hard_fact_cap {
                 stats.apply_time += apply_started.elapsed();
                 resumable = false;
                 break 'run ChaseOutcome::BudgetExceeded;
@@ -637,12 +579,8 @@ fn chase_impl(
 
     // Final high-water observation (the loop's charge sites see round
     // starts only, not the last round's growth).
-    accountant.observe(store.heap_bytes());
+    accountant.observe(instance.heap_bytes());
     stats.mem_peak_bytes = stats.mem_peak_bytes.max(accountant.peak_bytes());
-    if store.shard_count() > 1 {
-        record_run_shape(&store);
-    }
-    let instance = store.into_instance();
     stats.rounds = rounds;
     // `+=` not `=`: a resumed run accumulates wall time across segments.
     stats.total_time += run_started.elapsed();
@@ -678,15 +616,11 @@ pub(crate) fn index_with_tail(instance: &mut Instance, delta: &mut Vec<Fact>) ->
 }
 
 /// Builds the checkpoint for a non-terminated, round-boundary stop.
-/// `shards` is the run's shard count; partitioning is a pure function of
-/// the facts, so the capture stores the merged instance and the resume
-/// re-partitions it identically.
 fn capture_checkpoint(
     result: &ChaseResult,
     end: ChaseRunEnd,
     variant: ChaseVariant,
     sigma_fp: u64,
-    shards: u32,
 ) -> Option<Box<ChaseCheckpoint>> {
     if result.outcome == ChaseOutcome::Terminated || !end.resumable {
         return None;
@@ -695,7 +629,6 @@ fn capture_checkpoint(
         variant,
         rounds: result.rounds,
         next_null: end.next_null,
-        shards,
         sigma_fp,
         nulls: result.nulls.clone(),
         // Restricted runs never consult `fired`; drop it from the capture.
@@ -722,14 +655,17 @@ pub fn chase_checkpointing(
     budget: ChaseBudget,
     token: &CancelToken,
 ) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
-    chase_sharded_checkpointing(start, tgds, variant, budget, 1, token)
+    let sigma_fp = tgds_fingerprint(tgds);
+    let (result, end) = chase_impl(start, tgds, variant, budget, token, None, None);
+    let checkpoint = capture_checkpoint(&result, end, variant, sigma_fp);
+    (result, checkpoint)
 }
 
 /// Continues a suspended chase from `checkpoint` under a (typically
 /// larger) budget. The tgd set must be the one the checkpoint was captured
 /// from — validated by an order-sensitive fingerprint, since trigger
 /// ordering is positional — and the run continues with the captured
-/// variant, frontier, null counter, shard count and stats, so the final
+/// variant, frontier, null counter and stats, so the final
 /// result is byte-identical to an uninterrupted run with the final budget.
 /// Returns a fresh checkpoint when the resumed run trips again.
 pub fn chase_resume(
@@ -746,20 +682,16 @@ pub fn chase_resume(
         return Err(CheckpointError::ContextMismatch("fired-set arity"));
     }
     let variant = checkpoint.variant;
-    // The captured instance is re-partitioned at the frame's shard count by
-    // the pure routing hash; the continuation is byte-identical either way.
-    let shards = checkpoint.shards.max(1);
     let (result, end) = chase_impl(
         &checkpoint.instance,
         tgds,
         variant,
         budget,
-        shards as usize,
         token,
         None,
         Some(checkpoint),
     );
-    let next = capture_checkpoint(&result, end, variant, sigma_fp, shards);
+    let next = capture_checkpoint(&result, end, variant, sigma_fp);
     Ok((result, next))
 }
 
@@ -823,7 +755,6 @@ pub fn chase_extend_governed(
         variant,
         rounds: 0,
         next_null: instance.fresh_elem().0,
-        shards: 1,
         sigma_fp,
         nulls: base_nulls.clone(),
         fired: Vec::new(),
@@ -831,19 +762,10 @@ pub fn chase_extend_governed(
         stats: ChaseStats::default(),
         instance,
     };
-    let (mut result, end) = chase_impl(
-        &cp.instance,
-        tgds,
-        variant,
-        budget,
-        1,
-        token,
-        None,
-        Some(&cp),
-    );
+    let (mut result, end) = chase_impl(&cp.instance, tgds, variant, budget, token, None, Some(&cp));
     // The resume path counts itself as a resumption; a fold is not one.
     result.stats.resumes = result.stats.resumes.saturating_sub(1);
-    let next = capture_checkpoint(&result, end, variant, sigma_fp, 1);
+    let next = capture_checkpoint(&result, end, variant, sigma_fp);
     (result, next)
 }
 

@@ -37,9 +37,13 @@
 //! The version field covers the whole payload layout. Readers reject
 //! unknown versions ([`CheckpointError::UnsupportedVersion`]); the format
 //! is bumped (never reinterpreted in place) whenever a captured struct
-//! gains, loses, or reorders a field. Version 2 added the shard count to
-//! the chase payload and changed nothing else, so version-1 frames still
-//! open, and a version-1 chase checkpoint decodes as a one-shard run.
+//! gains, loses, or reorders a field. Version 2 added a `u32` after the
+//! null counter of the chase payload and changed nothing else, so
+//! version-1 frames still open. That word once held a shard count; the
+//! chase now runs on one instance, so it is a reserved field: written as
+//! 1, read back, rejected as [`CheckpointError::Malformed`] when 0 (as a
+//! shard count of 0 always was), and otherwise ignored, so a frame written
+//! at any shard count resumes on the one instance.
 //! Version 3 dropped the never-read budget from the batch payload, which
 //! now ends in the shared sweep state ([`write_sweep`]) exactly like the
 //! rewrite payload; batch frames older than version 3 are rejected as
@@ -646,11 +650,6 @@ pub struct ChaseCheckpoint {
     pub(crate) variant: ChaseVariant,
     pub(crate) rounds: usize,
     pub(crate) next_null: u32,
-    /// Shard count of the captured run (1 unless the caller asked for
-    /// more; version-1 frames decode as 1). Resume re-partitions the
-    /// decoded instance with the same count, so the frame pins the
-    /// layout, not the partition contents.
-    pub(crate) shards: u32,
     pub(crate) sigma_fp: u64,
     pub(crate) nulls: BTreeSet<Elem>,
     /// Oblivious-variant fired-trigger memory (empty for restricted runs).
@@ -686,7 +685,8 @@ impl ChaseCheckpoint {
         });
         w.count(self.rounds);
         w.u32(self.next_null);
-        w.u32(self.shards);
+        // The reserved word (see the versioning policy).
+        w.u32(1);
         w.u64(self.sigma_fp);
         write_chase_stats(&mut w, &self.stats);
         w.count(self.nulls.len());
@@ -748,10 +748,9 @@ impl ChaseCheckpoint {
         };
         let rounds = r.u64()? as usize;
         let next_null = r.u32()?;
-        // Version 1 predates sharding: its runs were one-shard runs.
-        let shards = if version >= 2 { r.u32()? } else { 1 };
-        if shards == 0 {
-            return Err(CheckpointError::Malformed("zero shard count"));
+        // The reserved word, absent from version-1 frames.
+        if version >= 2 && r.u32()? == 0 {
+            return Err(CheckpointError::Malformed("zero reserved word"));
         }
         let sigma_fp = r.u64()?;
         let stats = read_chase_stats(&mut r)?;
@@ -788,7 +787,6 @@ impl ChaseCheckpoint {
             variant,
             rounds,
             next_null,
-            shards,
             sigma_fp,
             nulls,
             fired,

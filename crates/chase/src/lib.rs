@@ -34,7 +34,7 @@ pub mod govern;
 pub mod linear;
 pub mod memory;
 pub mod satisfy;
-pub mod shard;
+mod search;
 pub mod stats;
 pub mod termination;
 pub mod universal;
@@ -48,8 +48,8 @@ pub use cache::{
 pub use certain::{certain_answers, certainly_holds, CertainAnswers};
 pub use chase::{
     chase, chase_checkpointing, chase_extend, chase_extend_governed, chase_governed, chase_resume,
-    chase_sharded, chase_sharded_checkpointing, chase_sharded_governed, chase_with_provenance,
-    core_chase, ChaseBudget, ChaseOutcome, ChaseResult, ChaseVariant, DerivationStep, Provenance,
+    chase_with_provenance, core_chase, ChaseBudget, ChaseOutcome, ChaseResult, ChaseVariant,
+    DerivationStep, Provenance,
 };
 pub use checkpoint::{tgds_fingerprint, BatchCheckpoint, ChaseCheckpoint, CheckpointError};
 pub use countermodel::{
@@ -68,7 +68,6 @@ pub use linear::{
 };
 pub use memory::MemoryAccountant;
 pub use satisfy::{satisfies_edd, satisfies_egd, satisfies_tgd, satisfies_tgds, violation};
-pub use shard::{reset_shard_stats, shard_stats, shards_from_env, ShardStats};
 pub use stats::ChaseStats;
 pub use termination::{is_weakly_acyclic, PositionGraph};
 pub use universal::universal_hom_into;

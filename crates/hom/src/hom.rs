@@ -121,8 +121,8 @@ pub fn for_each_hom(
 /// facts), the visits are exactly the homomorphisms into `I ∪ Δ` that are
 /// not homomorphisms into `I`, each once: a match whose delta atoms sit at
 /// body positions `S` is found at anchor `min(S)` and no other. The chase
-/// drives this per shard — each shard supplies its own delta slice per
-/// anchor, so the anchor loop lives with the caller.
+/// skips the anchors whose predicate has no delta row, so the anchor loop
+/// lives with the caller.
 ///
 /// Returns [`ControlFlow::Break`] iff `visit` broke (so a caller looping
 /// over anchors can stop early). Generic over the visitor, so a concrete

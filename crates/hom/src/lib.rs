@@ -19,7 +19,6 @@
 //! them.
 
 pub mod cq;
-pub mod exchange;
 pub mod hom;
 pub mod index;
 pub mod iso;
@@ -27,7 +26,6 @@ pub mod plan;
 pub mod retract;
 
 pub use cq::Cq;
-pub use exchange::{classify_exchange, ExchangeChoice};
 pub use hom::{
     embeds_fixing, find_hom, find_instance_hom, for_each_hom, for_each_hom_indexed,
     for_each_hom_reusing, Binding,

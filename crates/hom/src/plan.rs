@@ -225,7 +225,7 @@ impl JoinPlan {
 /// Estimated number of candidate tuples for `atom` given the set of bound
 /// variables: `|R| / Π_{bound positions p} distinct(R, p)`, clamped to at
 /// least one candidate unless the relation is empty.
-pub(crate) fn estimate(atom: &Atom<Var>, index: &InstanceIndex, bound: &[bool]) -> f64 {
+fn estimate(atom: &Atom<Var>, index: &InstanceIndex, bound: &[bool]) -> f64 {
     let card = index.count(atom.pred) as f64;
     if card == 0.0 {
         return 0.0;

@@ -27,7 +27,6 @@ pub mod duplicate;
 pub mod generator;
 pub mod instance;
 pub mod parse;
-pub mod shard;
 pub mod store;
 
 pub use algebra::{direct_product, direct_product_many, disjoint_union, intersection, union};
@@ -36,5 +35,4 @@ pub use duplicate::{non_oblivious_duplicating_extension, oblivious_duplicating_e
 pub use generator::InstanceGen;
 pub use instance::{Elem, Fact, Instance};
 pub use parse::parse_instance;
-pub use shard::{shard_of, ShardedInstance};
 pub use store::{CapacityError, FxBuildHasher, Relation, RowRef, MAX_ROWS};

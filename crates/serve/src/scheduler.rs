@@ -369,10 +369,9 @@ impl Scheduler {
         if guard.is_none() {
             let dir = data_dir.join(tenant_dir_name(tenant_name));
             // The tenant knobs and the KB config's own both apply;
-            // whichever asks for more shards / replicas / quorum wins
-            // (all default to 1).
+            // whichever asks for more replicas / quorum wins (both
+            // default to 1).
             let kb_config = KbConfig {
-                shards: self.config.kb.shards.max(self.config.tenant.shards).max(1),
                 replicas: self
                     .config
                     .kb

@@ -36,12 +36,6 @@ pub struct TenantConfig {
     pub cache_max_entries: usize,
     /// Entailment-cache byte bound per tenant.
     pub cache_max_bytes: usize,
-    /// Shard count for the tenant's full KB re-chases (see
-    /// [`KbConfig::shards`](tgdkit_store::KbConfig)). Defaults to
-    /// `TGDKIT_SHARDS` via [`tgdkit_chase::shards_from_env`]. Results are
-    /// byte-identical at any count, so this only moves the layout, never
-    /// answers.
-    pub shards: usize,
     /// Replica directories for each tenant's store (see
     /// [`KbConfig::replicas`](tgdkit_store::KbConfig)). `1` (the default)
     /// keeps the flat single-directory layout; N ≥ 2 gives each tenant N
@@ -62,7 +56,6 @@ impl Default for TenantConfig {
             max_bytes: usize::MAX,
             cache_max_entries: 4096,
             cache_max_bytes: DEFAULT_CACHE_MAX_BYTES,
-            shards: tgdkit_chase::shards_from_env(),
             replicas: 1,
             quorum: 1,
         }

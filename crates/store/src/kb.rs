@@ -14,8 +14,7 @@ use tgdkit_chase::checkpoint::{
     CheckpointWriter,
 };
 use tgdkit_chase::{
-    chase_extend_governed, chase_sharded_governed, CancelToken, ChaseBudget, ChaseOutcome,
-    ChaseResult, ChaseVariant,
+    chase_extend_governed, chase_governed, CancelToken, ChaseBudget, ChaseOutcome, ChaseVariant,
 };
 use tgdkit_instance::{Elem, Fact, Instance};
 use tgdkit_logic::{PredId, Schema, Tgd, TgdSet};
@@ -30,13 +29,6 @@ pub struct KbConfig {
     /// Chase variant; the restricted chase is the default and the one the
     /// incremental fold is cheapest for.
     pub variant: ChaseVariant,
-    /// Shard count for *full* re-chases (the fresh-open chase and the
-    /// retraction path), passed to
-    /// [`tgdkit_chase::chase_sharded_governed`]. The result is
-    /// byte-identical at any count, so this is purely a layout knob.
-    /// Incremental folds run at one shard regardless (their deltas are
-    /// batch-sized, not instance-sized).
-    pub shards: usize,
     /// Once the WAL grows past this many bytes, the next acknowledged
     /// batch folds the log into a fresh snapshot generation.
     pub compact_wal_bytes: u64,
@@ -65,7 +57,6 @@ impl Default for KbConfig {
         KbConfig {
             budget: ChaseBudget::default(),
             variant: ChaseVariant::Restricted,
-            shards: 1,
             compact_wal_bytes: 1 << 20,
             replicas: 1,
             quorum: 1,
@@ -74,23 +65,6 @@ impl Default for KbConfig {
             unwedge_retries: 2,
         }
     }
-}
-
-/// A full chase from `base` under `config`, at the config's shard count.
-pub(crate) fn full_chase(
-    base: &Instance,
-    tgds: &[Tgd],
-    config: &KbConfig,
-    token: &CancelToken,
-) -> ChaseResult {
-    chase_sharded_governed(
-        base,
-        tgds,
-        config.variant,
-        config.budget,
-        config.shards,
-        token,
-    )
 }
 
 /// Cumulative counters for one [`DurableKb`] handle (recovery counters
@@ -263,7 +237,7 @@ pub(crate) fn fold_batch(
         new_base.add_fact(f.pred, f.args.clone());
     }
     if retracted_any {
-        let result = full_chase(&new_base, tgds, config, token);
+        let result = chase_governed(&new_base, tgds, config.variant, config.budget, token);
         if result.outcome != ChaseOutcome::Terminated {
             return Err(StoreError::ChaseDidNotTerminate(result.outcome));
         }
@@ -408,7 +382,7 @@ impl DurableKb {
             }
             None if fresh => {
                 let empty = Instance::new(schema.clone());
-                let result = full_chase(&empty, &tgds, &config, token);
+                let result = chase_governed(&empty, &tgds, config.variant, config.budget, token);
                 if result.outcome != ChaseOutcome::Terminated {
                     return Err(StoreError::ChaseDidNotTerminate(result.outcome));
                 }
@@ -965,39 +939,6 @@ mod tests {
             StoreError::ContextMismatch("tgd set")
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_rechase_matches_unsharded() {
-        // Same batches through a shards=4 config and a shards=1 config:
-        // the retraction path re-chases through different engines, but the
-        // acknowledged fixpoints must be identical.
-        let set = test_set();
-        let mut kbs = Vec::new();
-        for shards in [1usize, 4] {
-            let dir = tmpdir(&format!("shards{shards}"));
-            let config = KbConfig {
-                shards,
-                ..KbConfig::default()
-            };
-            let (mut kb, _) = DurableKb::open(&dir, &set, config).unwrap();
-            kb.apply(
-                &[e_fact(&set, 0, 1), e_fact(&set, 1, 2), e_fact(&set, 2, 3)],
-                &[],
-            )
-            .unwrap();
-            let report = kb.apply(&[p_fact(&set, 3)], &[e_fact(&set, 1, 2)]).unwrap();
-            assert!(report.rechased);
-            kbs.push((dir, kb));
-        }
-        let (plain, sharded) = (&kbs[0].1, &kbs[1].1);
-        assert_eq!(plain.chased(), sharded.chased());
-        assert_eq!(plain.base(), sharded.base());
-        assert_eq!(plain.nulls(), sharded.nulls());
-        for (dir, kb) in kbs {
-            drop(kb);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The tgdkit entailment server.
 //!
 //! ```text
-//! tgdkit-serve --listen <addr> [--workers N] [--quantum-ms N] [--data-dir DIR] [--drain-ms N] [--shards N] [--replicas N] [--quorum N]
+//! tgdkit-serve --listen <addr> [--workers N] [--quantum-ms N] [--data-dir DIR] [--drain-ms N] [--replicas N] [--quorum N]
 //! tgdkit-serve --self-test [--levels N] [--smalls N]
 //! tgdkit-serve --kb-drive <addr> [--batches N] [--tenant NAME]
 //! tgdkit-serve --kb-verify <addr> [--batches N] [--tenant NAME]
@@ -36,7 +36,7 @@ const USAGE: &str = "\
 tgdkit-serve — multi-tenant entailment service (tgdkit engine)
 
 USAGE:
-  tgdkit-serve --listen <addr> [--workers N] [--quantum-ms N] [--data-dir DIR] [--drain-ms N] [--shards N]
+  tgdkit-serve --listen <addr> [--workers N] [--quantum-ms N] [--data-dir DIR] [--drain-ms N]
                 [--replicas N] [--quorum N]
   tgdkit-serve --self-test [--levels N] [--smalls N] [--quantum-ms N] [--workers N]
   tgdkit-serve --kb-drive <addr> [--batches N] [--tenant NAME]
@@ -56,7 +56,6 @@ struct Flags {
     drain_ms: Option<u64>,
     batches: Option<usize>,
     tenant: Option<String>,
-    shards: Option<usize>,
     replicas: Option<usize>,
     quorum: Option<usize>,
 }
@@ -75,7 +74,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         drain_ms: None,
         batches: None,
         tenant: None,
-        shards: None,
         replicas: None,
         quorum: None,
     };
@@ -103,7 +101,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--batches" => flags.batches = Some(parse_num(&value("--batches")?, "--batches")?),
             "--tenant" => flags.tenant = Some(value("--tenant")?),
-            "--shards" => flags.shards = Some(parse_num(&value("--shards")?, "--shards")?),
             "--replicas" => flags.replicas = Some(parse_num(&value("--replicas")?, "--replicas")?),
             "--quorum" => flags.quorum = Some(parse_num(&value("--quorum")?, "--quorum")?),
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
@@ -213,17 +210,12 @@ fn listen(flags: &Flags) -> Result<String, String> {
     if let Some(drain_ms) = flags.drain_ms {
         scheduler.drain = Duration::from_millis(drain_ms);
     }
-    if let Some(shards) = flags.shards {
-        // Per-tenant shard count for full KB re-chases; the KB config
-        // mirrors it so the knob survives either merge direction.
-        scheduler.tenant.shards = shards.max(1);
-        scheduler.kb.shards = shards.max(1);
-    }
     let replicas = flags.replicas.unwrap_or(1).max(1);
     if flags.replicas.is_some() {
         // N >= 2 gives every tenant a quorum-acknowledged replicated
         // store (N byte-identical replica directories under its data
-        // directory); mirrored like --shards.
+        // directory); the KB config mirrors it so the knob survives
+        // either merge direction.
         scheduler.tenant.replicas = replicas;
         scheduler.kb.replicas = replicas;
     }
@@ -344,13 +336,10 @@ mod tests {
             "/tmp/kb",
             "--drain-ms",
             "500",
-            "--shards",
-            "4",
         ]))
         .unwrap();
         assert_eq!(flags.data_dir.as_deref(), Some("/tmp/kb"));
         assert_eq!(flags.drain_ms, Some(500));
-        assert_eq!(flags.shards, Some(4));
     }
 
     #[test]

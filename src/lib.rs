@@ -52,12 +52,11 @@ pub use tgdkit_store as store;
 pub mod prelude {
     pub use tgdkit_chase::{
         batch_entailment, certain_answers, certainly_holds, chase, chase_checkpointing,
-        chase_governed, chase_resume, chase_sharded, chase_sharded_checkpointing,
-        chase_sharded_governed, entails, entails_all, entails_auto, entails_auto_cached,
+        chase_governed, chase_resume, entails, entails_all, entails_auto, entails_auto_cached,
         entails_auto_governed, entails_batch, entails_linear, equivalent, is_weakly_acyclic,
-        satisfies_tgd, satisfies_tgds, shard_stats, shards_from_env, BatchCheckpoint, CancelToken,
-        CertainAnswers, ChaseBudget, ChaseCheckpoint, ChaseOutcome, ChaseStats, ChaseVariant,
-        CheckpointError, EntailCache, Entailment, MemoryAccountant, ShardStats,
+        satisfies_tgd, satisfies_tgds, BatchCheckpoint, CancelToken, CertainAnswers, ChaseBudget,
+        ChaseCheckpoint, ChaseOutcome, ChaseStats, ChaseVariant, CheckpointError, EntailCache,
+        Entailment, MemoryAccountant,
     };
     pub use tgdkit_core::{
         frontier_guarded_to_guarded, frontier_guarded_to_guarded_cached, guarded_to_linear,
@@ -70,7 +69,7 @@ pub mod prelude {
     pub use tgdkit_instance::{
         critical_instance, direct_product, intersection, is_critical,
         non_oblivious_duplicating_extension, oblivious_duplicating_extension, parse_instance,
-        shard_of, union, Elem, Instance, InstanceGen, ShardedInstance,
+        union, Elem, Instance, InstanceGen,
     };
     pub use tgdkit_logic::{
         parse_dependencies, parse_program, parse_tgd, parse_tgds, Dependency, Schema, Tgd, TgdSet,

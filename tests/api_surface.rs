@@ -174,12 +174,11 @@ fn chase_entry_points_run_one_engine() {
     let token = CancelToken::new();
     let plain = chase(&start, &tgds, ChaseVariant::Restricted, budget);
     let governed = chase_governed(&start, &tgds, ChaseVariant::Restricted, budget, &token);
-    let one_shard = chase_sharded(&start, &tgds, ChaseVariant::Restricted, budget, 1);
     let (checkpointing, checkpoint) =
         chase_checkpointing(&start, &tgds, ChaseVariant::Restricted, budget, &token);
     assert!(plain.terminated());
     assert!(checkpoint.is_none(), "a fixpoint leaves nothing to resume");
-    for other in [&governed, &one_shard, &checkpointing] {
+    for other in [&governed, &checkpointing] {
         assert_eq!(other.instance, plain.instance);
         assert_eq!(other.nulls, plain.nulls);
         assert_eq!(other.rounds, plain.rounds);

@@ -10,16 +10,17 @@
 //! and the matrix covers several.
 
 use proptest::prelude::*;
-use tgdkit::chase_crate::checkpoint::KIND_CHASE;
+use tgdkit::chase_crate::checkpoint::{open, seal, KIND_CHASE};
 use tgdkit::chase_crate::faults::{env_seed, FaultPlan, FaultSite};
 use tgdkit::chase_crate::{
-    batch_entailment, chase_checkpointing, chase_resume, BatchCheckpoint, CancelToken, ChaseBudget,
-    ChaseCheckpoint, ChaseOutcome, ChaseVariant, CheckpointError, EntailBatchStats, EntailCache,
+    batch_entailment, chase, chase_checkpointing, chase_resume, BatchCheckpoint, CancelToken,
+    ChaseBudget, ChaseCheckpoint, ChaseOutcome, ChaseVariant, CheckpointError, EntailBatchStats,
+    EntailCache,
 };
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit::core::{rewrite, RewriteCheckpoint, RewriteOptions, RewriteOutcome, RewriteTarget};
-use tgdkit::instance::{Elem, Instance};
-use tgdkit::logic::{Tgd, TgdSet};
+use tgdkit::instance::{parse_instance, Elem, Instance};
+use tgdkit::logic::{parse_tgds, Schema, Tgd, TgdSet};
 
 fn random_set(seed: u64, rules: usize, existentials: usize) -> TgdSet {
     let params = WorkloadParams {
@@ -347,4 +348,85 @@ proptest! {
         let decoded = RewriteCheckpoint::decode_governed(&bytes, &clean).unwrap();
         prop_assert_eq!(decoded.encode(), bytes);
     }
+}
+
+/// Payload offset of a chase frame's reserved word: after the variant tag,
+/// the round count and the null counter.
+const RESERVED_AT: usize = 1 + 8 + 4;
+
+/// FNV-1a-64, the frame checksum: re-seals a hand-edited frame.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// `frame` with its format version set to `version` and the checksum
+/// recomputed.
+fn with_version(mut frame: Vec<u8>, version: u16) -> Vec<u8> {
+    frame[4..6].copy_from_slice(&version.to_le_bytes());
+    let body = frame.len() - 8;
+    let sum = fnv1a(&frame[..body]);
+    frame[body..].copy_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+/// Older and hand-edited chase frames still resume onto the uninterrupted
+/// run: a version-1 frame, which has no reserved word, and a current frame
+/// whose reserved word reads 3 (the shard count a sharded run once wrote
+/// there). Both decode to the captured checkpoint, which re-encodes with
+/// the word at 1. A 0 in the word is malformed.
+#[test]
+fn version_one_checkpoint_resumes_at_one_shard() {
+    let mut schema = Schema::default();
+    let tgds = parse_tgds(
+        &mut schema,
+        "E(x,y), E(y,z) -> E(x,z). E(x,y) -> exists w : F(y,w).",
+    )
+    .unwrap();
+    let start = parse_instance(&mut schema, "E(a,b), E(b,c), E(c,d), E(d,e)").unwrap();
+    let full = chase(&start, &tgds, ChaseVariant::Restricted, BUDGET);
+    assert!(full.terminated());
+    assert!(full.rounds >= 2);
+    let trip = ChaseBudget {
+        max_rounds: 1,
+        ..BUDGET
+    };
+    let (_, cp) = chase_checkpointing(
+        &start,
+        &tgds,
+        ChaseVariant::Restricted,
+        trip,
+        &CancelToken::new(),
+    );
+    let cp = cp.expect("a round-budget trip is resumable");
+    let frame = cp.encode();
+    let payload = open(&frame, KIND_CHASE).expect("a valid chase frame");
+    assert_eq!(&payload[RESERVED_AT..RESERVED_AT + 4], &1u32.to_le_bytes());
+
+    let mut v1_payload = payload[..RESERVED_AT].to_vec();
+    v1_payload.extend_from_slice(&payload[RESERVED_AT + 4..]);
+    let v1 = with_version(seal(KIND_CHASE, &v1_payload), 1);
+    let with_word = |word: u32| {
+        let mut edited = payload.to_vec();
+        edited[RESERVED_AT..RESERVED_AT + 4].copy_from_slice(&word.to_le_bytes());
+        seal(KIND_CHASE, &edited)
+    };
+    for edited in [v1, with_word(3)] {
+        let decoded = ChaseCheckpoint::decode(&edited, &schema).expect("the edited frame decodes");
+        assert_eq!(&decoded, cp.as_ref());
+        assert_eq!(decoded.encode(), frame);
+        let (resumed, after) = chase_resume(&decoded, &tgds, BUDGET, &CancelToken::new()).unwrap();
+        assert!(after.is_none());
+        assert_eq!(resumed.outcome, full.outcome);
+        assert_eq!(resumed.instance, full.instance);
+        assert_eq!(resumed.nulls, full.nulls);
+        assert_eq!(resumed.rounds, full.rounds);
+    }
+    assert_eq!(
+        ChaseCheckpoint::decode(&with_word(0), &schema).unwrap_err(),
+        CheckpointError::Malformed("zero reserved word")
+    );
 }

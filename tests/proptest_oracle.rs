@@ -3,17 +3,20 @@
 //! guarded and frontier-guarded classes.
 //!
 //! The oracle has no index, planner, semi-naive frontier, trigger filter or
-//! shards, and it keeps every trigger it finds, dead or not. So agreement
-//! on the instance, the nulls and their numbering, the rounds, the
-//! outcome, the fired count and every provenance step shows that none of
-//! those parts changes what the chase computes.
+//! checkpoint, and it keeps every trigger it finds, dead or not. So
+//! agreement on the instance, the nulls and their numbering, the rounds,
+//! the outcome, the fired count and every provenance step shows that none
+//! of those parts changes what the chase computes. A run tripped at a
+//! round boundary and resumed from its decoded frame is held to the same
+//! agreement, so the resume path's re-indexing of the pending delta is
+//! checked too.
 
 mod support;
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use support::oracle::naive_chase;
-use tgdkit::chase_crate::{chase_with_provenance, DerivationStep};
+use tgdkit::chase_crate::{chase_with_provenance, ChaseResult, DerivationStep};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
 use tgdkit::hom::InstanceIndex;
 use tgdkit::instance::Fact;
@@ -62,6 +65,32 @@ const DENSE_BUDGET: ChaseBudget = ChaseBudget {
     max_bytes: usize::MAX,
 };
 
+/// The chase tripped by a round budget of `j` and, when that leaves a
+/// checkpoint, resumed from the encoded and decoded frame under `budget`:
+/// the run the oracle must match when the chase is interrupted at round
+/// `j`.
+fn tripped_and_resumed(
+    start: &Instance,
+    tgds: &[Tgd],
+    variant: ChaseVariant,
+    budget: ChaseBudget,
+    j: usize,
+) -> ChaseResult {
+    let token = CancelToken::new();
+    let trip = ChaseBudget {
+        max_rounds: j,
+        ..budget
+    };
+    let (tripped, cp) = chase_checkpointing(start, tgds, variant, trip, &token);
+    let Some(cp) = cp else {
+        return tripped;
+    };
+    let decoded = ChaseCheckpoint::decode(&cp.encode(), start.schema()).expect("frame decodes");
+    chase_resume(&decoded, tgds, budget, &token)
+        .expect("the frame's own tgd set resumes")
+        .0
+}
+
 /// A start instance over `size` elements, sparse enough that a binary
 /// predicate over a small domain starts below the dense bits' row floor.
 fn dense_start(schema: Schema, seed: u64, size: usize) -> Instance {
@@ -97,8 +126,8 @@ fn dense_events(start: &Instance, steps: &[DerivationStep]) -> BTreeSet<&'static
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `chase()`, `chase_with_provenance()` and the chase at `shards`
-    /// shards all agree with the oracle exactly.
+    /// `chase()`, `chase_with_provenance()` and the chase tripped at a
+    /// round `j` and resumed all agree with the oracle exactly.
     #[test]
     fn chase_matches_the_naive_oracle(
         class in 0u8..4,
@@ -106,7 +135,7 @@ proptest! {
         data_seed in 0u64..400,
         existentials in 0usize..2,
         oblivious in 0u8..2,
-        shards in 1usize..5,
+        trip in 0usize..8,
     ) {
         let (schema, tgds) = class_set(class, set_seed, existentials);
         let start = InstanceGen::new(schema, data_seed).generate(4, 0.35);
@@ -115,8 +144,9 @@ proptest! {
 
         let (logged, provenance) = chase_with_provenance(&start, &tgds, variant, BUDGET);
         let plain = chase(&start, &tgds, variant, BUDGET);
-        let sharded = chase_sharded(&start, &tgds, variant, BUDGET, shards);
-        for result in [&logged, &plain, &sharded] {
+        let resumed =
+            tripped_and_resumed(&start, &tgds, variant, BUDGET, trip % oracle.rounds.max(1));
+        for result in [&logged, &plain, &resumed] {
             let facts: std::collections::BTreeSet<Fact> = result.instance.facts().collect();
             prop_assert_eq!(&facts, &oracle.facts);
             prop_assert_eq!(&result.nulls, &oracle.nulls);
@@ -139,7 +169,7 @@ proptest! {
         data_seed in 0u64..400,
         size in 12usize..25,
         existentials in 0usize..2,
-        shards in 1usize..3,
+        trip in 0usize..6,
     ) {
         let (schema, tgds) = class_set(class, set_seed, existentials);
         let start = dense_start(schema, data_seed, size);
@@ -147,8 +177,9 @@ proptest! {
         let oracle = naive_chase(&start, &tgds, variant, DENSE_BUDGET);
 
         let (logged, provenance) = chase_with_provenance(&start, &tgds, variant, DENSE_BUDGET);
-        let sharded = chase_sharded(&start, &tgds, variant, DENSE_BUDGET, shards);
-        for result in [&logged, &sharded] {
+        let resumed =
+            tripped_and_resumed(&start, &tgds, variant, DENSE_BUDGET, trip % oracle.rounds.max(1));
+        for result in [&logged, &resumed] {
             let facts: BTreeSet<Fact> = result.instance.facts().collect();
             prop_assert_eq!(&facts, &oracle.facts);
             prop_assert_eq!(&result.nulls, &oracle.nulls);

@@ -2,7 +2,7 @@
 //!
 //! Facts live in one `BTreeSet<Fact>`, and every body match is found by
 //! backtracking over all facts. There is no index, join planner,
-//! semi-naive frontier, trigger filter or shard here.
+//! semi-naive frontier or trigger filter here.
 //!
 //! It keeps the engine's round discipline, so outputs compare exactly:
 //!
