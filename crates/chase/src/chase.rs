@@ -438,6 +438,8 @@ fn chase_impl(
         let fired_watermark = stats.triggers_fired;
         let mut oblivious_undo: Vec<(usize, Vec<Elem>)> = Vec::new();
         let mut since_apply_check = 0u32;
+        // One head tuple at a time, reused across the round's firings.
+        let mut head_args: Vec<Elem> = Vec::new();
         for (ti, universal) in triggers.iter() {
             since_apply_check += 1;
             if since_apply_check >= APPLY_CANCEL_STRIDE {
@@ -466,20 +468,19 @@ fn chase_impl(
                 }
             }
             let tgd = &tgds[ti];
+            let mut step_added: Vec<Fact> = Vec::new();
+            let step = log.is_some().then_some(&mut step_added);
             if tgd.is_full() {
                 // Full tgds invent no nulls: firing is an idempotent set
                 // insertion, cheaper than any satisfaction check.
-                let mut changed = false;
-                let mut step_added: Vec<Fact> = Vec::new();
-                for atom in tgd.head() {
-                    let args: Vec<Elem> = atom.args.iter().map(|v| universal[v.index()]).collect();
-                    if instance.add_fact(atom.pred, args.clone()) {
-                        let fact = Fact::new(atom.pred, args);
-                        added_this_round.push(fact.clone());
-                        step_added.push(fact);
-                        changed = true;
-                    }
-                }
+                let changed = insert_head(
+                    &mut instance,
+                    tgd,
+                    universal,
+                    &mut head_args,
+                    &mut added_this_round,
+                    step,
+                );
                 if changed {
                     if let Some(prov) = log.as_deref_mut() {
                         prov.steps.push(DerivationStep {
@@ -537,15 +538,14 @@ fn chase_impl(
                 witnesses.push(e);
                 assignment.push(e);
             }
-            let mut step_added: Vec<Fact> = Vec::new();
-            for atom in tgd.head() {
-                let args: Vec<Elem> = atom.args.iter().map(|v| assignment[v.index()]).collect();
-                if instance.add_fact(atom.pred, args.clone()) {
-                    let fact = Fact::new(atom.pred, args);
-                    added_this_round.push(fact.clone());
-                    step_added.push(fact);
-                }
-            }
+            insert_head(
+                &mut instance,
+                tgd,
+                &assignment,
+                &mut head_args,
+                &mut added_this_round,
+                step,
+            );
             if let Some(prov) = log.as_deref_mut() {
                 prov.steps.push(DerivationStep {
                     tgd_index: ti,
@@ -599,6 +599,36 @@ fn chase_impl(
             resumable,
         },
     )
+}
+
+/// Inserts the head facts of one firing of `tgd`, each argument read
+/// through `image` (the universal image, then any witnesses). Each new
+/// fact is kept once, owned, in `added`, and cloned into `step` when a
+/// provenance step is being built; the tuple itself is assembled in the
+/// reused `buf`, so a fact that is already present allocates nothing.
+/// Returns whether any fact was new.
+fn insert_head(
+    instance: &mut Instance,
+    tgd: &Tgd,
+    image: &[Elem],
+    buf: &mut Vec<Elem>,
+    added: &mut Vec<Fact>,
+    mut step: Option<&mut Vec<Fact>>,
+) -> bool {
+    let mut changed = false;
+    for atom in tgd.head() {
+        buf.clear();
+        buf.extend(atom.args.iter().map(|v| image[v.index()]));
+        if instance.add_tuple(atom.pred, buf) {
+            let fact = Fact::new(atom.pred, buf.clone());
+            if let Some(step) = step.as_deref_mut() {
+                step.push(fact.clone());
+            }
+            added.push(fact);
+            changed = true;
+        }
+    }
+    changed
 }
 
 /// Indexes `instance` with the pending `delta` as the index tail: the

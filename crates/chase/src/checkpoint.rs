@@ -671,6 +671,12 @@ impl ChaseCheckpoint {
         &self.instance
     }
 
+    /// The facts the last completed round added, which the next round
+    /// searches from; `None` before round one.
+    pub fn delta(&self) -> Option<&[Fact]> {
+        self.delta.as_deref()
+    }
+
     /// The chase variant of the suspended run.
     pub fn variant(&self) -> ChaseVariant {
         self.variant

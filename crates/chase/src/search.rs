@@ -19,6 +19,23 @@
 //! dense it is one bit test ([`InstanceIndex::contains_bound`]); the
 //! anchored search is generic over its visitor, so the probe inlines into
 //! the join loop.
+//!
+//! A full tgd of chain shape `P(x,y), Q(y,z) -> H(x,z)` (x, y and z
+//! distinct, either body order) skips the enumeration when `P`, `Q` and
+//! `H` are binary and all keep dense bits at round start: the **bit-row
+//! step** reads their bit rows ([`InstanceIndex::bit_rows`]) and computes
+//! the round's live triggers word by word. For each x it walks y ascending
+//! over `P(x,·)` and takes `new = Q(y,·) ∧ ¬H(x,·) ∧ ¬claimed`, pushing
+//! `(x, y, z)` for each z in `new`; `claimed` is one reused row, cleared per
+//! x. Dead matches cost a cleared bit, not a visit. Each absent head image
+//! gets its smallest y, the trigger `offer` would keep, and every match
+//! with an absent head is found: `I ∖ Δ` is closed under the full tgds at
+//! every round boundary, so such a match touches Δ. For the same reason
+//! only the x a delta fact reaches are walked (sources of Δ_P facts and
+//! P-predecessors of Δ_Q sources), which keeps the step proportional to Δ
+//! on a fold or a resume. Any other shape, and any round where one of the
+//! three bit sets is off, runs the anchored search.
+//!
 //! The live ones accumulate into a `TriggerRun` — a flat arena of
 //! `(tgd, universal-image)` entries — and one `sort_unstable` + dedup
 //! produces exactly the sequence a `BTreeSet<(usize, Vec<Elem>)>` would
@@ -64,7 +81,48 @@ pub(crate) struct TriggerRun {
     by_head: RowSet,
     /// Bindings offered this round, live or dead: with an exact
     /// semi-naive search, one per distinct body match touching the delta.
+    /// The bit-row step offers none.
     offered: u64,
+    /// Per tgd: its chain shape, when it has one (see [`Chain`]).
+    chains: Vec<Option<Chain>>,
+}
+
+/// A full tgd of chain shape `P(x,y), Q(y,z) -> H(x,z)`, with x, y and z
+/// distinct and the body atoms in either order: the shape the bit-row step
+/// joins. `vars` holds the positions of x, y and z in the universal image.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    p: PredId,
+    q: PredId,
+    h: PredId,
+    vars: [usize; 3],
+}
+
+impl Chain {
+    fn of(tgd: &Tgd) -> Option<Chain> {
+        let ([first, second], [head]) = (tgd.body(), tgd.head()) else {
+            return None;
+        };
+        let &[x, z] = head.args.as_slice() else {
+            return None;
+        };
+        if !tgd.is_full() || x == z {
+            return None;
+        }
+        [(first, second), (second, first)]
+            .into_iter()
+            .find_map(|(p, q)| match (p.args.as_slice(), q.args.as_slice()) {
+                (&[px, y], &[qy, qz]) if px == x && qz == z && y == qy && y != x && y != z => {
+                    Some(Chain {
+                        p: p.pred,
+                        q: q.pred,
+                        h: head.pred,
+                        vars: [x.index(), y.index(), z.index()],
+                    })
+                }
+                _ => None,
+            })
+    }
 }
 
 impl TriggerRun {
@@ -100,6 +158,7 @@ impl TriggerRun {
             head_vars,
             by_head: RowSet::new(),
             offered: 0,
+            chains: tgds.iter().map(Chain::of).collect(),
         }
     }
 
@@ -115,9 +174,14 @@ impl TriggerRun {
     /// `binding[0..universal_count]` (the layout every search maintains).
     fn push_binding(&mut self, ti: usize, binding: &Binding) {
         let n = self.lens[ti] as usize;
+        self.push_image(ti, (0..n).map(|v| binding[v].expect("universal bound")));
+    }
+
+    /// Appends tgd `ti`'s trigger with the universal image `image`.
+    fn push_image(&mut self, ti: usize, image: impl IntoIterator<Item = Elem>) {
         let off = u32::try_from(self.elems.len()).expect("trigger arena exceeds u32 offsets");
-        self.elems
-            .extend((0..n).map(|v| binding[v].expect("universal bound")));
+        self.elems.extend(image);
+        debug_assert_eq!(self.elems.len() - off as usize, self.lens[ti] as usize);
         self.entries.push((ti as u32, off));
     }
 
@@ -247,6 +311,27 @@ pub(crate) fn find_triggers(
     run: &mut TriggerRun,
     token: &CancelToken,
 ) -> TriggerScan {
+    scan(tgds, index, delta, run, token, Path::BitRows)
+}
+
+/// Whether [`scan`] may take the bit-row step. Only the tests compare the
+/// two paths; the chase always passes [`Path::BitRows`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Path {
+    BitRows,
+    #[cfg_attr(not(test), allow(dead_code))]
+    Generic,
+}
+
+/// [`find_triggers`], with the bit-row step on or off.
+fn scan(
+    tgds: &[Tgd],
+    index: &InstanceIndex,
+    delta: Option<&[Fact]>,
+    run: &mut TriggerRun,
+    token: &CancelToken,
+    path: Path,
+) -> TriggerScan {
     // The delta is the index tail (the chase appends each round's
     // additions last, and a resume indexes I ∖ Δ before appending Δ), so
     // per predicate the rows below `count − |Δ_p|` are the old facts.
@@ -280,7 +365,11 @@ pub(crate) fn find_triggers(
             if token.fault(FaultSite::TriggerWorkerPanic) {
                 panic!("{INJECTED_PANIC}: trigger worker for tgd {ti}");
             }
-            triggers_into(ti, tgd, index, delta, &old, run, token)
+            let chain = run.chains[ti].filter(|_| path == Path::BitRows);
+            match chain.and_then(|chain| bit_row_step(ti, chain, index, delta, run, token)) {
+                Some(finished) => finished,
+                None => triggers_into(ti, tgd, index, delta, &old, run, token),
+            }
         }));
         match outcome {
             Ok(true) => {}
@@ -365,6 +454,107 @@ fn triggers_into(
         }
     }
     !cancelled
+}
+
+/// The bit-row join step: tgd `ti`'s live triggers, for a chain
+/// `P(x,y), Q(y,z) -> H(x,z)` whose three predicates all keep dense bits,
+/// straight from the bit rows. `None` when a bit set is off (the caller
+/// then runs the anchored search); else `Some(false)` when cancellation
+/// cut the walk short.
+///
+/// For each x it walks y ascending over `P(x,·)`, takes
+/// `new = Q(y,·) ∧ ¬H(x,·) ∧ ¬claimed` and pushes `(x, y, z)` for each z
+/// in `new`, then sets `claimed |= new`. So each absent head image `H(x,z)`
+/// gets the trigger with the smallest y, which is the one
+/// [`TriggerRun::offer`] keeps: for fixed x and z the universal images
+/// differ in y alone. Those are all the live triggers. Without a delta
+/// (round one) every match counts; with one, `I ∖ Δ` is closed under the
+/// tgd at round start, so every match with an absent head touches Δ. That
+/// is also why the walk skips every x that no delta fact reaches: a match
+/// `(x, y, z)` touches Δ only through `P(x,y) ∈ Δ` or `Q(y,z) ∈ Δ`, so
+/// the x worth walking are the sources of Δ_P facts and the P-predecessors
+/// of Δ_Q sources, and every match at another x is old and dead.
+fn bit_row_step(
+    ti: usize,
+    chain: Chain,
+    index: &InstanceIndex,
+    delta: Option<&[Fact]>,
+    run: &mut TriggerRun,
+    token: &CancelToken,
+) -> Option<bool> {
+    let p = index.bit_rows(chain.p)?;
+    let q = index.bit_rows(chain.q)?;
+    let h = index.bit_rows(chain.h)?;
+    // The x to walk, as bits below P's side (P's sources are all there).
+    let mut xs = vec![0u64; p.row_words()];
+    let mut mark = |x: Elem| {
+        if let Some(word) = xs.get_mut(x.0 as usize >> 6) {
+            *word |= 1 << (x.0 & 63);
+        }
+    };
+    match delta {
+        None => xs.fill(!0),
+        Some(delta) => {
+            for fact in delta {
+                if fact.pred == chain.p {
+                    mark(fact.args[0]);
+                }
+                if fact.pred == chain.q {
+                    for &row in index.postings(chain.p, 1, fact.args[0]) {
+                        mark(index.at(chain.p, row, 0));
+                    }
+                }
+            }
+        }
+    }
+    let [vx, vy, vz] = chain.vars;
+    let mut image = [Elem(0); 3];
+    let mut claimed = vec![0u64; q.row_words()];
+    let mut since_check = 0u32;
+    for x in ones(&xs) {
+        let (row_p, row_h) = (p.row(x), h.row(x));
+        claimed.fill(0);
+        image[vx] = x;
+        for y in ones(row_p) {
+            since_check += 1;
+            if since_check >= CANCEL_CHECK_STRIDE {
+                since_check = 0;
+                if token.is_cancelled() {
+                    return Some(false);
+                }
+            }
+            image[vy] = y;
+            for (w, (&row_q, seen)) in q.row(y).iter().zip(&mut claimed).enumerate() {
+                let new = row_q & !row_h.get(w).copied().unwrap_or(0) & !*seen;
+                *seen |= new;
+                for z in ones_in(w, new) {
+                    image[vz] = z;
+                    run.push_image(ti, image);
+                }
+            }
+        }
+    }
+    Some(true)
+}
+
+/// The element ids whose bits are set in `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = Elem> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &word)| ones_in(w, word))
+}
+
+/// The element ids whose bits are set in `word`, the `w`-th word of a
+/// row, ascending.
+fn ones_in(w: usize, mut word: u64) -> impl Iterator<Item = Elem> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            Elem(((w as u32) << 6) | bit)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -512,8 +702,114 @@ mod tests {
         assert!(both > 0, "some match uses two delta facts");
 
         let mut run = TriggerRun::new(&tgds);
-        let scan = find_triggers(&tgds, &index, Some(&delta), &mut run, &token);
-        assert!(!scan.aborted && scan.panics_contained == 0);
+        let found = scan(&tgds, &index, Some(&delta), &mut run, &token, Path::Generic);
+        assert!(!found.aborted && found.panics_contained == 0);
         assert_eq!(run.offered, touching);
+    }
+
+    /// One round's triggers on `path`, in firing order.
+    fn triggers_on(
+        tgds: &[Tgd],
+        index: &InstanceIndex,
+        delta: Option<&[Fact]>,
+        path: Path,
+    ) -> Vec<(usize, Vec<Elem>)> {
+        let mut run = TriggerRun::new(tgds);
+        let found = scan(tgds, index, delta, &mut run, &CancelToken::new(), path);
+        assert!(!found.aborted && found.panics_contained == 0);
+        run.iter().map(|(ti, u)| (ti, u.to_vec())).collect()
+    }
+
+    #[test]
+    fn chain_shape_is_recognized_in_either_body_order() {
+        use tgdkit_logic::{parse_tgds, Schema};
+        let mut s = Schema::default();
+        let tgds = parse_tgds(
+            &mut s,
+            "E(x,y), E(y,z) -> E(x,z).
+             Q(y,z), P(x,y) -> H(x,z).
+             P(x,y), Q(y,z) -> H(z,x).
+             P(x,x), Q(x,z) -> H(x,z).
+             P(x,y), Q(y,z) -> H(x,z), H(z,x).
+             P(x,y), Q(y,z), P(z,x) -> H(x,z).
+             P(x,y), Q(y,z) -> exists w : H(x,w).",
+        )
+        .unwrap();
+        let chains: Vec<Option<[usize; 3]>> =
+            tgds.iter().map(|t| Chain::of(t).map(|c| c.vars)).collect();
+        // `Q(y,z), P(x,y)` numbers y, z, x as 0, 1, 2.
+        assert_eq!(chains[..2], [Some([0, 1, 2]), Some([2, 0, 1])]);
+        assert!(chains[2..].iter().all(Option::is_none), "{chains:?}");
+    }
+
+    /// On every round of the closure probe the bit-row step and the
+    /// anchored search produce the same trigger run, and the step runs in
+    /// every round after the first (whose 420 rows keep the bits off).
+    #[test]
+    fn bit_row_step_matches_the_generic_path_on_every_round() {
+        use crate::chase::index_with_tail;
+        use crate::{chase_checkpointing, ChaseBudget, ChaseVariant};
+        let (tgds, start) = tc_probe();
+        let e = tgds[0].head()[0].pred;
+        let (mut stepped, mut total) = (0, 0);
+        for rounds in 0.. {
+            let budget = ChaseBudget {
+                max_facts: 2_000_000,
+                max_rounds: rounds,
+                max_bytes: usize::MAX,
+            };
+            let token = CancelToken::new();
+            let (_, cp) =
+                chase_checkpointing(&start, &tgds, ChaseVariant::Restricted, budget, &token);
+            let Some(cp) = cp else { break };
+            let mut instance = cp.instance.clone();
+            let mut delta = cp.delta.clone();
+            let index = match delta.as_mut() {
+                None => InstanceIndex::new(&instance),
+                Some(delta) => index_with_tail(&mut instance, delta),
+            };
+            total += 1;
+            stepped += usize::from(index.bit_rows(e).is_some());
+            let generic = triggers_on(&tgds, &index, delta.as_deref(), Path::Generic);
+            let bit_rows = triggers_on(&tgds, &index, delta.as_deref(), Path::BitRows);
+            assert_eq!(bit_rows, generic, "round {}", rounds + 1);
+        }
+        assert!(total > 2, "{total} rounds");
+        assert_eq!(
+            stepped,
+            total - 1,
+            "the step ran in {stepped} of {total} rounds"
+        );
+    }
+
+    /// The walk visits only the x a delta fact reaches. Here `I ∖ Δ` is
+    /// left open at `a` on purpose (`E(a,b), E(b,c)` without `E(a,c)`),
+    /// and no delta fact reaches `a`, so neither path offers `(a,b,c)`.
+    #[test]
+    fn bit_row_step_walks_only_the_x_a_delta_fact_reaches() {
+        use tgdkit_logic::{parse_tgds, Schema};
+        let mut schema = Schema::default();
+        let tgds = parse_tgds(&mut schema, "E(x,y), E(y,z) -> E(x,z).").unwrap();
+        let e = schema.pred_id("E").unwrap();
+        let mut instance = tgdkit_instance::Instance::new(schema);
+        // A closed cycle over 10..50 keeps the bits on (40 rows, side 64).
+        let mut edges: Vec<(u32, u32)> = (10..50)
+            .flat_map(|u| (10..50).map(move |v| (u, v)))
+            .collect();
+        edges.extend([(0, 1), (1, 2)]);
+        for &(u, v) in &edges {
+            instance.add_fact(e, vec![Elem(u), Elem(v)]);
+        }
+        let mut index = InstanceIndex::new(&instance);
+        let delta = [
+            Fact::new(e, vec![Elem(3), Elem(4)]),
+            Fact::new(e, vec![Elem(4), Elem(5)]),
+        ];
+        index.extend(&delta);
+        assert!(index.bit_rows(e).is_some());
+        let generic = triggers_on(&tgds, &index, Some(&delta), Path::Generic);
+        let bit_rows = triggers_on(&tgds, &index, Some(&delta), Path::BitRows);
+        assert_eq!(generic, vec![(0, vec![Elem(3), Elem(4), Elem(5)])]);
+        assert_eq!(bit_rows, generic);
     }
 }

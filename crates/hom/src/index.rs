@@ -423,6 +423,20 @@ impl InstanceIndex {
             .map(|pi| 1u64 << pi.dense.shift)
     }
 
+    /// The dense membership bits of a binary predicate, read as bit rows
+    /// (see [`BitRows`]); `None` while its bits are off, and for every
+    /// other arity. The bits are exact, so a join over the rows decides
+    /// membership without touching the columns.
+    pub fn bit_rows(&self, pred: PredId) -> Option<BitRows<'_>> {
+        self.preds
+            .get(pred.index())
+            .filter(|pi| pi.arity == 2 && pi.dense.is_on())
+            .map(|pi| BitRows {
+                words: &pi.dense.words,
+                shift: pi.dense.shift,
+            })
+    }
+
     /// Total number of indexed tuples across all predicates.
     pub fn total_count(&self) -> usize {
         self.preds.iter().map(|pi| pi.rows).sum()
@@ -510,6 +524,40 @@ impl InstanceIndex {
             built += pi.push(&fact.args) as u64;
         }
         crate::plan::record_build_rows(built);
+    }
+}
+
+/// The dense membership bits of one binary predicate `R` as rows of
+/// words: row `a` holds one bit per possible second argument, and bit
+/// `b % 64` of its word `b / 64` is set iff `R(a, b)` is indexed. Rows are
+/// `side / 64` words long; an id at or beyond the side has an empty row.
+/// Copy-cheap (two words).
+#[derive(Clone, Copy, Debug)]
+pub struct BitRows<'a> {
+    words: &'a [u64],
+    /// `log2(side)`, at least 6.
+    shift: u32,
+}
+
+impl<'a> BitRows<'a> {
+    /// Every element id below the side has a row, and a bit in each row.
+    #[inline]
+    pub fn side(&self) -> u64 {
+        1 << self.shift
+    }
+
+    /// Words per row: `side / 64`.
+    #[inline]
+    pub fn row_words(&self) -> usize {
+        1 << (self.shift - 6)
+    }
+
+    /// The bits of `R(a, ·)`; empty when `a` is at or beyond the side.
+    #[inline]
+    pub fn row(&self, a: Elem) -> &'a [u64] {
+        let a = a.0 as usize;
+        let n = self.row_words();
+        self.words.get(a * n..(a + 1) * n).unwrap_or_default()
     }
 }
 
@@ -765,6 +813,37 @@ mod tests {
         let binding = [None, Some(Elem(1)), Some(Elem(0))];
         assert!(idx.contains_bound(r, &[Var(2), Var(1)], &binding));
         assert!(!idx.contains_bound(r, &[Var(1), Var(2)], &binding));
+    }
+
+    #[test]
+    fn bit_rows_read_the_dense_bits() {
+        let s = Schema::builder().pred("R", 2).pred("P", 1).build();
+        let r = s.pred_id("R").unwrap();
+        let p = s.pred_id("P").unwrap();
+        let mut idx = InstanceIndex::new(&Instance::new(s));
+        let edges: Vec<Fact> = (0..40)
+            .map(|i| Fact::new(r, vec![Elem(i), Elem((i * 7 + 3) % 64)]))
+            .collect();
+        idx.extend(&edges[..31]);
+        assert!(idx.bit_rows(r).is_none(), "off below the row floor");
+        idx.extend(&edges[31..]);
+        idx.extend(
+            &(0..40)
+                .map(|i| Fact::new(p, vec![Elem(i)]))
+                .collect::<Vec<_>>(),
+        );
+        assert!(idx.bit_rows(p).is_none(), "unary bits are not rows");
+        let rows = idx.bit_rows(r).expect("on at side 64");
+        assert_eq!((rows.side(), rows.row_words()), (64, 1));
+        for a in 0..64 {
+            let row = rows.row(Elem(a));
+            for b in 0..64 {
+                let bit = row[b as usize >> 6] >> (b & 63) & 1 == 1;
+                assert_eq!(bit, idx.contains(r, &[Elem(a), Elem(b)]), "R({a},{b})");
+            }
+        }
+        assert!(rows.row(Elem(64)).is_empty());
+        assert!(rows.row(Elem(u32::MAX)).is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub use hom::{
     for_each_hom_reusing, Binding,
 };
 pub use hom::{find_hom_indexed, for_each_hom_anchored};
-pub use index::{InstanceIndex, Tuples};
+pub use index::{BitRows, InstanceIndex, Tuples};
 pub use iso::are_isomorphic;
 pub use plan::{
     join_stats, plan_join, plan_join_cached, plan_stats, reset_join_stats, reset_plan_stats,

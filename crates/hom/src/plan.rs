@@ -536,12 +536,10 @@ mod tests {
         i.add_fact(r, vec![Elem(0)]);
         let index = InstanceIndex::new(&i);
         let atoms = [atom(r, &[0]), atom(r, &[1]), atom(r, &[2])];
-        let before = plan_stats();
+        // The counters this plan moves are pinned in `tests/plan_counters.rs`,
+        // a binary of its own: other tests here plan joins concurrently.
         let order = plan_join(&atoms, &index, &[false, false, false]);
         assert_eq!(order, vec![0, 1, 2]);
-        let after = plan_stats();
-        assert_eq!(after.plans_built, before.plans_built + 1);
-        assert_eq!(after.atoms_planned, before.atoms_planned + 3);
     }
 
     #[test]

@@ -154,13 +154,23 @@ impl Instance {
     /// the predicate's relation is at its `u32` row-id capacity (see
     /// [`Instance::try_add_fact`] for the fallible variant).
     pub fn add_fact(&mut self, pred: PredId, args: Vec<Elem>) -> bool {
+        self.add_tuple(pred, &args)
+    }
+
+    /// [`Instance::add_fact`] by slice: the tuple is copied into the
+    /// relation's columns, so a caller that builds it in a reused buffer
+    /// allocates nothing per fact.
+    ///
+    /// # Panics
+    /// As [`Instance::add_fact`].
+    pub fn add_tuple(&mut self, pred: PredId, args: &[Elem]) -> bool {
         assert_eq!(
             args.len(),
             self.schema.arity(pred),
             "arity mismatch for {}",
             self.schema.name(pred)
         );
-        self.insert_tuple(pred.index(), &args)
+        self.insert_tuple(pred.index(), args)
     }
 
     /// Adds the fact `pred(args)` like [`Instance::add_fact`], but reports

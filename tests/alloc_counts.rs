@@ -98,3 +98,31 @@ fn index_build_allocates_per_growth_and_posting_not_per_tuple() {
     assert_eq!(index.count(e), 10_000);
     assert!(n < 2_500, "{n} allocations to index 10,000 tuples");
 }
+
+/// A restricted chase of transitive closure on a 48-node graph: full-tgd
+/// firing allocates one buffer per added fact, the owned `Fact` kept for
+/// the next round's delta, and the rest is amortized growth of the
+/// instance, the index, the trigger run and the round vectors.
+#[test]
+fn full_tgd_chase_allocates_one_buffer_per_added_fact() {
+    let mut schema = Schema::default();
+    let tgds = parse_tgds(&mut schema, "E(x,y), E(y,z) -> E(x,z).").expect("rule parses");
+    let e = schema.pred_id("E").expect("E is declared");
+    let mut start = Instance::new(schema);
+    for u in 0..48u32 {
+        start.add_fact(e, vec![Elem(u), Elem((u + 1) % 48)]);
+    }
+    let budget = ChaseBudget {
+        max_facts: 10_000,
+        max_rounds: 64,
+        max_bytes: usize::MAX,
+    };
+    let (n, result) = allocations(|| chase(&start, &tgds, ChaseVariant::Restricted, budget));
+    assert!(result.terminated());
+    let added = result.stats.facts_added as u64;
+    assert_eq!(added, 48 * 48 - 48);
+    assert!(
+        n < added + added / 2,
+        "{n} allocations for {added} added facts"
+    );
+}

@@ -32,7 +32,8 @@ const BUDGET: ChaseBudget = ChaseBudget {
 
 /// A generated tgd set of class `class` (0 full, 1 linear, 2 guarded,
 /// 3 frontier-guarded) over three predicates of arity at most two, with
-/// one or two head atoms per tgd.
+/// one or two head atoms per tgd. Full sets also get one or two chain
+/// tgds (see [`chain_tgds`]).
 fn class_set(class: u8, seed: u64, existentials: usize) -> (Schema, Vec<Tgd>) {
     let params = WorkloadParams {
         existentials: if class == 0 { 0 } else { existentials },
@@ -47,13 +48,64 @@ fn class_set(class: u8, seed: u64, existentials: usize) -> (Schema, Vec<Tgd>) {
         _ => Family::Unrestricted,
     };
     let set = generate_set(&params, family, seed);
-    let tgds = set
+    let mut schema = set.schema().clone();
+    let mut tgds: Vec<Tgd> = set
         .tgds()
         .iter()
         .filter(|t| class != 3 || t.is_frontier_guarded())
         .cloned()
         .collect();
-    (set.schema().clone(), tgds)
+    if class == 0 {
+        tgds.extend(chain_tgds(&mut schema, seed));
+    }
+    (schema, tgds)
+}
+
+/// One or two full tgds of chain shape `P(x,y), Q(y,z) -> H(x,z)` over
+/// the schema's binary predicates, each predicate and the body order drawn
+/// from `seed`: the shape the chase joins over bit rows when all three
+/// predicates keep dense membership bits.
+fn chain_tgds(schema: &mut Schema, seed: u64) -> Vec<Tgd> {
+    let binary: Vec<String> = schema
+        .preds()
+        .filter(|&p| schema.arity(p) == 2)
+        .map(|p| schema.name(p).to_string())
+        .collect();
+    let mut bits = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 16;
+    let mut draw = |n: usize| {
+        let k = (bits % n as u64) as usize;
+        bits /= n as u64;
+        k
+    };
+    let mut text = String::new();
+    for _ in 0..1 + draw(2) {
+        let [p, q, h] = [0; 3].map(|_| &binary[draw(binary.len())]);
+        if draw(2) == 0 {
+            text.push_str(&format!("{p}(x,y), {q}(y,z) -> {h}(x,z). "));
+        } else {
+            text.push_str(&format!("{q}(y,z), {p}(x,y) -> {h}(x,z). "));
+        }
+    }
+    parse_tgds(schema, &text).expect("chain tgds parse")
+}
+
+/// `true` for a full tgd `P(x,y), Q(y,z) -> H(x,z)` (x, y, z distinct,
+/// either body order): the shape of [`chain_tgds`].
+fn is_chain(tgd: &Tgd) -> bool {
+    let ([a, b], [head]) = (tgd.body(), tgd.head()) else {
+        return false;
+    };
+    let &[x, z] = head.args.as_slice() else {
+        return false;
+    };
+    tgd.is_full()
+        && x != z
+        && [(a, b), (b, a)].iter().any(|(p, q)| {
+            matches!(
+                (p.args.as_slice(), q.args.as_slice()),
+                (&[px, y], &[qy, qz]) if px == x && qz == z && y == qy && y != x && y != z
+            )
+        })
 }
 
 /// Room for the dense-domain case: a few hundred facts, and enough nulls
@@ -211,6 +263,64 @@ fn oracle_inputs_cover_classes_and_outcomes() {
     }
     assert!(outcomes.contains("Terminated"));
     assert!(outcomes.contains("BudgetExceeded"));
+}
+
+/// The chase's index at the start of each round of a fresh run, rebuilt
+/// from `start` and extended with each round's additions in firing order
+/// (the push sequence of the chase's own index); the round boundaries are
+/// read off the fired counts of runs tripped after each round.
+fn round_start_indexes(
+    start: &Instance,
+    tgds: &[Tgd],
+    steps: &[DerivationStep],
+    rounds: usize,
+) -> Vec<InstanceIndex> {
+    (0..rounds)
+        .map(|j| {
+            let trip = ChaseBudget {
+                max_rounds: j,
+                ..DENSE_BUDGET
+            };
+            let token = CancelToken::new();
+            let (tripped, _) =
+                chase_checkpointing(start, tgds, ChaseVariant::Restricted, trip, &token);
+            let mut index = InstanceIndex::new(start);
+            for step in &steps[..tripped.stats.triggers_fired] {
+                index.extend(&step.added);
+            }
+            index
+        })
+        .collect()
+}
+
+/// The dense-domain cases reach the chase's bit-row step: some round of
+/// some full set starts with a chain tgd whose three predicates all keep
+/// dense bits, both in round one and in a later, delta-driven round. The
+/// step's exactness is then checked by the differential test above.
+#[test]
+fn dense_cases_reach_the_bit_row_step() {
+    let (mut first, mut later) = (0, 0);
+    for seed in 0..24u64 {
+        let (schema, tgds) = class_set(0, seed, 1);
+        let size = 12 + (seed % 13) as usize;
+        let start = dense_start(schema, seed, size);
+        let (result, provenance) =
+            chase_with_provenance(&start, &tgds, ChaseVariant::Restricted, DENSE_BUDGET);
+        let indexes = round_start_indexes(&start, &tgds, &provenance.steps, result.rounds);
+        for (round, index) in indexes.iter().enumerate() {
+            let stepped = tgds.iter().filter(|t| is_chain(t)).any(|t| {
+                let mut preds = t.body().iter().chain(t.head()).map(|a| a.pred);
+                preds.all(|p| index.bit_rows(p).is_some())
+            });
+            if stepped {
+                *(if round == 0 { &mut first } else { &mut later }) += 1;
+            }
+        }
+    }
+    assert!(
+        first > 0 && later > 0,
+        "round one {first}, later rounds {later}"
+    );
 }
 
 /// The dense-domain inputs make the chase's index switch its dense bits

@@ -13,6 +13,13 @@
 //!   uninterrupted chase byte for byte, normalized statistics included.
 //!   The chase rests on the delta being the index tail; these are the
 //!   runs where the instance order does not give that for free.
+//! - Bit-row step: on chain sets `P(x,y), Q(y,z) -> H(x,z)` over dense
+//!   graphs, every round runs the chase's bit-row join step; resumed
+//!   frames and incremental folds still land on the uninterrupted run.
+//!   The step rests on `I ∖ Δ` being closed under the full tgds at every
+//!   round start, so that is checked as a property of its own on each way
+//!   a round can start: a fresh run, a resumed frame, a fold, and a run
+//!   rolled back by a cancellation.
 
 #[path = "support/homs.rs"]
 mod homs;
@@ -21,8 +28,9 @@ use homs::{all_homs, Binding};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
+use tgdkit::chase_crate::faults::{FaultPlan, FaultSite};
 use tgdkit::chase_crate::{chase_extend_governed, ChaseResult};
-use tgdkit::hom::{for_each_hom_anchored, InstanceIndex};
+use tgdkit::hom::{for_each_hom, for_each_hom_anchored, InstanceIndex};
 use tgdkit::instance::Fact;
 use tgdkit::logic::Atom;
 use tgdkit::prelude::*;
@@ -248,4 +256,220 @@ fn extend_fold_with_batch_sorting_first_matches_from_scratch() {
     union.add_fact(p, vec![a, a]);
     let scratch = chase(&union, &tgds, ChaseVariant::Restricted, BUDGET);
     assert_same_run(&folded, &scratch);
+}
+
+/// Room for the closure of both predicates over 63 nodes.
+const CHAIN_BUDGET: ChaseBudget = ChaseBudget {
+    max_facts: 10_000,
+    ..BUDGET
+};
+
+/// Chain sets over the binary `E` and `F`, in both body orders; every tgd
+/// is of the shape the bit-row step joins.
+const CHAIN_SETS: &[&str] = &[
+    "E(x,y), E(y,z) -> E(x,z).",
+    "E(x,y), F(y,z) -> F(x,z). F(y,z), E(x,y) -> E(x,z).",
+    "E(x,y), E(y,z) -> F(x,z). F(x,y), E(y,z) -> E(x,z).",
+    "F(y,z), F(x,y) -> E(x,z). E(x,y), E(y,z) -> E(x,z).",
+];
+
+/// A chain set and a start graph on which the step runs in every round:
+/// 32 to 63 nodes (so every id is below 64) and at least 32 `E` and 32
+/// `F` edges, which switches both predicates' dense bits on at side 64.
+/// Full tgds invent no ids, so they stay on.
+struct ChainCase {
+    schema: Schema,
+    tgds: Vec<Tgd>,
+    start: Instance,
+    nodes: u32,
+}
+
+impl ChainCase {
+    fn new(gen: &mut Gen) -> ChainCase {
+        let mut schema = Schema::builder().pred("E", 2).pred("F", 2).build();
+        let rules = CHAIN_SETS[gen.below(CHAIN_SETS.len() as u32) as usize];
+        let tgds = parse_tgds(&mut schema, rules).unwrap();
+        let nodes = 32 + gen.below(32);
+        let mut start = Instance::new(schema.clone());
+        for pred in schema.preds() {
+            while start.relation(pred).len() < 32 + gen.below(16) as usize {
+                let edge = gen.edge(nodes);
+                start.add_fact(pred, edge.to_vec());
+            }
+        }
+        ChainCase {
+            schema,
+            tgds,
+            start,
+            nodes,
+        }
+    }
+
+    /// `true` when the chase's index at a round start (`old` first, then
+    /// `delta`) keeps dense bits for both predicates: the step then joins
+    /// every tgd of the set.
+    fn on_the_step(&self, old: &Instance, delta: &[Fact]) -> bool {
+        let mut index = InstanceIndex::new(old);
+        index.extend(delta);
+        self.schema.preds().all(|p| index.bit_rows(p).is_some())
+    }
+}
+
+impl Gen {
+    fn edge(&mut self, nodes: u32) -> [Elem; 2] {
+        [0; 2].map(|_| Elem(self.below(nodes)))
+    }
+}
+
+/// `instance` without the facts of `delta`.
+fn without(instance: &Instance, delta: &[Fact]) -> Instance {
+    let mut old = instance.clone();
+    for fact in delta {
+        old.remove_fact(fact.pred, &fact.args);
+    }
+    old
+}
+
+/// `true` when `I ∖ Δ` is closed under the full tgds of `tgds`: every body
+/// match into the old facts has its head facts in `I`. Before round one
+/// (no delta) there are no old facts to speak of.
+fn old_facts_closed(instance: &Instance, delta: Option<&[Fact]>, tgds: &[Tgd]) -> bool {
+    let Some(delta) = delta else {
+        return true;
+    };
+    let old = without(instance, delta);
+    tgds.iter().filter(|t| t.is_full()).all(|tgd| {
+        let mut closed = true;
+        let fixed = vec![None; tgd.var_count()];
+        for_each_hom(tgd.body(), tgd.var_count(), &old, &fixed, &mut |b| {
+            closed = tgd.head().iter().all(|atom| {
+                let args: Vec<Elem> = atom.args.iter().map(|v| b[v.index()].unwrap()).collect();
+                instance.contains_fact(atom.pred, &args)
+            });
+            if closed {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        });
+        closed
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A frame tripped after `trip` rounds of a chain set resumes on the
+    /// bit-row step and lands on the uninterrupted run.
+    #[test]
+    fn resumed_frame_on_the_bit_row_step_matches_uninterrupted(
+        seed in 0u64..u64::MAX,
+        trip in 1usize..6,
+    ) {
+        let case = ChainCase::new(&mut Gen(seed));
+        let full = chase(&case.start, &case.tgds, ChaseVariant::Restricted, CHAIN_BUDGET);
+        prop_assert!(full.terminated());
+        let budget = ChaseBudget { max_rounds: trip, ..CHAIN_BUDGET };
+        let token = CancelToken::new();
+        let (_, cp) =
+            chase_checkpointing(&case.start, &case.tgds, ChaseVariant::Restricted, budget, &token);
+        let Some(cp) = cp else {
+            return Ok(());
+        };
+        let delta = cp.delta().expect("a round ran");
+        prop_assert!(case.on_the_step(&without(cp.instance(), delta), delta));
+        let decoded = ChaseCheckpoint::decode(&cp.encode(), &case.schema).unwrap();
+        let (resumed, next) = chase_resume(&decoded, &case.tgds, CHAIN_BUDGET, &token).unwrap();
+        prop_assert!(next.is_none());
+        assert_same_run(&resumed, &full);
+    }
+
+    /// Folding a few new edges into a chain set's fixpoint runs on the
+    /// bit-row step and equals chasing the union from scratch.
+    #[test]
+    fn extend_fold_on_the_bit_row_step_matches_from_scratch(seed in 0u64..u64::MAX) {
+        let mut gen = Gen(seed);
+        let case = ChainCase::new(&mut gen);
+        let base = chase(&case.start, &case.tgds, ChaseVariant::Restricted, CHAIN_BUDGET);
+        prop_assert!(base.terminated());
+        let preds: Vec<_> = case.schema.preds().collect();
+        let batch: Vec<Fact> = (0..1 + gen.below(6))
+            .map(|_| {
+                let pred = preds[gen.below(2) as usize];
+                Fact::new(pred, gen.edge(case.nodes).to_vec())
+            })
+            .collect();
+        let mut union = base.instance.clone();
+        let mut fresh = Vec::new();
+        for fact in &batch {
+            if union.add_fact(fact.pred, fact.args.clone()) {
+                fresh.push(fact.clone());
+            }
+        }
+        if fresh.is_empty() {
+            // Nothing to fold: the fold returns the base without a round.
+            return Ok(());
+        }
+        prop_assert!(case.on_the_step(&base.instance, &fresh));
+        let (folded, next) = chase_extend_governed(
+            &base.instance,
+            &base.nulls,
+            &batch,
+            &case.tgds,
+            ChaseVariant::Restricted,
+            CHAIN_BUDGET,
+            &CancelToken::new(),
+        );
+        prop_assert!(next.is_none());
+        let scratch = chase(&union, &case.tgds, ChaseVariant::Restricted, CHAIN_BUDGET);
+        assert_same_run(&folded, &scratch);
+    }
+
+    /// `I ∖ Δ` is closed under the full tgds at the round start each
+    /// checkpoint captures, on all four ways a round can start: after
+    /// round `trip` of a fresh run, after a resumed frame runs one more
+    /// round, after `trip` rounds of a fold, and where a cancellation
+    /// (an injected deadline expiry, in the search or mid-apply) rolled a
+    /// run back.
+    #[test]
+    fn old_facts_are_closed_at_every_round_start(
+        seed in 0u64..u64::MAX,
+        trip in 1usize..5,
+        period in 2u64..40,
+    ) {
+        let mut gen = Gen(seed);
+        let case = ChainCase::new(&mut gen);
+        let tgds = &case.tgds;
+        let variant = ChaseVariant::Restricted;
+        let rounds = |n: usize| ChaseBudget { max_rounds: n, ..CHAIN_BUDGET };
+        let token = CancelToken::new();
+        let mut frames = Vec::new();
+
+        let (_, fresh) = chase_checkpointing(&case.start, tgds, variant, rounds(trip), &token);
+        if let Some(cp) = fresh {
+            let (_, resumed) = chase_resume(&cp, tgds, rounds(trip + 1), &token).unwrap();
+            frames.extend(resumed);
+            frames.push(cp);
+        }
+
+        let base = chase(&case.start, tgds, variant, CHAIN_BUDGET);
+        let e = case.schema.pred_id("E").unwrap();
+        let batch: Vec<Fact> =
+            (0..4).map(|_| Fact::new(e, gen.edge(case.nodes).to_vec())).collect();
+        let (_, folded) = chase_extend_governed(
+            &base.instance, &base.nulls, &batch, tgds, variant, rounds(trip), &token,
+        );
+        frames.extend(folded);
+
+        let cancelling = CancelToken::with_faults(FaultPlan::only(seed, FaultSite::DeadlineExpire, period));
+        let (cancelled, rolled_back) =
+            chase_checkpointing(&case.start, tgds, variant, CHAIN_BUDGET, &cancelling);
+        if cancelled.cancelled() {
+            frames.extend(rolled_back);
+        }
+
+        for cp in &frames {
+            prop_assert!(old_facts_closed(cp.instance(), cp.delta(), tgds));
+        }
+    }
 }
