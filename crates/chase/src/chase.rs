@@ -639,7 +639,7 @@ pub(crate) fn index_with_tail(instance: &mut Instance, delta: &mut Vec<Fact>) ->
     delta.retain(|fact| instance.remove_fact(fact.pred, &fact.args));
     let mut index = InstanceIndex::new(instance);
     for fact in delta.iter() {
-        instance.add_fact(fact.pred, fact.args.clone());
+        instance.add_tuple(fact.pred, &fact.args);
     }
     index.extend(delta);
     index

@@ -33,8 +33,9 @@
 //! every round boundary, so such a match touches Δ. For the same reason
 //! only the x a delta fact reaches are walked (sources of Δ_P facts and
 //! P-predecessors of Δ_Q sources), which keeps the step proportional to Δ
-//! on a fold or a resume. Any other shape, and any round where one of the
-//! three bit sets is off, runs the anchored search.
+//! on a fold or a resume. Marking them walks each distinct Δ_Q source's
+//! P-postings once, not once per Δ_Q fact. Any other shape, and any round
+//! where one of the three bit sets is off, runs the anchored search.
 //!
 //! The live ones accumulate into a `TriggerRun` — a flat arena of
 //! `(tgd, universal-image)` entries — and one `sort_unstable` + dedup
@@ -473,7 +474,9 @@ fn triggers_into(
 /// is also why the walk skips every x that no delta fact reaches: a match
 /// `(x, y, z)` touches Δ only through `P(x,y) ∈ Δ` or `Q(y,z) ∈ Δ`, so
 /// the x worth walking are the sources of Δ_P facts and the P-predecessors
-/// of Δ_Q sources, and every match at another x is old and dead.
+/// of Δ_Q sources, and every match at another x is old and dead. Each
+/// distinct Δ_Q source's P-postings are walked once, so marking costs at
+/// most |P| per round, not the sum of in-degrees over Δ_Q.
 fn bit_row_step(
     ti: usize,
     chain: Chain,
@@ -487,21 +490,20 @@ fn bit_row_step(
     let h = index.bit_rows(chain.h)?;
     // The x to walk, as bits below P's side (P's sources are all there).
     let mut xs = vec![0u64; p.row_words()];
-    let mut mark = |x: Elem| {
-        if let Some(word) = xs.get_mut(x.0 as usize >> 6) {
-            *word |= 1 << (x.0 & 63);
-        }
-    };
     match delta {
         None => xs.fill(!0),
         Some(delta) => {
+            // The Δ_Q sources whose P-predecessors are marked: each source's
+            // postings are walked once, however many Δ_Q facts leave it. A
+            // source at or beyond P's side has no P-predecessor.
+            let mut sources = vec![0u64; p.row_words()];
             for fact in delta {
                 if fact.pred == chain.p {
-                    mark(fact.args[0]);
+                    set_bit(&mut xs, fact.args[0]);
                 }
-                if fact.pred == chain.q {
+                if fact.pred == chain.q && set_bit(&mut sources, fact.args[0]) {
                     for &row in index.postings(chain.p, 1, fact.args[0]) {
-                        mark(index.at(chain.p, row, 0));
+                        set_bit(&mut xs, index.at(chain.p, row, 0));
                     }
                 }
             }
@@ -535,6 +537,18 @@ fn bit_row_step(
         }
     }
     Some(true)
+}
+
+/// Sets `e`'s bit in `words`; `true` when it was clear. An id beyond the
+/// words has no bit, and reads as already set.
+fn set_bit(words: &mut [u64], e: Elem) -> bool {
+    let Some(word) = words.get_mut(e.0 as usize >> 6) else {
+        return false;
+    };
+    let bit = 1 << (e.0 & 63);
+    let clear = *word & bit == 0;
+    *word |= bit;
+    clear
 }
 
 /// The element ids whose bits are set in `words`, ascending.
@@ -810,6 +824,100 @@ mod tests {
         let generic = triggers_on(&tgds, &index, Some(&delta), Path::Generic);
         let bit_rows = triggers_on(&tgds, &index, Some(&delta), Path::BitRows);
         assert_eq!(generic, vec![(0, vec![Elem(3), Elem(4), Elem(5)])]);
+        assert_eq!(bit_rows, generic);
+    }
+
+    /// The chain `P(x,y), Q(y,z) -> H(x,z)` over the instance `old`, with
+    /// `delta` appended as the index tail. Each `(pred, edges)` lists one
+    /// predicate's facts by name.
+    fn chain_round(
+        old: &[(&str, Vec<(u32, u32)>)],
+        delta: &[(&str, Vec<(u32, u32)>)],
+    ) -> (Vec<Tgd>, InstanceIndex, Vec<Fact>) {
+        use tgdkit_logic::{parse_tgds, Schema};
+        let mut schema = Schema::default();
+        let tgds = parse_tgds(&mut schema, "P(x,y), Q(y,z) -> H(x,z).").unwrap();
+        let facts = |named: &[(&str, Vec<(u32, u32)>)]| -> Vec<Fact> {
+            named
+                .iter()
+                .flat_map(|(name, edges)| {
+                    let pred = schema.pred_id(name).unwrap();
+                    edges
+                        .iter()
+                        .map(move |&(u, v)| Fact::new(pred, vec![Elem(u), Elem(v)]))
+                })
+                .collect()
+        };
+        let (old, delta) = (facts(old), facts(delta));
+        let mut instance = tgdkit_instance::Instance::new(schema);
+        for fact in &old {
+            instance.add_tuple(fact.pred, &fact.args);
+        }
+        let mut index = InstanceIndex::new(&instance);
+        index.extend(&delta);
+        for pred in ["P", "Q", "H"].map(|n| instance.schema().pred_id(n).unwrap()) {
+            assert!(index.bit_rows(pred).is_some(), "bits on for {pred:?}");
+        }
+        (tgds, index, delta)
+    }
+
+    /// Every `(a, b)` with `a` in `sources` and `b` in `targets`.
+    fn grid(sources: std::ops::Range<u32>, targets: std::ops::Range<u32>) -> Vec<(u32, u32)> {
+        sources
+            .flat_map(|a| targets.clone().map(move |b| (a, b)))
+            .collect()
+    }
+
+    /// Many Δ_Q facts leave two sources, 5 and 7, whose P-predecessors are
+    /// all old, so every x walked for them comes from postings: 1 and 2
+    /// reach only 5, 4 reaches only 7, and 3 reaches both. The Δ_P fact
+    /// `P(5,9)` comes first and marks 5 as an x, so a source tested
+    /// against the x bits instead of its own would skip 1 and 2. `I ∖ Δ` is
+    /// closed: the filler keeps the three bit sets on and joins nothing.
+    #[test]
+    fn bit_row_step_walks_shared_delta_sources_once_each() {
+        let mut p = vec![(1, 5), (2, 5), (3, 5), (3, 7), (4, 7)];
+        p.extend(grid(40..56, 62..64));
+        let old = [
+            ("P", p),
+            ("Q", grid(60..62, 40..56)),
+            ("H", grid(56..60, 40..48)),
+        ];
+        let mut q = grid(5..6, 20..30);
+        q.extend(grid(7..8, 20..30));
+        let delta = [("P", vec![(5, 9)]), ("Q", q)];
+        let (tgds, index, delta) = chain_round(&old, &delta);
+        let generic = triggers_on(&tgds, &index, Some(&delta), Path::Generic);
+        // H(3,z) is derived through 5 and 7; the smaller y is kept.
+        let mut want: Vec<(usize, Vec<Elem>)> = [(1, 5), (2, 5), (3, 5), (4, 7)]
+            .into_iter()
+            .flat_map(|(x, y)| (20..30).map(move |z| (0, vec![Elem(x), Elem(y), Elem(z)])))
+            .collect();
+        want.sort();
+        assert_eq!(generic, want);
+        let bit_rows = triggers_on(&tgds, &index, Some(&delta), Path::BitRows);
+        assert_eq!(bit_rows, generic);
+    }
+
+    /// A Δ_Q source at or beyond P's side has no P-predecessor and no bit
+    /// among the walked sources. Q's 128 rows keep its bits on at side
+    /// 128 while P's side is 64; the source 3 beside it still counts.
+    #[test]
+    fn bit_row_step_skips_a_delta_source_beyond_the_side_of_p() {
+        let mut p = vec![(10, 3)];
+        p.extend(grid(0..16, 40..42));
+        let old = [
+            ("P", p),
+            ("Q", grid(80..84, 0..32)),
+            ("H", grid(48..52, 56..64)),
+        ];
+        let delta = [("Q", vec![(70, 1), (3, 2), (70, 2)])];
+        let (tgds, index, delta) = chain_round(&old, &delta);
+        let side = |i: usize| index.dense_side(tgds[0].body()[i].pred);
+        assert_eq!((side(0), side(1)), (Some(64), Some(128)));
+        let generic = triggers_on(&tgds, &index, Some(&delta), Path::Generic);
+        assert_eq!(generic, vec![(0, vec![Elem(10), Elem(3), Elem(2)])]);
+        let bit_rows = triggers_on(&tgds, &index, Some(&delta), Path::BitRows);
         assert_eq!(bit_rows, generic);
     }
 }

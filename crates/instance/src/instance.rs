@@ -1,7 +1,7 @@
 //! Finite relational instances (paper §2).
 
-use crate::store::{CapacityError, Relation};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::store::{CapacityError, FxBuildHasher, Relation};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use tgdkit_logic::{PredId, Schema};
 
@@ -63,7 +63,16 @@ impl Fact {
 /// assert_eq!(inst.dom().len(), 3);
 /// assert_eq!(inst.active_domain().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `adom ⊆ dom` always holds: removal keeps the domain, and every other
+/// operation that narrows the domain rebuilds the facts inside it. So an
+/// insert touches the two ordered sets only for an element whose count
+/// goes from 0 to 1; an element already counted is in both. The counts
+/// live in an [`FxBuildHasher`] hash map, one probe per element of a new
+/// fact. `Debug` is written by hand to print the counts in element order,
+/// so equal instances print the same whatever order their facts came in
+/// (tests compare chase results by their `Debug` strings).
+#[derive(Clone, PartialEq, Eq)]
 pub struct Instance {
     schema: Schema,
     dom: BTreeSet<Elem>,
@@ -72,8 +81,9 @@ pub struct Instance {
     /// `remove_fact` via the occurrence counts below.
     adom: BTreeSet<Elem>,
     /// Occurrences of each active element across all tuples (an element is
-    /// dropped from `adom` exactly when its count reaches zero).
-    adom_counts: BTreeMap<Elem, u32>,
+    /// dropped from `adom` exactly when its count reaches zero), so its key
+    /// set is `adom`.
+    adom_counts: HashMap<Elem, u32, FxBuildHasher>,
     /// Optional display names for elements (populated by the parser).
     names: BTreeMap<Elem, String>,
 }
@@ -90,7 +100,7 @@ impl Instance {
             dom: BTreeSet::new(),
             rels,
             adom: BTreeSet::new(),
-            adom_counts: BTreeMap::new(),
+            adom_counts: HashMap::default(),
             names: BTreeMap::new(),
         }
     }
@@ -131,20 +141,22 @@ impl Instance {
 
     /// Inserts `tuple` into relation `idx`, maintaining the domain and the
     /// active-domain occurrence counts. All fact-adding paths (including
-    /// `restrict` and `map_elements`) funnel through here.
-    fn insert_tuple(&mut self, idx: usize, tuple: &[Elem]) -> bool {
-        self.dom.extend(tuple.iter().copied());
-        let added = self.rels[idx].insert(tuple);
+    /// `restrict` and `map_elements`) funnel through here. A tuple refused
+    /// for capacity leaves the instance unchanged.
+    fn insert_tuple(&mut self, idx: usize, tuple: &[Elem]) -> Result<bool, CapacityError> {
+        let added = self.rels[idx].try_insert(tuple)?;
         if added {
             for &e in tuple {
                 let count = self.adom_counts.entry(e).or_insert(0);
                 *count += 1;
+                // A counted element is in `adom ⊆ dom` already.
                 if *count == 1 {
                     self.adom.insert(e);
+                    self.dom.insert(e);
                 }
             }
         }
-        added
+        Ok(added)
     }
 
     /// Adds the fact `pred(args)`, extending the domain with its elements.
@@ -164,6 +176,26 @@ impl Instance {
     /// # Panics
     /// As [`Instance::add_fact`].
     pub fn add_tuple(&mut self, pred: PredId, args: &[Elem]) -> bool {
+        self.try_add_tuple(pred, args)
+            .unwrap_or_else(|e| panic!("relation overflow: {e}"))
+    }
+
+    /// Adds the fact `pred(args)` like [`Instance::add_fact`], but reports
+    /// relation-capacity exhaustion as a typed [`CapacityError`] instead of
+    /// panicking — the variant long-lived request-parsing surfaces (the
+    /// entailment server) use so an oversized tenant payload becomes an
+    /// error response, not a process abort. On an error the instance,
+    /// its domain included, is unchanged.
+    ///
+    /// # Panics
+    /// Panics if the tuple length differs from the predicate arity.
+    pub fn try_add_fact(&mut self, pred: PredId, args: Vec<Elem>) -> Result<bool, CapacityError> {
+        self.try_add_tuple(pred, &args)
+    }
+
+    /// The arity check shared by every adding path, then
+    /// [`Instance::insert_tuple`].
+    fn try_add_tuple(&mut self, pred: PredId, args: &[Elem]) -> Result<bool, CapacityError> {
         assert_eq!(
             args.len(),
             self.schema.arity(pred),
@@ -171,36 +203,6 @@ impl Instance {
             self.schema.name(pred)
         );
         self.insert_tuple(pred.index(), args)
-    }
-
-    /// Adds the fact `pred(args)` like [`Instance::add_fact`], but reports
-    /// relation-capacity exhaustion as a typed [`CapacityError`] instead of
-    /// panicking — the variant long-lived request-parsing surfaces (the
-    /// entailment server) use so an oversized tenant payload becomes an
-    /// error response, not a process abort.
-    ///
-    /// # Panics
-    /// Panics if the tuple length differs from the predicate arity.
-    pub fn try_add_fact(&mut self, pred: PredId, args: Vec<Elem>) -> Result<bool, CapacityError> {
-        assert_eq!(
-            args.len(),
-            self.schema.arity(pred),
-            "arity mismatch for {}",
-            self.schema.name(pred)
-        );
-        let idx = pred.index();
-        self.dom.extend(args.iter().copied());
-        let added = self.rels[idx].try_insert(&args)?;
-        if added {
-            for &e in &args {
-                let count = self.adom_counts.entry(e).or_insert(0);
-                *count += 1;
-                if *count == 1 {
-                    self.adom.insert(e);
-                }
-            }
-        }
-        Ok(added)
     }
 
     /// Adds a [`Fact`].
@@ -305,7 +307,8 @@ impl Instance {
             for tuple in rel {
                 if tuple.iter().all(|e| out.dom.contains(&e)) {
                     tuple.copy_into(&mut buf);
-                    out.insert_tuple(i, &buf);
+                    out.insert_tuple(i, &buf)
+                        .expect("a restriction has no more rows than its source");
                 }
             }
         }
@@ -343,7 +346,8 @@ impl Instance {
             for tuple in rel {
                 mapped.clear();
                 mapped.extend(tuple.iter().map(&mut h));
-                out.insert_tuple(i, &mapped);
+                out.insert_tuple(i, &mapped)
+                    .expect("an image has no more rows than its source");
             }
         }
         out
@@ -377,6 +381,31 @@ impl Instance {
             .get(&e)
             .cloned()
             .unwrap_or_else(|| format!("e{}", e.0))
+    }
+}
+
+impl fmt::Debug for Instance {
+    /// The derived layout, with the occurrence counts in element order.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Counts<'a>(&'a Instance);
+        impl fmt::Debug for Counts<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let Instance {
+                    adom, adom_counts, ..
+                } = self.0;
+                f.debug_map()
+                    .entries(adom.iter().map(|e| (e, &adom_counts[e])))
+                    .finish()
+            }
+        }
+        f.debug_struct("Instance")
+            .field("schema", &self.schema)
+            .field("dom", &self.dom)
+            .field("rels", &self.rels)
+            .field("adom", &self.adom)
+            .field("adom_counts", &Counts(self))
+            .field("names", &self.names)
+            .finish()
     }
 }
 
