@@ -21,16 +21,16 @@
 //! Both layers are exact: the canonical form produced by
 //! [`tgdkit_logic::canonical_tgd`] is identical for renaming-variants (for conjunctions of
 //! at most [`tgdkit_logic::canon::EXACT_LIMIT`] atoms; beyond that the
-//! greedy form merely splits groups, which costs speed, never soundness),
-//! and the group evaluator runs the same decision pipeline as
-//! [`crate::entails_auto`] — linear fast path, budgeted chase, finite
-//! countermodel search on `Unknown` — so verdicts agree bit-for-bit with the
-//! unshared, uncached path.
+//! greedy form merely splits groups, which costs speed, never soundness).
+//! The group evaluator is the one pipeline that decides `Σ ⊨ σ` — linear
+//! fast path, budgeted chase, head probe, finite countermodel search on
+//! `Unknown` — for the sweep's groups and, as one-member groups, for every
+//! single-candidate decision ([`crate::decide`]).
 
 use crate::chase::{chase_governed, ChaseBudget, ChaseOutcome, ChaseVariant};
 use crate::checkpoint::{verdict_from_tag, verdict_tag, BatchCheckpoint, CheckpointError};
 use crate::countermodel::{refute_by_countermodel_governed, SearchBudget};
-use crate::entail::{entails_auto_governed, freeze_body, Entailment};
+use crate::entail::{freeze_body, holds_pinned, Entailment};
 use crate::faults::FaultSite;
 use crate::faults::INJECTED_PANIC;
 use crate::govern::CancelToken;
@@ -45,7 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use tgdkit_hom::{Binding, InstanceIndex};
-use tgdkit_instance::{Elem, FxBuildHasher};
+use tgdkit_instance::FxBuildHasher;
 use tgdkit_logic::{canonical_tgd_with_key, tgd_variant_key, Schema, Tgd, TgdVariantKey};
 
 /// Verdicts stored under one variant key: `(Σ fingerprint, budget, verdict)`
@@ -570,14 +570,16 @@ impl EntailBatchStats {
 }
 
 /// Decides `Σ ⊨ σ` for every member of one body group, chasing the shared
-/// frozen body at most once.
+/// frozen body at most once: the one pipeline behind the sweep and, as a
+/// one-member group, behind [`crate::decide`].
 ///
-/// Runs the [`crate::entails_auto`] pipeline per member — linear
-/// backward-rewriting fast path when `Σ` is all-linear, then the budgeted
-/// chase (shared across the group), then finite countermodel search on
-/// `Unknown` — so verdicts agree with per-candidate [`crate::entails_auto`].
-/// The chase is lazy: if every member is settled by the cache or the linear
-/// fast path, the body is never chased.
+/// Per member: linear backward-rewriting fast path when `Σ` is all-linear,
+/// then the budgeted chase (shared across the group) and a head probe with
+/// the frontier pinned, then finite countermodel search on `Unknown`.
+/// Members are evaluated as given, so the group must share one frozen
+/// body. The chase is lazy: if every member is settled by the cache or the
+/// linear fast path, the body is never chased. With `cache` unset the
+/// members' keys are never read.
 ///
 /// Returns `(original index, verdict)` pairs in member order.
 ///
@@ -588,7 +590,7 @@ impl EntailBatchStats {
 /// cache is keyed by budget alone, and a deadline-induced `Unknown` must
 /// not shadow the verdict an unhurried rerun would reach. `Proved` /
 /// `Disproved` stay storable: both are sound regardless of truncation.
-fn evaluate_group(
+pub(crate) fn evaluate_group(
     schema: &Schema,
     sigma: &[Tgd],
     group: &BodyGroup,
@@ -633,8 +635,7 @@ fn evaluate_group(
         }
         let mut verdict = Entailment::Unknown;
         if sigma_linear {
-            // Saturation cap proportional to the chase budget's appetite
-            // (mirrors `entails_auto`).
+            // Saturation cap proportional to the chase budget's appetite.
             verdict =
                 entails_linear_governed(schema, sigma, cand, budget.max_facts.max(10_000), token);
         }
@@ -657,26 +658,8 @@ fn evaluate_group(
             }
             let (index, outcome) = shared.as_ref().expect("chase result shared above");
             stats.heads_probed += 1;
-            // Inline Boolean-CQ probe over the head atoms (what
-            // `Cq::boolean(..).holds_with_indexed(..)` does, minus the
-            // per-member atom-vector and binding allocations).
-            fixed.clear();
-            fixed.resize(cand.var_count(), None);
-            for (v, slot) in fixed.iter_mut().enumerate().take(cand.universal_count()) {
-                *slot = Some(Elem(v as u32));
-            }
-            let mut head_holds = false;
-            tgdkit_hom::for_each_hom_reusing(
-                cand.head(),
-                cand.var_count(),
-                index,
-                &mut fixed,
-                &mut |_| {
-                    head_holds = true;
-                    std::ops::ControlFlow::Break(())
-                },
-            );
-            verdict = if head_holds {
+            let (head, vars) = (cand.head(), cand.var_count());
+            verdict = if holds_pinned(head, vars, cand.universal_count(), index, &mut fixed) {
                 Entailment::Proved
             } else if *outcome == ChaseOutcome::Terminated {
                 Entailment::Disproved
@@ -1058,72 +1041,10 @@ pub fn entails_batch(
     (verdicts, stats)
 }
 
-/// [`crate::entails_auto`] through an [`EntailCache`].
-pub fn entails_auto_cached(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    budget: ChaseBudget,
-    cache: &EntailCache,
-) -> Entailment {
-    entails_auto_cached_governed(schema, sigma, candidate, budget, cache, &CancelToken::new())
-}
-
-/// [`entails_auto_cached`] under a [`CancelToken`]. Cache stores are
-/// taint-gated the same way as [`sweep`]'s: an `Unknown` produced
-/// while the token is cancelled or fault-injected is returned but not
-/// memoized.
-pub fn entails_auto_cached_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    budget: ChaseBudget,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> Entailment {
-    let (key, fingerprint) = (tgd_variant_key(candidate), sigma_fingerprint(sigma));
-    if let Some(v) = cache.lookup_key(&key, fingerprint, budget) {
-        return v;
-    }
-    let v = entails_auto_governed(schema, sigma, candidate, budget, token);
-    if v != Entailment::Unknown || !token.is_tainted() {
-        cache.store_key(&key, fingerprint, budget, v);
-    }
-    v
-}
-
-/// [`crate::entails_all`] through an [`EntailCache`] (three-valued
-/// conjunction, early exit on `Disproved`) under a [`CancelToken`]: a
-/// cancellation observed between candidates degrades the conjunction to `Unknown` (never a false
-/// `Proved` from an unfinished sweep) unless some candidate already
-/// disproved it.
-pub fn entails_all_cached_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    cache: &EntailCache,
-    token: &CancelToken,
-) -> Entailment {
-    let mut acc = Entailment::Proved;
-    for c in candidates {
-        if token.is_cancelled() {
-            return acc.and(Entailment::Unknown);
-        }
-        acc = acc.and(entails_auto_cached_governed(
-            schema, sigma, c, budget, cache, token,
-        ));
-        if acc == Entailment::Disproved {
-            return acc;
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entail::entails_auto;
+    use crate::entail::{entails_auto, entails_auto_cached};
     use tgdkit_logic::{parse_tgd, parse_tgds};
 
     fn schema_and_sigma(text: &str) -> (Schema, Vec<Tgd>) {

@@ -1,13 +1,24 @@
 //! Dependency entailment `Σ ⊨ σ` via freezing and chasing
 //! (Maier–Mendelzon–Sagiv \[13\]; paper §9.2 uses exactly this reduction to
 //! conjunctive query answering).
+//!
+//! One pipeline decides tgd entailment: [`decide`] runs the candidate as a
+//! one-member body group through the evaluator behind the candidate sweep
+//! ([`crate::cache::sweep`]) — linear backward-rewriting fast path,
+//! budgeted chase of the frozen body, head probe, finite countermodel
+//! search on `Unknown`. [`decide_all`] conjoins it over a set, and the
+//! plain forms ([`entails_auto`], [`entails_all`], [`equivalent`],
+//! [`crate::entails_auto_cached`]) call these two. [`entails`] is the
+//! chase-only procedure on its own, sharing the head probe.
 
-use crate::chase::{chase_governed, ChaseBudget, ChaseOutcome, ChaseVariant};
+use crate::cache::{evaluate_group, sigma_fingerprint, BodyGroup, EntailBatchStats, EntailCache};
+use crate::chase::{chase, ChaseBudget, ChaseOutcome, ChaseVariant};
 use crate::govern::CancelToken;
-use crate::stats::ChaseStats;
-use tgdkit_hom::{Binding, Cq};
+use std::borrow::Cow;
+use std::ops::ControlFlow;
+use tgdkit_hom::{for_each_hom_reusing, Binding, InstanceIndex};
 use tgdkit_instance::{Elem, Instance};
-use tgdkit_logic::{Edd, EddDisjunct, Egd, Schema, Tgd};
+use tgdkit_logic::{tgd_variant_key, Atom, Edd, EddDisjunct, Egd, Schema, Tgd, TgdVariantKey, Var};
 
 /// A three-valued entailment verdict.
 ///
@@ -47,15 +58,43 @@ impl Entailment {
     }
 }
 
+/// Freezes a conjunction: each variable `v` becomes the element
+/// `Elem(v)`. Returns the frozen instance (dom = adom).
+fn freeze(schema: &Schema, atoms: &[Atom<Var>]) -> Instance {
+    let mut out = Instance::new(schema.clone());
+    for atom in atoms {
+        out.add_fact(atom.pred, atom.args.iter().map(|v| Elem(v.0)).collect());
+    }
+    out
+}
+
 /// Freezes the body of a tgd: each universal variable becomes a distinct
 /// element `Elem(0..n)`. Returns the frozen instance (dom = adom).
 pub fn freeze_body(schema: &Schema, tgd: &Tgd) -> Instance {
-    let mut out = Instance::new(schema.clone());
-    for atom in tgd.body() {
-        let args: Vec<Elem> = atom.args.iter().map(|v| Elem(v.0)).collect();
-        out.add_fact(atom.pred, args);
+    freeze(schema, tgd.body())
+}
+
+/// The head probe of freeze-and-chase entailment: whether `atoms` map into
+/// `index` with the variables `0..pinned` fixed to their frozen elements
+/// `Elem(0..pinned)`. `fixed` is a buffer reused across probes.
+pub(crate) fn holds_pinned(
+    atoms: &[Atom<Var>],
+    var_count: usize,
+    pinned: usize,
+    index: &InstanceIndex,
+    fixed: &mut Binding,
+) -> bool {
+    fixed.clear();
+    fixed.resize(var_count, None);
+    for (v, slot) in fixed.iter_mut().enumerate().take(pinned) {
+        *slot = Some(Elem(v as u32));
     }
-    out
+    let mut holds = false;
+    for_each_hom_reusing(atoms, var_count, index, fixed, &mut |_| {
+        holds = true;
+        ControlFlow::Break(())
+    });
+    holds
 }
 
 /// Decides `Σ ⊨ σ` for sets of tgds by chasing the frozen body of `σ` and
@@ -78,84 +117,42 @@ pub fn freeze_body(schema: &Schema, tgd: &Tgd) -> Instance {
 /// assert_eq!(entails(&schema, &sigma, &wrong, ChaseBudget::default()), Entailment::Disproved);
 /// ```
 pub fn entails(schema: &Schema, sigma: &[Tgd], candidate: &Tgd, budget: ChaseBudget) -> Entailment {
-    entails_with_stats(schema, sigma, candidate, budget).0
-}
-
-/// As [`entails`], additionally reporting the inner chase's [`ChaseStats`]
-/// (so callers sweeping many candidates can aggregate engine work).
-pub fn entails_with_stats(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    budget: ChaseBudget,
-) -> (Entailment, ChaseStats) {
-    entails_with_stats_governed(schema, sigma, candidate, budget, &CancelToken::new())
-}
-
-/// [`entails_with_stats`] under a [`CancelToken`]: the inner chase stops
-/// within one round of cancellation. A cancelled chase can still settle
-/// `Proved` (the partial chase is a sound set of consequences); `Disproved`
-/// requires a terminated chase, which a cancelled run never reports — so
-/// cancellation degrades to `Unknown`, never inverts a verdict.
-pub fn entails_with_stats_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    budget: ChaseBudget,
-    token: &CancelToken,
-) -> (Entailment, ChaseStats) {
     let frozen = freeze_body(schema, candidate);
-    let result = chase_governed(&frozen, sigma, ChaseVariant::Restricted, budget, token);
-    let head_cq = Cq::boolean(candidate.head().to_vec());
-    let mut fixed: Binding = vec![None; candidate.var_count()];
-    for (v, slot) in fixed
-        .iter_mut()
-        .enumerate()
-        .take(candidate.universal_count())
-    {
-        *slot = Some(Elem(v as u32));
-    }
-    let verdict = if head_cq.holds_with(&result.instance, &fixed) {
+    let result = chase(&frozen, sigma, ChaseVariant::Restricted, budget);
+    let index = InstanceIndex::new(&result.instance);
+    let (head, vars) = (candidate.head(), candidate.var_count());
+    if holds_pinned(
+        head,
+        vars,
+        candidate.universal_count(),
+        &index,
+        &mut Vec::new(),
+    ) {
         Entailment::Proved
     } else if result.outcome == ChaseOutcome::Terminated {
         Entailment::Disproved
     } else {
         Entailment::Unknown
-    };
-    (verdict, result.stats)
+    }
 }
 
-/// Decides `Σ ⊨ ε` for an egd under a set of *tgds*: a chase with tgds never
-/// merges the distinct frozen elements, so a non-trivial egd is disproved by
-/// any terminated chase; trivial egds (`x = x`) are proved outright.
+/// Decides `Σ ⊨ ε` for an egd under a set of *tgds*: trivial egds
+/// (`x = x`) are proved outright, and every other egd is disproved. A tgd
+/// chase never merges elements, and every tgd set has a model extending
+/// any instance, so some model of `Σ` contains the frozen body with
+/// `lhs ≠ rhs`. `schema`, `sigma` and `budget` do not affect the verdict.
 ///
 /// (This is the semantic engine behind paper Lemma 4.9 / Step 3: critical
 /// instances show that tgd-ontologies never force equalities.)
-pub fn entails_egd(schema: &Schema, sigma: &[Tgd], egd: &Egd, budget: ChaseBudget) -> Entailment {
+pub fn entails_egd(
+    _schema: &Schema,
+    _sigma: &[Tgd],
+    egd: &Egd,
+    _budget: ChaseBudget,
+) -> Entailment {
     if egd.is_trivial() {
-        return Entailment::Proved;
-    }
-    let mut frozen = Instance::new(schema.clone());
-    for atom in egd.body() {
-        let args: Vec<Elem> = atom.args.iter().map(|v| Elem(v.0)).collect();
-        frozen.add_fact(atom.pred, args);
-    }
-    let result = chase_governed(
-        &frozen,
-        sigma,
-        ChaseVariant::Restricted,
-        budget,
-        &CancelToken::new(),
-    );
-    if result.outcome == ChaseOutcome::Terminated {
-        // The chase result is a model of Σ in which the frozen body holds
-        // with lhs ≠ rhs.
-        Entailment::Disproved
+        Entailment::Proved
     } else {
-        // Still disproved in spirit (tgds cannot merge elements), but the
-        // witness is not a model; report Unknown only if a caller insists on
-        // model-backed answers. Tgd chases never equate elements, so we can
-        // safely disprove.
         Entailment::Disproved
     }
 }
@@ -180,20 +177,6 @@ pub fn entails_edd_under_tgds(
     edd: &Edd,
     budget: ChaseBudget,
 ) -> Entailment {
-    entails_edd_under_tgds_governed(schema, sigma, edd, budget, &CancelToken::new())
-}
-
-/// [`entails_edd_under_tgds`] under a [`CancelToken`]: a cancelled chase
-/// still proves satisfied disjuncts soundly, and lands `Unknown` (never
-/// `Disproved`) when no disjunct holds, since the non-terminated result is
-/// not a countermodel.
-pub fn entails_edd_under_tgds_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    edd: &Edd,
-    budget: ChaseBudget,
-    token: &CancelToken,
-) -> Entailment {
     // Trivial equality disjunct ⇒ tautology.
     if edd
         .disjuncts()
@@ -202,119 +185,157 @@ pub fn entails_edd_under_tgds_governed(
     {
         return Entailment::Proved;
     }
-    let mut frozen = Instance::new(schema.clone());
-    for atom in edd.body() {
-        frozen.add_fact(atom.pred, atom.args.iter().map(|v| Elem(v.0)).collect());
-    }
-    let result = chase_governed(&frozen, sigma, ChaseVariant::Restricted, budget, token);
+    let result = chase(
+        &freeze(schema, edd.body()),
+        sigma,
+        ChaseVariant::Restricted,
+        budget,
+    );
+    let index = InstanceIndex::new(&result.instance);
     let n = edd.universal_count();
-    for disjunct in edd.disjuncts() {
-        if let EddDisjunct::Exists(atoms) = disjunct {
-            let cq = Cq::boolean(atoms.to_vec());
-            let mut fixed: Binding = vec![None; cq.var_count().max(n)];
-            for (v, slot) in fixed.iter_mut().enumerate().take(n) {
-                *slot = Some(Elem(v as u32));
-            }
-            if cq.holds_with(&result.instance, &fixed) {
-                return Entailment::Proved;
-            }
+    let mut fixed = Vec::new();
+    // Non-trivial equality disjuncts never hold on the frozen distinct
+    // elements (tgd chases do not merge), so only existential ones count.
+    let proved = edd.disjuncts().iter().any(|disjunct| match disjunct {
+        EddDisjunct::Exists(atoms) => {
+            let vars = atoms
+                .iter()
+                .flat_map(|a| &a.args)
+                .map(|v| v.index() + 1)
+                .max()
+                .unwrap_or(0)
+                .max(n);
+            holds_pinned(atoms, vars, n, &index, &mut fixed)
         }
-        // Non-trivial equality disjuncts never hold on the frozen distinct
-        // elements (tgd chases do not merge).
-    }
-    if result.outcome == ChaseOutcome::Terminated {
+        EddDisjunct::Eq(..) => false,
+    });
+    if proved {
+        Entailment::Proved
+    } else if result.outcome == ChaseOutcome::Terminated {
         Entailment::Disproved
     } else {
         Entailment::Unknown
     }
 }
 
-/// Dispatching entailment, combining every decision procedure in the
-/// crate:
+/// Decides `Σ ⊨ σ` for one tgd: the single entry point of the entailment
+/// pipeline. The candidate runs, as given (not canonicalized), as a
+/// one-member body group through the sweep's group evaluator:
 ///
 /// 1. for all-linear `sigma`, the exact backward-rewriting procedure
 ///    ([`crate::linear::entails_linear`]) — total in practice;
-/// 2. the budgeted chase ([`entails`]) — sound `Proved`, terminating
-///    `Disproved`;
+/// 2. the budgeted chase of the frozen body and a head probe, as in
+///    [`entails`] — sound `Proved`, terminating `Disproved`;
 /// 3. on a chase `Unknown`, finite countermodel search
 ///    ([`crate::countermodel::refute_by_countermodel`]) — definitive
 ///    `Disproved` when a small countermodel exists (always, for guarded
 ///    sets with a large enough budget, by the finite model property).
+///
+/// With a `cache`, the verdict is looked up under the candidate's variant
+/// key first and stored afterwards; an `Unknown` reached under a tainted
+/// token ([`CancelToken::is_tainted`]) is returned but not stored. Every
+/// stage observes `token` and degrades to `Unknown` when cut off; a
+/// cancelled body chase settles `Unknown` without probing its partial
+/// instance. Injected [`crate::FaultSite::MemBudgetTrip`]s are masked, as
+/// in the sweep, and there is no panic barrier.
+pub fn decide(
+    schema: &Schema,
+    sigma: &[Tgd],
+    candidate: &Tgd,
+    budget: ChaseBudget,
+    cache: Option<&EntailCache>,
+    token: &CancelToken,
+) -> Entailment {
+    let keyed = cache.map(|c| (c, sigma_fingerprint(sigma)));
+    decide_keyed(schema, sigma, candidate, budget, keyed, token)
+}
+
+/// [`decide`] with the `Σ` fingerprint already computed alongside the
+/// cache, so [`decide_all`] fingerprints its set once.
+fn decide_keyed(
+    schema: &Schema,
+    sigma: &[Tgd],
+    candidate: &Tgd,
+    budget: ChaseBudget,
+    keyed: Option<(&EntailCache, u64)>,
+    token: &CancelToken,
+) -> Entailment {
+    // The key is read only for cache lookups and stores; without a cache
+    // an empty placeholder spares the canonical ordering search.
+    let key = match keyed {
+        Some(_) => tgd_variant_key(candidate),
+        None => TgdVariantKey::default(),
+    };
+    let group = BodyGroup {
+        members: vec![(0, Cow::Borrowed(candidate), Cow::Owned(key))],
+    };
+    let mut stats = EntailBatchStats::default();
+    evaluate_group(schema, sigma, &group, budget, keyed, &mut stats, token)[0].1
+}
+
+/// `Σ ⊨ Σ'`: the three-valued conjunction of [`decide`] over
+/// `candidates`, in order, stopping at the first `Disproved`. A
+/// cancellation observed between candidates degrades the conjunction to
+/// `Unknown` (never a false `Proved` from an unfinished run) unless some
+/// candidate already disproved it.
+pub fn decide_all(
+    schema: &Schema,
+    sigma: &[Tgd],
+    candidates: &[Tgd],
+    budget: ChaseBudget,
+    cache: Option<&EntailCache>,
+    token: &CancelToken,
+) -> Entailment {
+    let keyed = cache.map(|c| (c, sigma_fingerprint(sigma)));
+    let mut acc = Entailment::Proved;
+    for c in candidates {
+        if token.is_cancelled() {
+            return acc.and(Entailment::Unknown);
+        }
+        acc = acc.and(decide_keyed(schema, sigma, c, budget, keyed, token));
+        if acc == Entailment::Disproved {
+            return acc;
+        }
+    }
+    acc
+}
+
+/// [`decide`] without a cache or a token.
 pub fn entails_auto(
     schema: &Schema,
     sigma: &[Tgd],
     candidate: &Tgd,
     budget: ChaseBudget,
 ) -> Entailment {
-    entails_auto_governed(schema, sigma, candidate, budget, &CancelToken::new())
+    decide(schema, sigma, candidate, budget, None, &CancelToken::new())
 }
 
-/// [`entails_auto`] under a [`CancelToken`]: every stage (linear
-/// saturation, chase, countermodel search) observes the token and degrades
-/// to `Unknown` when cut off.
-pub fn entails_auto_governed(
+/// [`decide`] through an [`EntailCache`], without a token.
+pub fn entails_auto_cached(
     schema: &Schema,
     sigma: &[Tgd],
     candidate: &Tgd,
     budget: ChaseBudget,
-    token: &CancelToken,
+    cache: &EntailCache,
 ) -> Entailment {
-    if !sigma.is_empty() && sigma.iter().all(Tgd::is_linear) {
-        // Saturation cap proportional to the chase budget's appetite.
-        let verdict = crate::linear::entails_linear_governed(
-            schema,
-            sigma,
-            candidate,
-            budget.max_facts.max(10_000),
-            token,
-        );
-        if verdict != Entailment::Unknown {
-            return verdict;
-        }
-    }
-    match entails_with_stats_governed(schema, sigma, candidate, budget, token).0 {
-        Entailment::Unknown if token.is_cancelled() => Entailment::Unknown,
-        Entailment::Unknown => crate::countermodel::refute_by_countermodel_governed(
-            schema,
-            sigma,
-            candidate,
-            &crate::countermodel::SearchBudget::default(),
-            token,
-        ),
-        verdict => verdict,
-    }
+    decide(
+        schema,
+        sigma,
+        candidate,
+        budget,
+        Some(cache),
+        &CancelToken::new(),
+    )
 }
 
-/// `Σ ⊨ Σ'` for sets of tgds (three-valued conjunction over the members).
+/// `Σ ⊨ Σ'` for sets of tgds: [`decide_all`] without a cache or a token.
 pub fn entails_all(
     schema: &Schema,
     sigma: &[Tgd],
     candidates: &[Tgd],
     budget: ChaseBudget,
 ) -> Entailment {
-    entails_all_governed(schema, sigma, candidates, budget, &CancelToken::new())
-}
-
-/// [`entails_all`] under a [`CancelToken`]: members not reached before
-/// cancellation contribute `Unknown` to the conjunction.
-pub fn entails_all_governed(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-    token: &CancelToken,
-) -> Entailment {
-    let mut acc = Entailment::Proved;
-    for c in candidates {
-        if token.is_cancelled() {
-            return acc.and(Entailment::Unknown);
-        }
-        acc = acc.and(entails_auto_governed(schema, sigma, c, budget, token));
-        if acc == Entailment::Disproved {
-            return acc;
-        }
-    }
-    acc
+    decide_all(schema, sigma, candidates, budget, None, &CancelToken::new())
 }
 
 /// Logical equivalence `Σ ≡ Σ'` of two sets of tgds.

@@ -11,7 +11,8 @@
 //!   graph), guaranteeing chase termination a priori;
 //! - [`entail`]: three-valued entailment `Σ ⊨ σ` by freezing the body and
 //!   chasing (Maier–Mendelzon–Sagiv \[13\]), the engine inside the rewriting
-//!   algorithms of paper §9;
+//!   algorithms of paper §9, with one decision pipeline ([`decide`]) shared
+//!   with the candidate sweep of [`cache`];
 //! - [`universal`]: hom-universality helpers for chase results.
 //!
 //! ## Soundness discipline
@@ -40,10 +41,9 @@ pub mod termination;
 pub mod universal;
 
 pub use cache::{
-    batch_entailment, entails_all_cached_governed, entails_auto_cached,
-    entails_auto_cached_governed, entails_batch, group_by_body, group_by_body_keyed,
-    sigma_fingerprint, sweep, BatchRun, BodyGroup, EntailBatchStats, EntailCache, Schedule,
-    SweepRun, SweepState, DEFAULT_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_ENTRIES,
+    batch_entailment, entails_batch, group_by_body, group_by_body_keyed, sigma_fingerprint, sweep,
+    BatchRun, BodyGroup, EntailBatchStats, EntailCache, Schedule, SweepRun, SweepState,
+    DEFAULT_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_ENTRIES,
 };
 pub use certain::{certain_answers, certainly_holds, CertainAnswers};
 pub use chase::{
@@ -56,16 +56,12 @@ pub use countermodel::{
     finite_model, refute_by_countermodel, refute_by_countermodel_governed, SearchBudget,
 };
 pub use entail::{
-    entails, entails_all, entails_all_governed, entails_auto, entails_auto_governed,
-    entails_edd_under_tgds, entails_edd_under_tgds_governed, entails_with_stats,
-    entails_with_stats_governed, equivalent, Entailment,
+    decide, decide_all, entails, entails_all, entails_auto, entails_auto_cached,
+    entails_edd_under_tgds, equivalent, Entailment,
 };
 pub use faults::{FaultPlan, FaultSite, FAULT_SITES};
 pub use govern::CancelToken;
-pub use linear::{
-    certainly_holds_by_rewriting, certainly_holds_by_rewriting_with_stats, entails_linear,
-    entails_linear_governed, entails_linear_with_stats,
-};
+pub use linear::{certainly_holds_by_rewriting, entails_linear, entails_linear_governed};
 pub use memory::MemoryAccountant;
 pub use satisfy::{satisfies_edd, satisfies_egd, satisfies_tgd, satisfies_tgds, violation};
 pub use stats::ChaseStats;

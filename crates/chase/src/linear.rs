@@ -20,11 +20,9 @@
 //! saturation cap, reported as `Unknown` — never hit in practice for the
 //! candidate sizes of Algorithms 1–2).
 
-use crate::entail::Entailment;
+use crate::entail::{freeze_body, Entailment};
 use crate::govern::CancelToken;
-use crate::stats::ChaseStats;
 use std::collections::BTreeSet;
-use std::time::Instant;
 use tgdkit_hom::{find_hom_indexed, Binding, InstanceIndex};
 use tgdkit_instance::{Elem, Instance};
 use tgdkit_logic::{Atom, PredId, Schema, Tgd, Var};
@@ -425,7 +423,7 @@ pub fn entails_linear(
     candidate: &Tgd,
     max_queries: usize,
 ) -> Entailment {
-    entails_linear_with_stats(schema, sigma, candidate, max_queries).0
+    entails_linear_governed(schema, sigma, candidate, max_queries, &CancelToken::new())
 }
 
 /// [`entails_linear`] under a [`CancelToken`]: the saturation loop checks
@@ -438,39 +436,12 @@ pub fn entails_linear_governed(
     max_queries: usize,
     token: &CancelToken,
 ) -> Entailment {
-    entails_linear_with_stats_impl(schema, sigma, candidate, max_queries, token).0
-}
-
-/// As [`entails_linear`], additionally reporting saturation statistics in
-/// the chase vocabulary: a round is one query popped off the frontier, a
-/// trigger found one rewriting generated, a trigger fired one new
-/// rewriting admitted.
-pub fn entails_linear_with_stats(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    max_queries: usize,
-) -> (Entailment, ChaseStats) {
-    entails_linear_with_stats_impl(schema, sigma, candidate, max_queries, &CancelToken::new())
-}
-
-fn entails_linear_with_stats_impl(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidate: &Tgd,
-    max_queries: usize,
-    token: &CancelToken,
-) -> (Entailment, ChaseStats) {
     assert!(
         sigma.iter().all(Tgd::is_linear),
         "entails_linear requires linear tgds"
     );
-    let _ = schema;
     // Frozen body database: universal var v ↦ Elem(v).
-    let mut frozen = Instance::new(schema.clone());
-    for atom in candidate.body() {
-        frozen.add_fact(atom.pred, atom.args.iter().map(|v| Elem(v.0)).collect());
-    }
+    let frozen = freeze_body(schema, candidate);
     // Initial query: the head with frontier variables as constants and
     // existentials as query variables.
     let initial = Query {
@@ -495,77 +466,56 @@ fn entails_linear_with_stats_impl(
             .collect(),
     }
     .canonical();
-
-    let mut stats = ChaseStats::default();
-    let verdict = match saturate(sigma, initial, &frozen, max_queries, &mut stats, token) {
+    match saturate(sigma, initial, &frozen, max_queries, token) {
         Some(true) => Entailment::Proved,
         Some(false) => Entailment::Disproved,
         None => Entailment::Unknown,
-    };
-    (verdict, stats)
+    }
 }
 
 /// Saturates the rewriting set of `initial` under `sigma`, testing each
 /// query against `database` as it is generated. `Some(true)` on the first
 /// match, `Some(false)` when the saturation completed without one, `None`
-/// when the cap was hit first.
+/// when the cap was hit or `token` was cancelled first.
 ///
 /// The database is indexed **once** up front; every generated rewriting is
-/// then probed against the shared index. Stats reuse the chase vocabulary:
-/// a "round" is one query popped off the frontier, a "trigger found" is one
-/// rewriting generated, a "trigger fired" is one *new* (not seen before)
-/// rewriting admitted to the frontier; probe time lands in
-/// `trigger_search_time` and rewriting time in `apply_time`.
+/// then probed against the shared index.
 fn saturate(
     sigma: &[Tgd],
     initial: Query,
     database: &Instance,
     max_queries: usize,
-    stats: &mut ChaseStats,
     token: &CancelToken,
 ) -> Option<bool> {
-    let run_started = Instant::now();
     let index = InstanceIndex::new(database);
-    stats.index_rebuilds += 1;
     let mut seen: BTreeSet<Query> = BTreeSet::new();
     let mut frontier: Vec<Query> = vec![initial.clone()];
     seen.insert(initial);
-    let outcome = 'run: loop {
-        let Some(query) = frontier.pop() else {
-            break 'run Some(false);
-        };
-        stats.rounds += 1;
-        // Cooperative cancellation: every 64 popped queries (a token check
-        // is an atomic load, the modulus keeps `Instant::now` off the hot
-        // path for deadline tokens).
-        if stats.rounds.is_multiple_of(64) && token.is_cancelled() {
-            break 'run None;
+    let mut popped = 0usize;
+    while let Some(query) = frontier.pop() {
+        popped += 1;
+        // Cooperative cancellation every 64 popped queries (a token check
+        // can consult a deadline clock).
+        if popped.is_multiple_of(64) && token.is_cancelled() {
+            return None;
         }
-        let probe_started = Instant::now();
-        let matched = query.holds_in(&index);
-        stats.trigger_search_time += probe_started.elapsed();
-        if matched {
-            break 'run Some(true);
+        if query.holds_in(&index) {
+            return Some(true);
         }
         if seen.len() > max_queries {
-            break 'run None;
+            return None;
         }
-        let rewrite_started = Instant::now();
         let mut new_queries = Vec::new();
         for rule in sigma {
             rewritings_into(&query, rule, &mut new_queries);
         }
-        stats.triggers_found += new_queries.len();
         for q in new_queries {
             if seen.insert(q.clone()) {
-                stats.triggers_fired += 1;
                 frontier.push(q);
             }
         }
-        stats.apply_time += rewrite_started.elapsed();
-    };
-    stats.total_time += run_started.elapsed();
-    outcome
+    }
+    Some(false)
 }
 
 /// Decides Boolean certain answering under **linear** tgds by first-order
@@ -596,17 +546,6 @@ pub fn certainly_holds_by_rewriting(
     query: &tgdkit_hom::Cq,
     max_queries: usize,
 ) -> Option<bool> {
-    certainly_holds_by_rewriting_with_stats(data, sigma, query, max_queries).0
-}
-
-/// As [`certainly_holds_by_rewriting`], additionally reporting saturation
-/// statistics.
-pub fn certainly_holds_by_rewriting_with_stats(
-    data: &Instance,
-    sigma: &[Tgd],
-    query: &tgdkit_hom::Cq,
-    max_queries: usize,
-) -> (Option<bool>, ChaseStats) {
     assert!(
         sigma.iter().all(Tgd::is_linear),
         "rewriting-based certain answering requires linear tgds"
@@ -624,16 +563,7 @@ pub fn certainly_holds_by_rewriting_with_stats(
             .collect(),
     }
     .canonical();
-    let mut stats = ChaseStats::default();
-    let verdict = saturate(
-        sigma,
-        initial,
-        data,
-        max_queries,
-        &mut stats,
-        &CancelToken::new(),
-    );
-    (verdict, stats)
+    saturate(sigma, initial, data, max_queries, &CancelToken::new())
 }
 
 #[cfg(test)]

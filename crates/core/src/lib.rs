@@ -44,9 +44,8 @@ pub mod workload;
 
 pub use checkpoint::{keys_fingerprint, RewriteCheckpoint};
 pub use locality::{
-    locality_counterexample, locality_counterexample_with_stats,
-    locality_counterexample_with_stats_governed, locally_embeddable, locally_embeddable_with_stats,
-    locally_embeddable_with_stats_governed, LocalityFlavor, LocalityOptions,
+    locality_counterexample, locally_embeddable, locally_embeddable_with_stats_governed,
+    LocalityFlavor, LocalityOptions,
 };
 pub use ontology::{DependencyOntology, FiniteOntology, Ontology, TgdOntology};
 pub use rewrite::{

@@ -276,29 +276,19 @@ pub fn locally_embeddable(
     flavor: LocalityFlavor,
     opts: &LocalityOptions,
 ) -> Verdict {
-    locally_embeddable_with_stats(sigma, i, n, m, flavor, opts).0
+    locally_embeddable_with_stats_governed(sigma, i, n, m, flavor, opts, &CancelToken::new()).0
 }
 
-/// As [`locally_embeddable`], additionally reporting the engine work
-/// aggregated over every per-`K` witness chase ([`ChaseStats::absorb`]ed
-/// across cases).
-pub fn locally_embeddable_with_stats(
-    sigma: &TgdSet,
-    i: &Instance,
-    n: usize,
-    m: usize,
-    flavor: LocalityFlavor,
-    opts: &LocalityOptions,
-) -> (Verdict, ChaseStats) {
-    locally_embeddable_with_stats_governed(sigma, i, n, m, flavor, opts, &CancelToken::new())
-}
-
-/// [`locally_embeddable_with_stats`] under a [`CancelToken`]: the token is
-/// checked between cases and inside each witness chase, so cancellation
-/// stops the check within one case. A cut-short check reports
-/// [`Verdict::Unknown`] — a definitive `No` found *before* the cut is still
-/// returned (it cannot be invalidated by the unexamined cases).
-#[allow(clippy::too_many_arguments)] // governed twin of an (n, m, flavor)-parameterized check
+/// [`locally_embeddable`] under a [`CancelToken`], additionally reporting
+/// the engine work aggregated over every per-`K` witness chase
+/// ([`ChaseStats::absorb`]ed across cases) — including the witness-memo
+/// hit/miss counters ([`ChaseStats::cache_hits`] /
+/// [`ChaseStats::cache_misses`]), which show how much re-chasing the memo
+/// avoided. The token is checked between cases and inside each witness
+/// chase, so cancellation stops the check within one case. A cut-short
+/// check reports [`Verdict::Unknown`] — a definitive `No` found *before*
+/// the cut is still returned (it cannot be invalidated by the unexamined
+/// cases).
 pub fn locally_embeddable_with_stats_governed(
     sigma: &TgdSet,
     i: &Instance,
@@ -400,41 +390,10 @@ pub fn locality_counterexample(
     flavor: LocalityFlavor,
     opts: &LocalityOptions,
 ) -> Verdict {
-    locality_counterexample_with_stats(sigma, i, n, m, flavor, opts).0
-}
-
-/// As [`locality_counterexample`], additionally reporting the aggregated
-/// engine work — including the witness-memo hit/miss counters
-/// ([`ChaseStats::cache_hits`] / [`ChaseStats::cache_misses`]), so the §9.1
-/// separation experiments can show how much re-chasing the memo avoided.
-pub fn locality_counterexample_with_stats(
-    sigma: &TgdSet,
-    i: &Instance,
-    n: usize,
-    m: usize,
-    flavor: LocalityFlavor,
-    opts: &LocalityOptions,
-) -> (Verdict, ChaseStats) {
-    locality_counterexample_with_stats_governed(sigma, i, n, m, flavor, opts, &CancelToken::new())
-}
-
-/// [`locality_counterexample_with_stats`] under a [`CancelToken`]; see
-/// [`locally_embeddable_with_stats_governed`] for the cancellation
-/// semantics.
-#[allow(clippy::too_many_arguments)] // governed twin of an (n, m, flavor)-parameterized check
-pub fn locality_counterexample_with_stats_governed(
-    sigma: &TgdSet,
-    i: &Instance,
-    n: usize,
-    m: usize,
-    flavor: LocalityFlavor,
-    opts: &LocalityOptions,
-    token: &CancelToken,
-) -> (Verdict, ChaseStats) {
     if satisfies_tgds(i, sigma.tgds()) {
-        return (Verdict::No, ChaseStats::default()); // I ∈ O: cannot witness non-locality
+        return Verdict::No; // I ∈ O: cannot witness non-locality
     }
-    locally_embeddable_with_stats_governed(sigma, i, n, m, flavor, opts, token)
+    locally_embeddable(sigma, i, n, m, flavor, opts)
 }
 
 /// Samples the Lemma 3.6 direction on given instances: for each `I`, if `O`
@@ -698,13 +657,14 @@ mod tests {
         let mut s = Schema::default();
         let sigma = set(&mut s, "R(x,y) -> exists z : S(x,z).");
         let i = parse_instance(&mut s, "R(a,b), S(a,c)").unwrap();
-        let (verdict, stats) = locally_embeddable_with_stats(
+        let (verdict, stats) = locally_embeddable_with_stats_governed(
             &sigma,
             &i,
             2,
             1,
             LocalityFlavor::FrontierGuarded,
             &Default::default(),
+            &CancelToken::new(),
         );
         assert_eq!(verdict, Verdict::Yes);
         assert!(
@@ -712,16 +672,19 @@ mod tests {
             "repeated fix sets over one K should hit the memo"
         );
         assert!(stats.cache_misses > 0);
-        // Same verdict and same counters surface through the
-        // counterexample entry point on a non-member.
+        // On a non-member the counterexample check is the embeddability
+        // check, so it reaches the same verdict, and the memo counts there
+        // too.
         let bad = parse_instance(&mut s, "R(a,b)").unwrap();
-        let (v2, stats2) = locality_counterexample_with_stats(
+        assert!(!satisfies_tgds(&bad, sigma.tgds()));
+        let (v2, stats2) = locally_embeddable_with_stats_governed(
             &sigma,
             &bad,
             2,
             1,
             LocalityFlavor::FrontierGuarded,
             &Default::default(),
+            &CancelToken::new(),
         );
         assert_eq!(
             v2,

@@ -30,9 +30,8 @@ use crate::enumerate::{
 };
 use std::sync::Arc;
 use tgdkit_chase::{
-    entails_all_cached_governed, entails_auto_cached_governed, group_by_body_keyed, sweep,
-    tgds_fingerprint, CancelToken, ChaseBudget, CheckpointError, EntailBatchStats, EntailCache,
-    Entailment, Schedule,
+    decide, decide_all, group_by_body_keyed, sweep, tgds_fingerprint, CancelToken, ChaseBudget,
+    CheckpointError, EntailBatchStats, EntailCache, Entailment, Schedule,
 };
 use tgdkit_logic::{Schema, Tgd, TgdSet, TgdVariantKey};
 
@@ -458,7 +457,14 @@ fn conclude(
     if sigma_prime.is_empty() {
         return (negative(&stats, enumeration), stats);
     }
-    match entails_all_cached_governed(schema, &sigma_prime, set.tgds(), opts.budget, cache, token) {
+    match decide_all(
+        schema,
+        &sigma_prime,
+        set.tgds(),
+        opts.budget,
+        Some(cache),
+        token,
+    ) {
         Entailment::Proved => {
             // A cancellation inside `minimize` only stops the pruning early:
             // the partially minimized Σ' is still a correct rewriting, so
@@ -515,9 +521,7 @@ fn minimize(
             .filter(|&(j, _)| j != i)
             .map(|(_, t)| t.clone())
             .collect();
-        if entails_auto_cached_governed(schema, &rest, &candidate, budget, cache, token)
-            == Entailment::Proved
-        {
+        if decide(schema, &rest, &candidate, budget, Some(cache), token) == Entailment::Proved {
             tgds.remove(i);
         }
     }

@@ -20,7 +20,10 @@ pub const EXACT_LIMIT: usize = 7;
 
 /// A hashable key identifying a tgd up to variable renaming and atom
 /// reordering (exactly, for conjunctions of at most [`EXACT_LIMIT`] atoms).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The `Default` key is the empty sequence, which encodes no tgd (and has
+/// no body prefix): a placeholder where a key is carried but never read.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TgdVariantKey(Vec<u32>);
 
 const SEP: u32 = u32::MAX;

@@ -37,7 +37,7 @@ struct PredInfo {
 /// assert_eq!(s.arity(r), 2);
 /// assert_eq!(s.max_arity(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Schema {
     preds: Vec<PredInfo>,
     by_name: HashMap<String, PredId>,
@@ -130,6 +130,26 @@ impl Schema {
     }
 }
 
+/// The derived layout, with `by_name` printed in [`PredId`] order: the
+/// map's own iteration order follows its per-process random hash keys, so
+/// it would differ between two runs, or two schemas built apart.
+impl fmt::Debug for Schema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct ByName<'a>(&'a HashMap<String, PredId>);
+        impl fmt::Debug for ByName<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut entries: Vec<_> = self.0.iter().collect();
+                entries.sort_unstable_by_key(|&(_, id)| *id);
+                f.debug_map().entries(entries).finish()
+            }
+        }
+        f.debug_struct("Schema")
+            .field("preds", &self.preds)
+            .field("by_name", &ByName(&self.by_name))
+            .finish()
+    }
+}
+
 impl fmt::Display for Schema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -218,6 +238,22 @@ mod tests {
         let ext = s.extended_with(&[("Aux", 1), ("T", 1)]).unwrap();
         assert_eq!(ext.pred_id("R"), s.pred_id("R"));
         assert_eq!(ext.len(), 3);
+    }
+
+    #[test]
+    fn debug_is_independent_of_hash_order() {
+        // Two schemas built independently hash their name maps with
+        // different random keys; the printed form must not show it.
+        let build = || {
+            let mut s = Schema::default();
+            for i in 0..16 {
+                s.add_pred(&format!("P{i}"), i % 3).unwrap();
+            }
+            s
+        };
+        let (a, b) = (build(), build());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(format!("{a:#?}"), format!("{b:#?}"));
     }
 
     #[test]

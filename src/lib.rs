@@ -52,8 +52,8 @@ pub use tgdkit_store as store;
 pub mod prelude {
     pub use tgdkit_chase::{
         batch_entailment, certain_answers, certainly_holds, chase, chase_checkpointing,
-        chase_governed, chase_resume, entails, entails_all, entails_auto, entails_auto_cached,
-        entails_auto_governed, entails_batch, entails_linear, equivalent, is_weakly_acyclic,
+        chase_governed, chase_resume, decide, decide_all, entails, entails_all, entails_auto,
+        entails_auto_cached, entails_batch, entails_linear, equivalent, is_weakly_acyclic,
         satisfies_tgd, satisfies_tgds, BatchCheckpoint, CancelToken, CertainAnswers, ChaseBudget,
         ChaseCheckpoint, ChaseOutcome, ChaseStats, ChaseVariant, CheckpointError, EntailCache,
         Entailment, MemoryAccountant,

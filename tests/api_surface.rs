@@ -245,3 +245,70 @@ fn schema_display_and_extension_round() {
     assert_eq!(ext.len(), 3);
     assert_eq!(ext.max_arity(), 3);
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The library crates' public surface does not grow back its suffixed
+/// twins: distinct `pub fn` names ending in a variant suffix, and
+/// `too_many_arguments` allows, stay at or below what is left today. Lower
+/// the bounds when a change removes more.
+#[test]
+fn suffixed_entry_points_do_not_grow_back() {
+    const SUFFIXES: [&str; 6] = [
+        "_governed",
+        "_checkpointing",
+        "_resume",
+        "_with_stats",
+        "_cached",
+        "_keyed",
+    ];
+    const MAX_SUFFIXED: usize = 21;
+    const MAX_TOO_MANY_ARGUMENTS: usize = 5;
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(crates).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            rust_sources(&src, &mut files);
+        }
+    }
+    let mut suffixed = std::collections::BTreeSet::new();
+    let mut allows = 0;
+    for file in &files {
+        for line in std::fs::read_to_string(file).unwrap().lines() {
+            let line = line.trim_start();
+            if line.starts_with("#[allow(") && line.contains("clippy::too_many_arguments") {
+                allows += 1;
+            }
+            let Some(rest) = line.strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if SUFFIXES.iter().any(|s| name.ends_with(s)) {
+                suffixed.insert(name);
+            }
+        }
+    }
+    assert!(
+        suffixed.len() <= MAX_SUFFIXED,
+        "{} suffixed pub fn names (at most {MAX_SUFFIXED}): {suffixed:?}",
+        suffixed.len()
+    );
+    assert!(
+        allows <= MAX_TOO_MANY_ARGUMENTS,
+        "{allows} too_many_arguments allows (at most {MAX_TOO_MANY_ARGUMENTS})"
+    );
+}

@@ -1,17 +1,48 @@
-//! Property-based tests for the entailment memoization layer
+//! Property-based tests for the entailment pipeline: the memoization layer
 //! ([`EntailCache`], body-grouped batch evaluation) and the work-stealing
-//! candidate evaluator in the rewriting procedures: cached, shared and
-//! parallel paths must be observationally identical to the plain
-//! per-candidate serial path.
+//! candidate evaluator in the rewriting procedures must be observationally
+//! identical to the plain per-candidate serial path, and every path must
+//! agree with the naive freeze + chase + probe oracle of
+//! `tests/support/entail.rs` wherever that oracle is decisive.
 
+#[path = "support/entail.rs"]
+mod entail_oracle;
+#[path = "support/homs.rs"]
+mod homs;
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use entail_oracle::naive_entails;
 use proptest::prelude::*;
 use tgdkit::chase_crate::{
-    entails_auto, entails_auto_cached, entails_batch, sigma_fingerprint, CancelToken, ChaseBudget,
-    EntailCache, Entailment,
+    decide, entails_auto, entails_auto_cached, entails_batch, sigma_fingerprint, CancelToken,
+    ChaseBudget, EntailCache, Entailment,
 };
+use tgdkit::core::enumerate::{linear_candidates, EnumOptions};
 use tgdkit::core::rewrite::{guarded_to_linear_cached, rewrite, RewriteOptions, RewriteTarget};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
-use tgdkit::logic::{Tgd, TgdSet};
+use tgdkit::logic::{Schema, Tgd, TgdSet};
+
+/// The oracle's budget: small enough for its exhaustive search, and below
+/// [`ChaseBudget::default`] in both limits, so wherever the oracle's chase
+/// settles a question the engine's default-budget chase gets there too.
+const ORACLE_BUDGET: ChaseBudget = ChaseBudget {
+    max_facts: 200,
+    max_rounds: 8,
+    max_bytes: usize::MAX,
+};
+
+/// Checks `verdict` against the oracle: equal wherever the oracle is
+/// decisive (`Proved` or `Disproved`).
+fn agrees_with_oracle(
+    schema: &Schema,
+    sigma: &[Tgd],
+    candidate: &Tgd,
+    verdict: Entailment,
+) -> bool {
+    let oracle = naive_entails(schema, sigma, candidate, ORACLE_BUDGET);
+    oracle == Entailment::Unknown || verdict == oracle
+}
 
 /// A small random guarded tgd set (the input class of Algorithm 1).
 fn random_set(seed: u64, rules: usize, existentials: usize) -> TgdSet {
@@ -44,6 +75,40 @@ fn random_candidates(seed: u64, count: usize) -> Vec<Tgd> {
         .to_vec()
 }
 
+/// A generated guarded or linear set over three predicates of arity ≤ 2.
+fn oracle_set(seed: u64, linear: bool, rules: usize, existentials: usize) -> TgdSet {
+    let params = WorkloadParams {
+        predicates: 3,
+        max_arity: 2,
+        rules,
+        body_atoms: 2,
+        head_atoms: 1,
+        universals: 2,
+        existentials,
+    };
+    let family = if linear {
+        Family::Linear
+    } else {
+        Family::Guarded
+    };
+    generate_set(&params, family, seed)
+}
+
+/// Candidates for the oracle property: random tgds (mostly not entailed),
+/// the set's own members (entailed in one round), and the whole linear
+/// candidate space `C_{2,1}` over the set's schema (75 tgds), which holds
+/// consequences the chase needs several rounds for.
+fn oracle_candidates(set: &TgdSet, seed: u64) -> Vec<Tgd> {
+    let opts = EnumOptions {
+        max_head_atoms: 1,
+        ..Default::default()
+    };
+    let mut out = random_candidates(seed, 4);
+    out.extend(set.tgds().iter().cloned());
+    out.extend(linear_candidates(set.schema(), 2, 1, &opts).tgds);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -64,6 +129,9 @@ proptest! {
             .iter()
             .map(|c| entails_auto(set.schema(), set.tgds(), c, budget))
             .collect();
+        for (c, &v) in candidates.iter().zip(&expected) {
+            prop_assert!(agrees_with_oracle(set.schema(), set.tgds(), c, v), "{:?}", c);
+        }
 
         let (ungrouped, stats) =
             entails_batch(set.schema(), set.tgds(), &candidates, budget, None);
@@ -95,6 +163,7 @@ proptest! {
         let cache = EntailCache::new();
         for c in &candidates {
             let plain = entails_auto(set.schema(), set.tgds(), c, budget);
+            prop_assert!(agrees_with_oracle(set.schema(), set.tgds(), c, plain), "{:?}", c);
             let cached = entails_auto_cached(set.schema(), set.tgds(), c, budget, &cache);
             prop_assert_eq!(cached, plain);
             // Second call must be served from the cache with the same verdict.
@@ -108,6 +177,47 @@ proptest! {
         // Fingerprinting is order-invariant: reversing Σ changes nothing.
         let reversed: Vec<_> = set.tgds().iter().rev().cloned().collect();
         prop_assert_eq!(sigma_fingerprint(set.tgds()), sigma_fingerprint(&reversed));
+    }
+
+    /// The one entailment pipeline against the naive oracle, on generated
+    /// guarded and linear sets with and without existentials. Wherever the
+    /// oracle is decisive, `decide` reaches its verdict with no cache, with
+    /// a cold cache and with a warm one (served from the cache). Under a
+    /// budget far below the oracle's, `decide` may settle less, but never
+    /// contradicts what the oracle settled: a truncated chase that misses
+    /// the head proves nothing either way.
+    #[test]
+    fn decide_agrees_with_the_naive_oracle(
+        sigma_seed in 0u64..300,
+        cand_seed in 300u64..600,
+        linear in 0u8..2,
+        rules in 1usize..7,
+        existentials in 0usize..2,
+        rounds in 1usize..3,
+    ) {
+        let set = oracle_set(sigma_seed, linear == 1, rules, existentials);
+        let (schema, sigma) = (set.schema(), set.tgds());
+        let candidates = oracle_candidates(&set, cand_seed);
+        let (budget, token, cache) = (ChaseBudget::default(), CancelToken::new(), EntailCache::new());
+        let truncated = ChaseBudget { max_facts: 50, max_rounds: rounds, max_bytes: usize::MAX };
+        for c in &candidates {
+            let oracle = naive_entails(schema, sigma, c, ORACLE_BUDGET);
+            let plain = decide(schema, sigma, c, budget, None, &token);
+            let cold = decide(schema, sigma, c, budget, Some(&cache), &token);
+            let hits = cache.hits();
+            let warm = decide(schema, sigma, c, budget, Some(&cache), &token);
+            prop_assert_eq!(cache.hits(), hits + 1);
+            prop_assert_eq!(cold, plain);
+            prop_assert_eq!(warm, plain);
+            if oracle != Entailment::Unknown {
+                prop_assert_eq!(plain, oracle, "{:?}", c);
+            }
+            let cut = decide(schema, sigma, c, truncated, None, &token);
+            prop_assert!(
+                cut == Entailment::Unknown || oracle == Entailment::Unknown || cut == oracle,
+                "truncated decide {:?} contradicts oracle {:?} on {:?}", cut, oracle, c
+            );
+        }
     }
 
     /// Serial and work-stealing rewriting produce byte-identical outcomes

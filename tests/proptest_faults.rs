@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use tgdkit::chase_crate::faults::{env_seed, silence_injected_panics, FaultPlan, FaultSite};
 use tgdkit::chase_crate::EntailCache;
 use tgdkit::chase_crate::{
-    chase, chase_governed, entails_auto, entails_auto_governed, CancelToken, ChaseBudget,
+    chase, chase_governed, decide, decide_all, entails_all, entails_auto, CancelToken, ChaseBudget,
     ChaseOutcome, ChaseVariant, Entailment,
 };
 use tgdkit::core::rewrite::{rewrite, RewriteOptions, RewriteStats, RewriteTarget};
@@ -145,7 +145,12 @@ proptest! {
     }
 
     /// Entailment under a mixed fault schedule (panics + budget trips +
-    /// expiries) never inverts the fault-free verdict.
+    /// expiries) never inverts the fault-free verdict: not for one
+    /// candidate without a cache or through a cache shared across the
+    /// faulted calls, and not for the conjunctions `Σ ⊨ candidates` and
+    /// `Σ ⊨ Σ` (the shape of the rewriting's `Σ′ ⊨ Σ` check). A faulted
+    /// run never leaves a wrong verdict in the cache: clean calls through
+    /// it afterwards still reach the fault-free verdicts.
     #[test]
     fn entailment_verdicts_survive_mixed_faults(
         sigma_seed in 0u64..200,
@@ -159,12 +164,28 @@ proptest! {
         let candidates = random_candidates(cand_seed, 4);
         let budget = ChaseBudget::default();
         let seed = env_seed().wrapping_mul(1000) + schedule;
+        let (schema, sigma) = (set.schema(), set.tgds());
+        let cache = EntailCache::new();
+        let mut clean = Vec::new();
         for candidate in &candidates {
-            let clean = entails_auto(set.schema(), set.tgds(), candidate, budget);
+            let expected = entails_auto(schema, sigma, candidate, budget);
             let token = CancelToken::with_faults(FaultPlan::seeded(seed));
-            let faulted =
-                entails_auto_governed(set.schema(), set.tgds(), candidate, budget, &token);
-            assert_not_inverted(clean, faulted);
+            let faulted = decide(schema, sigma, candidate, budget, None, &token);
+            assert_not_inverted(expected, faulted);
+            let cached = decide(schema, sigma, candidate, budget, Some(&cache), &token);
+            assert_not_inverted(expected, cached);
+            clean.push(expected);
+        }
+        for (candidate, &expected) in candidates.iter().zip(&clean) {
+            let after = decide(schema, sigma, candidate, budget, Some(&cache), &CancelToken::new());
+            prop_assert_eq!(after, expected);
+        }
+        for pool in [&candidates[..], sigma] {
+            let expected = entails_all(schema, sigma, pool, budget);
+            let token = CancelToken::with_faults(FaultPlan::seeded(seed));
+            assert_not_inverted(expected, decide_all(schema, sigma, pool, budget, None, &token));
+            let cached = decide_all(schema, sigma, pool, budget, Some(&cache), &token);
+            assert_not_inverted(expected, cached);
         }
     }
 

@@ -1,7 +1,8 @@
 //! Shared helpers for the integration tests.
 //!
-//! `homs.rs` (an exhaustive hom enumerator) is not declared here: the test
-//! that uses it includes it by path, so no other test binary compiles it
-//! unused.
+//! `homs.rs` (an exhaustive hom enumerator) and `entail.rs` (the naive
+//! entailment oracle, built on `homs.rs` and `oracle.rs`) are not declared
+//! here: the tests that use them include them by path, so no other test
+//! binary compiles them unused.
 
 pub mod oracle;
