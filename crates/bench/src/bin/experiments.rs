@@ -8,12 +8,14 @@
 //! 9.1/9.2 candidate bounds, the Appendix F reductions, and the Theorem 4.1
 //! synthesis pipeline.
 //!
-//! Run with: `cargo run -p tgdkit-bench --bin experiments --release`
+//! Run with: `cargo run -p tgdkit-bench --bin experiments --release`. It
+//! takes no arguments. The repository's benchmark is `perfbench/`, not
+//! these tables.
 
 use tgdkit_bench::{fmt_count, fmt_duration, timed, Table};
 use tgdkit_chase::{
-    chase, entails, entails_auto, is_weakly_acyclic, satisfies_tgds, CancelToken, ChaseBudget,
-    ChaseVariant, EntailCache, Entailment,
+    chase, entails, is_weakly_acyclic, satisfies_tgds, ChaseBudget, ChaseVariant, EntailCache,
+    Entailment,
 };
 use tgdkit_core::characterize::recover_tgds;
 use tgdkit_core::enumerate::{
@@ -30,18 +32,15 @@ use tgdkit_core::reductions::{
     fg_entailment_to_guarded_rewritability, guarded_entailment_to_linear_rewritability,
 };
 use tgdkit_core::rewrite::{
-    evaluate_pool_keyed, frontier_guarded_to_guarded_cached, guarded_to_linear_cached, rewrite,
-    RewriteOptions, RewriteOutcome, RewriteTarget,
+    frontier_guarded_to_guarded_cached, guarded_to_linear_cached, RewriteOptions, RewriteOutcome,
 };
 use tgdkit_core::separations::{
     cross_check_with_rewriting, guarded_vs_frontier_guarded, linear_vs_guarded, verify,
 };
 use tgdkit_core::workload::{generate_set, Family, WorkloadParams};
-use tgdkit_core::RewriteCheckpoint;
 use tgdkit_core::{TgdOntology, Verdict};
 use tgdkit_instance::InstanceGen;
 use tgdkit_logic::{parse_tgds, Schema, Tgd, TgdSet};
-use tgdkit_store::{DurableKb, KbConfig, ReplicatedKb};
 
 fn section(id: &str, title: &str, claim: &str) {
     println!("\n## {id}: {title}");
@@ -849,612 +848,10 @@ fn e14_exhaustive_bounded() {
     print!("{}", table.render());
 }
 
-/// The candidate evaluator the cache/grouping work replaced, reconstructed
-/// as the benchmark baseline: fixed contiguous chunks of the candidate
-/// list, one scoped thread per chunk, and a full `entails_auto`
-/// (freeze + chase + CQ probe) paid by every candidate individually.
-fn baseline_evaluate(
-    schema: &Schema,
-    sigma: &[Tgd],
-    candidates: &[Tgd],
-    budget: ChaseBudget,
-) -> Vec<Entailment> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(candidates.len().max(1));
-    if workers <= 1 {
-        return candidates
-            .iter()
-            .map(|c| entails_auto(schema, sigma, c, budget))
-            .collect();
-    }
-    let chunk = candidates.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(candidates.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|c| entails_auto(schema, sigma, c, budget))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("baseline worker panicked"));
-        }
-    });
-    out
-}
-
-/// A guarded, weakly-acyclic "branching chain" set: every level-`i` fact
-/// spawns two existential children at level `i+1`, so the chase of any
-/// frozen candidate body does `levels` rounds of real work — the regime
-/// the body-grouped evaluator shares. The two-atom guarded rule keeps the
-/// set off the all-linear saturation fast path.
-fn branching_chain_set(levels: usize) -> TgdSet {
-    let mut text = String::new();
-    for i in 1..=levels {
-        let p = i - 1;
-        text.push_str(&format!("L{p}(x) -> exists y : E{i}(x,y). "));
-        text.push_str(&format!("E{i}(x,y) -> L{i}(y). "));
-        text.push_str(&format!("L{p}(x) -> exists y : F{i}(x,y). "));
-        text.push_str(&format!("F{i}(x,y) -> L{i}(y). "));
-    }
-    text.push_str("E1(x,y), L1(y) -> D(x).");
-    named_set(&text).1
-}
-
-/// The guarded→linear rewriting benchmark, written to `BENCH_rewrite.json`
-/// so the trajectory is machine-trackable across PRs.
-///
-/// Headline comparison: the per-candidate fixed-chunk evaluator
-/// ([`baseline_evaluate`]) vs the body-grouped, cached, work-stealing
-/// evaluator ([`evaluate_pool_keyed`]) over the same Algorithm 1 candidate pool
-/// for a branching-chain set. Full `guarded_to_linear_cached` wall times
-/// (cold and warm) are recorded on the §9.1 gadget, whose Σ' stays small
-/// enough for minimization not to drown the evaluator signal. `smoke`
-/// shrinks the chain and the pool cap for CI.
-fn bench_rewrite_json(smoke: bool) {
-    section(
-        "BENCH",
-        "guarded-to-linear candidate evaluation (emits BENCH_rewrite.json)",
-        "body-grouped chase sharing + entailment caching beat per-candidate evaluation",
-    );
-    let (levels, cap) = if smoke { (3, 1_200) } else { (5, 6_000) };
-    let scenario = format!("branching chain, {levels} levels, pool cap {cap}");
-    tgdkit_hom::reset_plan_stats();
-    tgdkit_hom::reset_join_stats();
-    let set = branching_chain_set(levels);
-    let schema = set.schema();
-    let sigma = set.tgds();
-    let (n, m) = set.profile();
-    let pool = linear_candidates(
-        schema,
-        n,
-        m,
-        &EnumOptions {
-            max_candidates: cap,
-            ..Default::default()
-        },
-    );
-    let budget = ChaseBudget::default();
-
-    let (baseline, baseline_time) = timed(|| baseline_evaluate(schema, sigma, &pool.tgds, budget));
-    let cache = EntailCache::new();
-    let ((grouped, batch, steals), mut grouped_time) =
-        timed(|| evaluate_pool_keyed(schema, sigma, &pool.tgds, &pool.keys, budget, true, &cache));
-    // The cold figure gates a throughput floor in CI: repeat the cold run
-    // (fresh cache each time, so no verdict reuse) and keep the fastest.
-    // The evaluation is deterministic — only scheduler noise varies.
-    for _ in 0..2 {
-        let fresh = EntailCache::new();
-        let (_, t) = timed(|| {
-            evaluate_pool_keyed(schema, sigma, &pool.tgds, &pool.keys, budget, true, &fresh)
-        });
-        grouped_time = grouped_time.min(t);
-    }
-    assert_eq!(
-        baseline, grouped,
-        "grouped evaluator diverged from baseline"
-    );
-    let ((_, warm_batch, _), warm_time) =
-        timed(|| evaluate_pool_keyed(schema, sigma, &pool.tgds, &pool.keys, budget, true, &cache));
-
-    let (_, gadget) = named_set("R(x,y), R(x,x) -> T(x). R(x,y) -> T(x).");
-    let opts = RewriteOptions {
-        parallel: true,
-        ..Default::default()
-    };
-    let rewrite_cache = EntailCache::new();
-    let ((outcome, _), rewrite_cold) =
-        timed(|| guarded_to_linear_cached(&gadget, &opts, &rewrite_cache));
-    let (_, rewrite_warm) = timed(|| guarded_to_linear_cached(&gadget, &opts, &rewrite_cache));
-
-    // Robustness probe: the same Algorithm-1 run over the branching-chain
-    // workload under a deliberately tight wall-clock deadline. It must come
-    // back (no hang, no panic) as `Cancelled` with coherent partial stats —
-    // the evaluation above takes far longer than the deadline.
-    let deadline_ms = 50u64;
-    // The probe set is deliberately oversized (an ungoverned run takes
-    // hundreds of ms to minutes): the point is that the deadline fires
-    // mid-evaluation and the pipeline returns `Cancelled` with coherent
-    // partial stats instead of hanging or panicking.
-    let probe_set = branching_chain_set(13);
-    let deadline_opts = RewriteOptions {
-        parallel: true,
-        enumeration: EnumOptions {
-            max_candidates: 20_000,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let token = CancelToken::with_deadline(std::time::Duration::from_millis(deadline_ms));
-    let ((deadline_outcome, deadline_stats, _), deadline_time) = timed(|| {
-        let cache = EntailCache::new();
-        rewrite(
-            &probe_set,
-            RewriteTarget::Linear,
-            &deadline_opts,
-            &cache,
-            &token,
-            None,
-        )
-        .expect("a fresh run has no checkpoint to mismatch")
-    });
-    // Cooperative cancellation is checked inside trigger enumeration and the
-    // trigger-apply loop (with mid-round rollback to the last complete
-    // round), a cancelled sweep claims no further groups and skips result
-    // indexing, so
-    // a 50 ms deadline must not overshoot past 1.5x. The residual overshoot
-    // is round-rollback latency plus pool teardown, both bounded.
-    assert!(
-        deadline_time.as_secs_f64() * 1e3 < 1.5 * deadline_ms as f64,
-        "deadline overshoot: {deadline_ms} ms deadline took {:.3} ms (>= 1.5x)",
-        deadline_time.as_secs_f64() * 1e3
-    );
-
-    // Storage telemetry for the flat tuple store: chase the branching chain
-    // from a single seed fact and measure the arena the result occupies.
-    let (store_instance, _) = {
-        let mut store_schema = set.schema().clone();
-        let seed = tgdkit_instance::parse_instance(&mut store_schema, "L0(a)")
-            .expect("seed instance parses");
-        let result = chase(
-            &seed,
-            set.tgds(),
-            ChaseVariant::Restricted,
-            ChaseBudget::default(),
-        );
-        (result.instance, result.rounds)
-    };
-    let tuples_stored = store_instance.fact_count();
-    let bytes_per_tuple = store_instance.payload_bytes() as f64 / tuples_stored.max(1) as f64;
-    let plan = tgdkit_hom::plan_stats();
-    let joins = tgdkit_hom::join_stats();
-
-    // Memory probe: the same Algorithm-1 run over a branching chain, under
-    // a deliberately tight byte budget and a byte-capped entailment cache,
-    // on the serial (resumable) schedule. The run must *suspend* (not
-    // fail), the checkpoint must survive its binary encode/decode round
-    // trip, and resuming under the wide budget must land on exactly the
-    // untripped outcome.
-    let mem_set = branching_chain_set(3);
-    let mem_opts = RewriteOptions {
-        enumeration: EnumOptions {
-            max_candidates: 1_500,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let clean_token = CancelToken::new();
-    let probe_cache_bytes = 12 * 1024;
-    // Untripped reference run; its observed resident peak (chase arena +
-    // plateaued cache) calibrates the tight budget so the trip lands at a
-    // group boundary, never inside a member chase.
-    let mem_cache = EntailCache::with_capacity(1 << 20, probe_cache_bytes);
-    let linear = RewriteTarget::Linear;
-    let (mem_clean, mem_clean_stats, no_cp) =
-        rewrite(&mem_set, linear, &mem_opts, &mem_cache, &clean_token, None)
-            .expect("a fresh run has no checkpoint to mismatch");
-    assert!(no_cp.is_none(), "unlimited byte budget must not suspend");
-    let tight_bytes = mem_clean_stats
-        .mem_peak_bytes
-        .saturating_sub(probe_cache_bytes / 3)
-        .max(1);
-    let tight_opts = RewriteOptions {
-        budget: ChaseBudget {
-            max_bytes: tight_bytes,
-            ..ChaseBudget::default()
-        },
-        ..mem_opts
-    };
-    let tight_cache = EntailCache::with_capacity(1 << 20, probe_cache_bytes);
-    let (mut mem_outcome, mut mem_stats, mut mem_cp) = rewrite(
-        &mem_set,
-        linear,
-        &tight_opts,
-        &tight_cache,
-        &clean_token,
-        None,
-    )
-    .expect("a fresh run has no checkpoint to mismatch");
-    assert_eq!(
-        mem_outcome,
-        RewriteOutcome::Suspended,
-        "tight byte budget ({tight_bytes} B) did not trip"
-    );
-    let mut mem_resumes = 0usize;
-    while let Some(cp) = mem_cp {
-        let decoded = RewriteCheckpoint::decode(&cp.encode()).expect("checkpoint round-trips");
-        assert_eq!(&decoded, cp.as_ref());
-        // Resume under the wide budget: a real trip's residency is still
-        // resident, so resuming with the tight budget would re-trip.
-        let (o, s, c) = rewrite(
-            &mem_set,
-            linear,
-            &mem_opts,
-            &tight_cache,
-            &clean_token,
-            Some(&decoded),
-        )
-        .expect("resume context matches");
-        mem_outcome = o;
-        mem_stats = s;
-        mem_cp = c;
-        mem_resumes += 1;
-        assert!(mem_resumes <= 4, "resume chain did not converge");
-    }
-    assert_eq!(
-        mem_outcome, mem_clean,
-        "trip + resume changed the rewriting verdict"
-    );
-
-    // Service probe: the mixed scheduler workload — one pathological
-    // rewrite time-sliced by the quantum scheduler while small entailments
-    // from other tenants keep completing. `tgdkit-serve --self-test` gates
-    // the structural properties in CI; the JSON records the request count,
-    // how often the big request was preempted, and the small-request
-    // latency shape so the trajectory is trackable across PRs.
-    let serve_report = tgdkit_serve::run_smoke(&tgdkit_serve::SmokeConfig::default())
-        .expect("serve smoke workload");
-    assert!(
-        serve_report.rewrite_matches_dedicated,
-        "time-sliced rewrite diverged from the dedicated run"
-    );
-
-    // Durability probe: a transitive-closure KB absorbs a chain of edge
-    // batches through the WAL (with a threshold low enough to force
-    // compactions), the process "crashes" leaving a torn frame at the log
-    // tail, and recovery must come back with every acknowledged batch and
-    // the damage truncated away. The JSON records the append/compaction/
-    // recovery counts so the durable path's shape is trackable across PRs.
-    let durable_batches = if smoke { 24u32 } else { 96u32 };
-    let durable_dir =
-        std::env::temp_dir().join(format!("tgdkit-bench-durable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&durable_dir);
-    let (_, kb_set) = named_set("E(x,y), E(y,z) -> E(x,z).");
-    let edge = kb_set.schema().pred_id("E").expect("E exists");
-    let kb_config = KbConfig {
-        compact_wal_bytes: 512,
-        ..KbConfig::default()
-    };
-    let (durable_stats, durable_gen, append_time) = {
-        let (mut kb, _) =
-            DurableKb::open(&durable_dir, &kb_set, kb_config).expect("fresh durable store opens");
-        let (_, t) = timed(|| {
-            for i in 0..durable_batches {
-                let fact = tgdkit_instance::Fact::new(
-                    edge,
-                    vec![tgdkit_instance::Elem(i), tgdkit_instance::Elem(i + 1)],
-                );
-                kb.apply(&[fact], &[]).expect("batch acknowledged");
-            }
-        });
-        (kb.stats(), kb.generation(), t)
-    };
-    // Tear the log tail: a crash mid-append leaves a partial frame.
-    let torn_wal = durable_dir.join(format!("wal-{durable_gen:06}.tgkw"));
-    {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&torn_wal)
-            .expect("open wal for tearing");
-        f.write_all(b"TGCK\x01\x31partial").expect("torn tail");
-    }
-    let ((kb_recovered, durable_recovery), recover_time) = timed(|| {
-        DurableKb::open(&durable_dir, &kb_set, kb_config).expect("recovery after a torn tail")
-    });
-    assert_eq!(
-        kb_recovered.seq(),
-        durable_batches as u64,
-        "recovery lost acknowledged batches"
-    );
-    assert!(
-        kb_recovered.holds(
-            edge,
-            &[
-                tgdkit_instance::Elem(0),
-                tgdkit_instance::Elem(durable_batches)
-            ]
-        ),
-        "recovered closure lost E(0, {durable_batches})"
-    );
-    assert!(
-        durable_recovery.truncated_frames >= 1,
-        "the torn tail went undetected"
-    );
-    let durable_recoveries = kb_recovered.stats().recoveries;
-    drop(kb_recovered);
-    let _ = std::fs::remove_dir_all(&durable_dir);
-    println!(
-        "durable probe: {} appends ({} compactions) in {}; torn-tail recovery replayed {} batches in {}",
-        durable_stats.wal_appends,
-        durable_stats.compactions,
-        fmt_duration(append_time),
-        durable_recovery.replayed_batches,
-        fmt_duration(recover_time),
-    );
-
-    // Replication probe: the same chain workload behind a 3-replica /
-    // quorum-2 ReplicatedKb. One replica is killed mid-drive — quorum
-    // writes must keep flowing — then repaired back to byte-identity;
-    // finally the primary's directory is deleted outright and a reopen
-    // must fail over to a surviving replica and serve the same closure.
-    // The JSON records the quorum counters so the replicated path's shape
-    // is trackable across PRs (and CI grep-gates them).
-    let repl_batches = if smoke { 12u32 } else { 48u32 };
-    let repl_root = std::env::temp_dir().join(format!("tgdkit-bench-repl-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&repl_root);
-    let repl_config = KbConfig {
-        replicas: 3,
-        quorum: 2,
-        ..KbConfig::default()
-    };
-    let (repl_stats, repl_drive_time) = {
-        let (mut kb, _) =
-            ReplicatedKb::open(&repl_root, &kb_set, repl_config).expect("fresh replicated store");
-        let (_, t) = timed(|| {
-            for i in 0..repl_batches {
-                if i == repl_batches / 2 {
-                    kb.kill_replica(2);
-                }
-                let fact = tgdkit_instance::Fact::new(
-                    edge,
-                    vec![tgdkit_instance::Elem(i), tgdkit_instance::Elem(i + 1)],
-                );
-                kb.apply(&[fact], &[])
-                    .expect("quorum writes continue with a replica down");
-            }
-        });
-        assert_eq!(
-            kb.seq(),
-            repl_batches as u64,
-            "an acknowledged batch was lost"
-        );
-        assert!(
-            kb.repair() >= 1 || kb.healthy_count() == 3,
-            "repair re-admits"
-        );
-        assert_eq!(kb.healthy_count(), 3, "killed replica rejoined");
-        let stats = kb.stats();
-        assert!(
-            stats.acks >= repl_batches as u64,
-            "every batch acknowledged"
-        );
-        assert!(
-            stats.quorum_waits >= 1,
-            "the kill degraded at least one ack"
-        );
-        assert!(stats.repairs >= 1, "repair never ran");
-        assert_eq!(stats.lag_bytes, 0, "repair left a backlog");
-        (stats, t)
-    };
-    // The primary's disk dies; reopening must elect a surviving replica.
-    std::fs::remove_dir_all(repl_root.join("replica-00")).expect("kill the primary dir");
-    let ((repl_kb, repl_report), repl_failover_time) = timed(|| {
-        ReplicatedKb::open(&repl_root, &kb_set, repl_config).expect("failover after primary loss")
-    });
-    assert!(
-        repl_report.failover,
-        "primary loss must count as a failover"
-    );
-    assert_eq!(repl_kb.seq(), repl_batches as u64, "failover lost batches");
-    assert!(
-        repl_kb.holds(
-            edge,
-            &[
-                tgdkit_instance::Elem(0),
-                tgdkit_instance::Elem(repl_batches)
-            ]
-        ),
-        "failover closure lost E(0, {repl_batches})"
-    );
-    let repl_failovers = repl_kb.stats().failovers;
-    drop(repl_kb);
-    let _ = std::fs::remove_dir_all(&repl_root);
-    println!(
-        "repl probe: {} acks at quorum 2/3 in {} ({} quorum waits, {} repairs); failover reopen in {}",
-        repl_stats.acks,
-        fmt_duration(repl_drive_time),
-        repl_stats.quorum_waits,
-        repl_stats.repairs,
-        fmt_duration(repl_failover_time),
-    );
-
-    let rate = |n: usize, t: std::time::Duration| n as f64 / t.as_secs_f64().max(1e-9);
-    let hit_rate = |hits: usize, misses: usize| {
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    };
-    let ms = |t: std::time::Duration| t.as_secs_f64() * 1e3;
-    let speedup = baseline_time.as_secs_f64() / grouped_time.as_secs_f64().max(1e-9);
-    let json = format!(
-        "{{\n  \"scenario\": \"{}\",\n  \"smoke\": {},\n  \"candidates\": {},\n  \
-         \"body_groups\": {},\n  \"bodies_chased\": {},\n  \"heads_probed\": {},\n  \
-         \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_hit_rate\": {:.4},\n  \
-         \"warm_cache_hit_rate\": {:.4},\n  \"steals\": {},\n  \
-         \"baseline_wall_time_ms\": {:.3},\n  \"wall_time_ms\": {:.3},\n  \
-         \"warm_wall_time_ms\": {:.3},\n  \"speedup\": {:.2},\n  \
-         \"baseline_candidates_per_sec\": {:.0},\n  \"candidates_per_sec\": {:.0},\n  \
-         \"rewrite_cold_ms\": {:.3},\n  \"rewrite_warm_ms\": {:.3},\n  \
-         \"rewrite_outcome\": \"{}\",\n  \"planner\": {{\n    \
-         \"plans_built\": {},\n    \"plans_reordered\": {},\n    \
-         \"atoms_planned\": {},\n    \"tuples_stored\": {},\n    \
-         \"bytes_per_tuple\": {:.2}\n  }},\n  \"joins\": {{\n    \
-         \"hash_joins\": {},\n    \"nested_loop_joins\": {},\n    \
-         \"build_rows\": {},\n    \"probe_rows\": {},\n    \
-         \"plan_cache_hits\": {}\n  }},\n  \
-         \"memory\": {{\n    \
-         \"peak_bytes\": {},\n    \"trips\": {},\n    \"resumes\": {},\n    \
-         \"evictions\": {}\n  }},\n  \"serve\": {{\n    \
-         \"requests\": {},\n    \"suspensions\": {},\n    \
-         \"p50_us\": {},\n    \"p99_us\": {}\n  }},\n  \"durable\": {{\n    \
-         \"wal_appends\": {},\n    \"compactions\": {},\n    \
-         \"recoveries\": {},\n    \"replayed_batches\": {},\n    \
-         \"truncated_frames\": {},\n    \"append_ms\": {:.3},\n    \
-         \"recover_ms\": {:.3}\n  }},\n  \"repl\": {{\n    \
-         \"replicas\": 3,\n    \"quorum\": 2,\n    \
-         \"acks\": {},\n    \"quorum_waits\": {},\n    \
-         \"retries\": {},\n    \"repairs\": {},\n    \
-         \"failovers\": {},\n    \"lag_bytes\": {},\n    \
-         \"drive_ms\": {:.3},\n    \"failover_ms\": {:.3}\n  }},\n  \"deadline_ms\": {},\n  \
-         \"deadline_outcome\": \"{}\",\n  \"deadline_wall_time_ms\": {:.3},\n  \
-         \"cancelled\": {},\n  \"panics_contained\": {}\n}}\n",
-        scenario,
-        smoke,
-        pool.tgds.len(),
-        batch.body_groups,
-        batch.bodies_chased,
-        batch.heads_probed,
-        batch.cache_hits,
-        batch.cache_misses,
-        hit_rate(batch.cache_hits, batch.cache_misses),
-        hit_rate(warm_batch.cache_hits, warm_batch.cache_misses),
-        steals,
-        ms(baseline_time),
-        ms(grouped_time),
-        ms(warm_time),
-        speedup,
-        rate(pool.tgds.len(), baseline_time),
-        rate(pool.tgds.len(), grouped_time),
-        ms(rewrite_cold),
-        ms(rewrite_warm),
-        outcome_str(&outcome),
-        plan.plans_built,
-        plan.plans_reordered,
-        plan.atoms_planned,
-        tuples_stored,
-        bytes_per_tuple,
-        joins.hash_joins,
-        joins.nested_loop_joins,
-        joins.build_rows,
-        joins.probe_rows,
-        joins.plan_cache_hits,
-        mem_stats.mem_peak_bytes.max(mem_clean_stats.mem_peak_bytes),
-        mem_stats.mem_trips,
-        mem_resumes,
-        mem_stats.evictions.max(tight_cache.evictions()),
-        serve_report.requests,
-        serve_report.rewrite_suspensions,
-        serve_report.small_p50_us(),
-        serve_report.small_p99_us(),
-        durable_stats.wal_appends,
-        durable_stats.compactions,
-        durable_recoveries,
-        durable_recovery.replayed_batches,
-        durable_recovery.truncated_frames,
-        ms(append_time),
-        ms(recover_time),
-        repl_stats.acks,
-        repl_stats.quorum_waits,
-        repl_stats.retries,
-        repl_stats.repairs,
-        repl_failovers,
-        repl_stats.lag_bytes,
-        ms(repl_drive_time),
-        ms(repl_failover_time),
-        deadline_ms,
-        outcome_str(&deadline_outcome),
-        ms(deadline_time),
-        deadline_stats.cancelled,
-        deadline_stats.panics_contained,
-    );
-    // Only the smoke run owns the committed snapshot; a full run prints
-    // the same probes without touching it.
-    if smoke {
-        std::fs::write("BENCH_rewrite.json", &json).expect("write BENCH_rewrite.json");
-    }
-    println!(
-        "{} candidates in {} body groups; baseline {} vs grouped {} ({:.2}x), warm {}",
-        pool.tgds.len(),
-        batch.body_groups,
-        fmt_duration(baseline_time),
-        fmt_duration(grouped_time),
-        speedup,
-        fmt_duration(warm_time),
-    );
-    println!(
-        "full rewrite: cold {} / warm {}{}",
-        fmt_duration(rewrite_cold),
-        fmt_duration(rewrite_warm),
-        if smoke {
-            "; wrote BENCH_rewrite.json"
-        } else {
-            ""
-        },
-    );
-    println!(
-        "deadline probe ({deadline_ms} ms): {} after {} ({} groups evaluated, {} unknown)",
-        outcome_str(&deadline_outcome),
-        fmt_duration(deadline_time),
-        deadline_stats.body_groups,
-        deadline_stats.unknown_checks,
-    );
-    println!(
-        "memory probe ({tight_bytes} B budget): {} trip(s), {} resume(s), {} eviction(s), peak {} B; verdict preserved",
-        mem_stats.mem_trips,
-        mem_resumes,
-        mem_stats.evictions.max(tight_cache.evictions()),
-        mem_stats.mem_peak_bytes.max(mem_clean_stats.mem_peak_bytes),
-    );
-    println!(
-        "planner: {} plans built ({} reordered) over {} atoms ({} cache hits); store: {} tuples at {:.2} bytes/tuple",
-        plan.plans_built,
-        plan.plans_reordered,
-        plan.atoms_planned,
-        joins.plan_cache_hits,
-        tuples_stored,
-        bytes_per_tuple,
-    );
-    println!(
-        "joins: {} hash probes ({} build rows, {} probe rows) vs {} nested-loop steps",
-        joins.hash_joins, joins.build_rows, joins.probe_rows, joins.nested_loop_joins,
-    );
-    println!(
-        "serve probe: {} requests, rewrite preempted {} times over {} quanta; small p50 {} us / p99 {} us",
-        serve_report.requests,
-        serve_report.rewrite_suspensions,
-        serve_report.rewrite_quanta,
-        serve_report.small_p50_us(),
-        serve_report.small_p99_us(),
-    );
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        // CI smoke: only the JSON benchmark, on the tiny §9.1 gadget.
-        println!("# tgdkit bench smoke (--smoke)");
-        bench_rewrite_json(true);
-        return;
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("experiments takes no arguments, got {arg:?}");
+        std::process::exit(2);
     }
     println!("# tgdkit experiment tables");
     println!("(reproduces the constructive artifacts of PODS 2021 \"Model-theoretic");
@@ -1474,7 +871,6 @@ fn main() {
         e12_rewriting_at_scale();
         e13_separating_edds();
         e14_exhaustive_bounded();
-        bench_rewrite_json(false);
     });
     println!("\ntotal: {}", fmt_duration(total));
 }

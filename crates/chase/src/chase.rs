@@ -799,28 +799,6 @@ pub fn chase_extend_governed(
     (result, next)
 }
 
-/// [`chase_extend_governed`] with a fresh token — the plain entry point
-/// for callers without cancellation or fault plumbing.
-pub fn chase_extend(
-    base: &Instance,
-    base_nulls: &BTreeSet<Elem>,
-    batch: &[Fact],
-    tgds: &[Tgd],
-    variant: ChaseVariant,
-    budget: ChaseBudget,
-) -> ChaseResult {
-    chase_extend_governed(
-        base,
-        base_nulls,
-        batch,
-        tgds,
-        variant,
-        budget,
-        &CancelToken::new(),
-    )
-    .0
-}
-
 /// The **core chase**: a restricted chase followed by core minimization
 /// relative to the input's elements, yielding the *minimal* universal model
 /// containing `start` (when the chase terminates).
@@ -1090,14 +1068,16 @@ mod tests {
         let a = base_start.elem_by_name("a").unwrap();
         let fresh = base.instance.fresh_elem();
         let batch = vec![Fact::new(e, vec![c, fresh]), Fact::new(p, vec![a])];
-        let folded = chase_extend(
+        let folded = chase_extend_governed(
             &base.instance,
             &base.nulls,
             &batch,
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-        );
+            &CancelToken::new(),
+        )
+        .0;
         assert!(folded.terminated());
         // Reference: chase base ∪ batch from scratch. Nulls there are
         // allocated from the *start* instance's fresh_elem, so compare by
@@ -1141,14 +1121,16 @@ mod tests {
         // Both batch facts are already in the fixpoint: zero rounds, zero
         // trigger searches, unchanged instance.
         let batch = vec![Fact::new(e, vec![a, b]), Fact::new(e, vec![b, a])];
-        let folded = chase_extend(
+        let folded = chase_extend_governed(
             &base.instance,
             &base.nulls,
             &batch,
             &tgds,
             ChaseVariant::Restricted,
             ChaseBudget::default(),
-        );
+            &CancelToken::new(),
+        )
+        .0;
         assert!(folded.terminated());
         assert_eq!(folded.rounds, 0);
         assert_eq!(folded.stats.triggers_found, 0);

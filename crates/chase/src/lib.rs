@@ -47,7 +47,7 @@ pub use cache::{
 };
 pub use certain::{certain_answers, certainly_holds, CertainAnswers};
 pub use chase::{
-    chase, chase_checkpointing, chase_extend, chase_extend_governed, chase_governed, chase_resume,
+    chase, chase_checkpointing, chase_extend_governed, chase_governed, chase_resume,
     chase_with_provenance, core_chase, ChaseBudget, ChaseOutcome, ChaseResult, ChaseVariant,
     DerivationStep, Provenance,
 };

@@ -73,7 +73,7 @@ static BUILD_ROWS: PaddedCounter = PaddedCounter::new();
 static PROBE_ROWS: PaddedCounter = PaddedCounter::new();
 
 /// Aggregate planner counters since process start (or the last
-/// [`reset_plan_stats`]); reported by the benchmark harness.
+/// [`reset_plan_stats`]); perfbench reports them as `hom.*`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanStats {
     /// Join plans actually constructed (plan-cache misses; cache hits and
@@ -104,8 +104,7 @@ pub fn reset_plan_stats() {
 }
 
 /// Aggregate join-execution counters since process start (or the last
-/// [`reset_join_stats`]); reported by the benchmark harness as the `joins`
-/// telemetry block.
+/// [`reset_join_stats`]); perfbench reports them as `hom.*`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinStats {
     /// Plan steps executed as hash joins (multi-position join-table probes

@@ -1,11 +1,11 @@
 //! Mixed-workload smoke test: one pathological rewrite + small entailments.
 //!
 //! This is the CI gate for the scheduler's reason to exist: while a
-//! branching-chain rewrite (the worst-case-regime workload from the bench
-//! suite) is repeatedly suspended and resumed, small entailment requests
-//! from other tenants must keep completing with low latency. The same
-//! routine backs `tgdkit-serve --self-test` (process exit code) and the
-//! bench probe that emits `serve/*` fields into `BENCH_rewrite.json`.
+//! branching-chain rewrite (a worst-case-regime workload) is repeatedly
+//! suspended and resumed, small entailment requests from other tenants
+//! must keep completing with low latency. The routine backs
+//! `tgdkit-serve --self-test`, which turns its report into a process exit
+//! code.
 
 use std::time::{Duration, Instant};
 
@@ -22,7 +22,9 @@ use tgdkit_core::RewriteTarget;
 /// The pathological ontology: a guarded branching chain whose candidate
 /// filtering does levels-deep chase work per body group — long enough to
 /// be time-sliced many times at a small quantum, structured enough that
-/// suspension boundaries (body groups) come frequently.
+/// suspension boundaries (body groups) come frequently. Every level-`i`
+/// fact spawns two existential children at level `i+1`; the closing
+/// two-atom guarded rule keeps the set off the all-linear fast path.
 pub fn pathological_program(levels: usize) -> String {
     let mut text = String::new();
     for i in 1..=levels {

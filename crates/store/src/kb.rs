@@ -846,10 +846,18 @@ mod tests {
         assert!(matches!(err, StoreError::TornWrite { .. }));
         assert!(kb.is_wedged());
         assert_eq!(kb.chased(), &acked, "unacknowledged batch not committed");
+        assert_eq!(
+            kb.stats().wal_appends,
+            1,
+            "the torn batch was not acknowledged"
+        );
+        assert_eq!(kb.stats().recoveries, 0, "a fresh open recovers nothing");
         drop(kb);
         let (recovered, report) = DurableKb::open(&dir, &set, KbConfig::default()).unwrap();
         assert_eq!(report.truncated_frames, 1);
         assert_eq!(report.replayed_batches, 1);
+        assert_eq!(recovered.stats().recoveries, 1);
+        assert_eq!(recovered.stats().wal_appends, 0, "replay is not an append");
         assert_eq!(recovered.chased(), &acked, "recovery = acknowledged prefix");
         let _ = std::fs::remove_dir_all(&dir);
     }

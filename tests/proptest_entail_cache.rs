@@ -19,9 +19,12 @@ use tgdkit::chase_crate::{
     ChaseBudget, EntailCache, Entailment,
 };
 use tgdkit::core::enumerate::{linear_candidates, EnumOptions};
-use tgdkit::core::rewrite::{guarded_to_linear_cached, rewrite, RewriteOptions, RewriteTarget};
+use tgdkit::core::rewrite::{
+    evaluate_pool_keyed, guarded_to_linear_cached, rewrite, RewriteOptions, RewriteTarget,
+};
 use tgdkit::core::workload::{generate_set, Family, WorkloadParams};
-use tgdkit::logic::{Schema, Tgd, TgdSet};
+use tgdkit::logic::{parse_tgds, Schema, Tgd, TgdSet};
+use tgdkit::serve::smoke::pathological_program;
 
 /// The oracle's budget: small enough for its exhaustive search, and below
 /// [`ChaseBudget::default`] in both limits, so wherever the oracle's chase
@@ -242,5 +245,56 @@ proptest! {
         let warm = guarded_to_linear_cached(&set, &opts, &cache).0;
         prop_assert_eq!(&serial, &cold);
         prop_assert_eq!(&serial, &warm);
+    }
+}
+
+/// The work the sweep does for Algorithm 1's candidate pool over a
+/// 3-level branching chain, pinned exactly: the 1,266 candidates fall into
+/// 4 body groups, one chase per group answers every head (81 are
+/// entailed, none left unknown), a warm rerun takes every verdict from the
+/// cache, and each verdict is the one [`decide`] gives the candidate on
+/// its own. Speed is perfbench's `rewrite` workload; this pins the work a
+/// speed figure stands for.
+#[test]
+fn branching_chain_pool_shares_one_chase_per_body() {
+    let mut schema = Schema::default();
+    let sigma = parse_tgds(&mut schema, &pathological_program(3)).unwrap();
+    let (n, m) = TgdSet::new(schema.clone(), sigma.clone())
+        .unwrap()
+        .profile();
+    let opts = EnumOptions {
+        max_candidates: 1_200,
+        ..Default::default()
+    };
+    let pool = linear_candidates(&schema, n, m, &opts);
+    assert_eq!(pool.tgds.len(), 1_266);
+    let budget = ChaseBudget::default();
+    let cache = EntailCache::new();
+    let sweep = || {
+        evaluate_pool_keyed(
+            &schema, &sigma, &pool.tgds, &pool.keys, budget, true, &cache,
+        )
+    };
+    let (cold, stats, _) = sweep();
+    assert_eq!(stats.body_groups, 4);
+    assert_eq!(stats.bodies_chased, 4);
+    assert_eq!(stats.heads_probed, 1_266);
+    assert_eq!(stats.cache_misses, 1_266);
+    let count = |e: Entailment| cold.iter().filter(|v| **v == e).count();
+    assert_eq!(
+        (count(Entailment::Proved), count(Entailment::Unknown)),
+        (81, 0)
+    );
+    let (warm, warm_stats, _) = sweep();
+    assert_eq!(warm, cold);
+    assert_eq!(warm_stats.cache_hits, 1_266);
+    assert_eq!(warm_stats.bodies_chased, 0);
+    let token = CancelToken::new();
+    for (candidate, verdict) in pool.tgds.iter().zip(&cold) {
+        assert_eq!(
+            decide(&schema, &sigma, candidate, budget, None, &token),
+            *verdict,
+            "{candidate:?}"
+        );
     }
 }

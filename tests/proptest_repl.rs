@@ -217,6 +217,8 @@ proptest! {
         let (kb, report) = ReplicatedKb::open(&root, &set, repl_config()).unwrap();
         prop_assert_eq!(report.failover, lost == 0,
             "a failover is exactly an election away from replica-00");
+        prop_assert_eq!(kb.stats().failovers, u64::from(lost == 0),
+            "the failover counter agrees with the report");
         prop_assert_ne!(report.elected, lost);
         prop_assert_eq!(report.repaired, 1, "the lost replica is re-shipped");
         prop_assert_eq!(kb.seq(), acked_seq, "failover lost acknowledged batches");
