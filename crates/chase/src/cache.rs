@@ -27,7 +27,7 @@
 //! `Unknown` — for the sweep's groups and, as one-member groups, for every
 //! single-candidate decision ([`crate::decide`]).
 
-use crate::chase::{chase_governed, ChaseBudget, ChaseOutcome, ChaseVariant};
+use crate::chase::{chase_indexed, ChaseBudget, ChaseOutcome};
 use crate::checkpoint::{verdict_from_tag, verdict_tag, BatchCheckpoint, CheckpointError};
 use crate::countermodel::{refute_by_countermodel_governed, SearchBudget};
 use crate::entail::{freeze_body, holds_pinned, Entailment};
@@ -607,7 +607,7 @@ pub(crate) fn evaluate_group(
     // untouched; it is deterministic and hits clean reruns identically).
     let token = &token.masking_fault(FaultSite::MemBudgetTrip);
     let sigma_linear = !sigma.is_empty() && sigma.iter().all(Tgd::is_linear);
-    let mut shared: Option<(InstanceIndex, ChaseOutcome)> = None;
+    let mut shared: Option<(InstanceIndex<'static>, ChaseOutcome)> = None;
     let mut verdicts = Vec::with_capacity(group.members.len());
     // Resolve the whole group against the cache under one read-lock
     // acquisition, and defer stores to one write-lock acquisition after the
@@ -642,19 +642,19 @@ pub(crate) fn evaluate_group(
         if verdict == Entailment::Unknown && !token.is_cancelled() {
             if shared.is_none() {
                 let frozen = freeze_body(schema, cand);
-                let result =
-                    chase_governed(&frozen, sigma, ChaseVariant::Restricted, budget, token);
+                let run = chase_indexed(&frozen, sigma, budget, token);
                 stats.bodies_chased += 1;
-                stats.chase.absorb(&result.stats);
+                stats.chase.absorb(&run.stats);
                 // A cancelled chase yields a round-prefix, not the model the
                 // head probe needs: every member's verdict is `Unknown`
-                // regardless, so indexing the partial instance (milliseconds
-                // on a large chase) would be pure post-deadline work.
-                if result.outcome == ChaseOutcome::Cancelled {
+                // regardless.
+                if run.outcome == ChaseOutcome::Cancelled {
                     verdicts.push((*idx, Entailment::Unknown));
                     continue;
                 }
-                shared = Some((InstanceIndex::new(&result.instance), result.outcome));
+                // The chase's own index covers the chased instance: the
+                // head probes read it as it is.
+                shared = Some((run.index, run.outcome));
             }
             let (index, outcome) = shared.as_ref().expect("chase result shared above");
             stats.heads_probed += 1;

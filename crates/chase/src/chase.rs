@@ -261,7 +261,15 @@ pub fn chase_governed(
     budget: ChaseBudget,
     token: &CancelToken,
 ) -> ChaseResult {
-    chase_impl(start, tgds, variant, budget, token, None, None).0
+    chase_impl(
+        RunState::fresh(start, tgds),
+        tgds,
+        variant,
+        budget,
+        token,
+        None,
+    )
+    .into_result()
 }
 
 /// [`chase`] with a derivation log: every fired trigger is recorded with
@@ -275,15 +283,14 @@ pub fn chase_with_provenance(
 ) -> (ChaseResult, Provenance) {
     let mut provenance = Provenance::default();
     let result = chase_impl(
-        start,
+        RunState::fresh(start, tgds),
         tgds,
         variant,
         budget,
         &CancelToken::new(),
         Some(&mut provenance),
-        None,
     )
-    .0;
+    .into_result();
     (result, provenance)
 }
 
@@ -303,79 +310,196 @@ pub(crate) const CANCEL_CHECK_STRIDE: u32 = 64;
 /// property the fault proptests pin down.
 const APPLY_CANCEL_STRIDE: u32 = 64;
 
-/// End-of-run internals handed back by [`chase_impl`] so the
-/// checkpointing entry points can capture resumable state without
-/// re-deriving it.
-struct ChaseRunEnd {
+/// The state a run starts from: the instance inside its owned index, and
+/// what a suspended run carries across a checkpoint.
+struct RunState {
+    /// When the run's wall time starts: before the index build, which is
+    /// part of the run.
+    started: Instant,
+    index: InstanceIndex<'static>,
+    nulls: BTreeSet<Elem>,
     next_null: u32,
     fired: Vec<BTreeSet<Vec<Elem>>>,
-    delta: Option<Vec<Fact>>,
+    /// The watermark below which the index rows are old: the rows at or
+    /// past it are the delta the next round searches from. `None` before
+    /// round one, whose frontier is the whole instance.
+    delta: Option<Vec<usize>>,
+    stats: ChaseStats,
+    rounds: usize,
+}
+
+impl RunState {
+    /// A fresh run from `start`.
+    fn fresh(start: &Instance, tgds: &[Tgd]) -> RunState {
+        let started = Instant::now();
+        let index = InstanceIndex::owned(start.clone());
+        RunState {
+            started,
+            next_null: index.instance().fresh_elem().0,
+            index,
+            nulls: BTreeSet::new(),
+            fired: vec![BTreeSet::new(); tgds.len()],
+            delta: None,
+            stats: ChaseStats {
+                index_rebuilds: 1,
+                ..ChaseStats::default()
+            },
+            rounds: 0,
+        }
+    }
+
+    /// The captured state of a suspended run, its pending delta moved to
+    /// the index tail once. Budgets are absolute across trip + resume:
+    /// `rounds` continues counting from the checkpoint, so resuming with
+    /// the same budget that tripped stops again immediately — callers
+    /// resume with a larger one.
+    fn resume(cp: &ChaseCheckpoint, tgds: &[Tgd]) -> RunState {
+        let started = Instant::now();
+        let (index, delta) = match &cp.delta {
+            None => (InstanceIndex::owned(cp.instance.clone()), None),
+            Some(delta) => {
+                let (index, marks) = InstanceIndex::with_tail(cp.instance.clone(), delta);
+                (index, Some(marks))
+            }
+        };
+        let mut stats = cp.stats;
+        stats.resumes += 1;
+        stats.index_rebuilds += 1;
+        RunState {
+            started,
+            index,
+            nulls: cp.nulls.clone(),
+            next_null: cp.next_null,
+            fired: if cp.fired.is_empty() {
+                vec![BTreeSet::new(); tgds.len()]
+            } else {
+                cp.fired.clone()
+            },
+            delta,
+            stats,
+            rounds: cp.rounds,
+        }
+    }
+}
+
+/// What [`chase_impl`] hands back: the result's parts with the instance
+/// still inside the run's index, so a caller can probe the chased instance
+/// without indexing it again, plus what a checkpoint needs.
+pub(crate) struct ChaseRun {
+    pub(crate) index: InstanceIndex<'static>,
+    pub(crate) outcome: ChaseOutcome,
+    pub(crate) stats: ChaseStats,
+    nulls: BTreeSet<Elem>,
+    rounds: usize,
+    next_null: u32,
+    fired: Vec<BTreeSet<Vec<Elem>>>,
+    /// The watermark of the pending delta (see [`RunState::delta`]).
+    delta: Option<Vec<usize>>,
     /// `false` when the run stopped mid-round (the 4× fact-overshoot
     /// guard): the state is not on a round boundary and must not be
     /// checkpointed.
     resumable: bool,
 }
 
+impl ChaseRun {
+    /// The public result; the index is dropped, its instance kept.
+    fn into_result(self) -> ChaseResult {
+        ChaseResult {
+            instance: self.index.into_instance(),
+            outcome: self.outcome,
+            nulls: self.nulls,
+            rounds: self.rounds,
+            stats: self.stats,
+        }
+    }
+
+    /// The checkpoint of a non-terminated, round-boundary stop, with the
+    /// pending delta read off the rows past its watermark.
+    fn checkpoint(&self, variant: ChaseVariant, sigma_fp: u64) -> Option<Box<ChaseCheckpoint>> {
+        if self.outcome == ChaseOutcome::Terminated || !self.resumable {
+            return None;
+        }
+        let instance = self.index.instance();
+        Some(Box::new(ChaseCheckpoint {
+            variant,
+            rounds: self.rounds,
+            next_null: self.next_null,
+            sigma_fp,
+            nulls: self.nulls.clone(),
+            // Restricted runs never consult `fired`; drop it from the capture.
+            fired: match variant {
+                ChaseVariant::Oblivious => self.fired.clone(),
+                ChaseVariant::Restricted => Vec::new(),
+            },
+            delta: self
+                .delta
+                .as_ref()
+                .map(|marks| instance.facts_from(marks).collect()),
+            stats: self.stats,
+            instance: instance.clone(),
+        }))
+    }
+
+    /// The public result and, on a resumable stop, its checkpoint.
+    fn finish(
+        self,
+        variant: ChaseVariant,
+        sigma_fp: u64,
+    ) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
+        let checkpoint = self.checkpoint(variant, sigma_fp);
+        (self.into_result(), checkpoint)
+    }
+}
+
+/// A restricted chase of `start` that keeps its index: the crate's
+/// entailment checks probe the chased instance through it instead of
+/// indexing the result a second time.
+pub(crate) fn chase_indexed(
+    start: &Instance,
+    tgds: &[Tgd],
+    budget: ChaseBudget,
+    token: &CancelToken,
+) -> ChaseRun {
+    chase_impl(
+        RunState::fresh(start, tgds),
+        tgds,
+        ChaseVariant::Restricted,
+        budget,
+        token,
+        None,
+    )
+}
+
 /// The one chase engine. Every entry point lands here, so budgets,
 /// mid-apply rollback and checkpoint capture exist once.
+///
+/// The instance lives inside ONE index for the whole run, grown one
+/// [`InstanceIndex::insert`] at a time as triggers fire, so head checks,
+/// the anchored joins and the search's dead-trigger filter always read the
+/// current instance. A round only appends, so its additions are exactly
+/// the rows past the watermark read at its start: that watermark is the
+/// next round's delta, and truncating to it undoes the round.
 fn chase_impl(
-    start: &Instance,
+    state: RunState,
     tgds: &[Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
     token: &CancelToken,
     mut log: Option<&mut Provenance>,
-    resume: Option<&ChaseCheckpoint>,
-) -> (ChaseResult, ChaseRunEnd) {
-    let run_started = Instant::now();
-    // Fresh run state, or the captured state of a suspended run. Budgets
-    // are absolute across trip + resume: `rounds` continues counting from
-    // the checkpoint, so resuming with the same budget that tripped stops
-    // again immediately — callers resume with a larger one.
-    let (mut instance, mut nulls, mut next_null, mut fired, mut delta, mut stats);
-    let mut rounds: usize;
-    match resume {
-        None => {
-            instance = start.clone();
-            nulls = BTreeSet::new();
-            next_null = instance.fresh_elem().0;
-            fired = vec![BTreeSet::new(); tgds.len()];
-            delta = None;
-            stats = ChaseStats::default();
-            rounds = 0;
-        }
-        Some(cp) => {
-            instance = cp.instance.clone();
-            nulls = cp.nulls.clone();
-            next_null = cp.next_null;
-            fired = if cp.fired.is_empty() {
-                vec![BTreeSet::new(); tgds.len()]
-            } else {
-                cp.fired.clone()
-            };
-            delta = cp.delta.clone();
-            stats = cp.stats;
-            stats.resumes += 1;
-            rounds = cp.rounds;
-        }
-    }
+) -> ChaseRun {
+    let RunState {
+        started: run_started,
+        mut index,
+        mut nulls,
+        mut next_null,
+        mut fired,
+        mut delta,
+        mut stats,
+        mut rounds,
+    } = state;
     // Head queries of the non-full tgds, built on their first restricted
     // check: entailment chases run under hundreds of tgds of which few fire.
     let mut head_cqs: Vec<Option<Cq>> = vec![None; tgds.len()];
-
-    // ONE index lives across the whole run: built here, then grown with
-    // O(|Δ|) `extend` calls as triggers fire. At every head check and at
-    // every round start it covers exactly the current instance, so
-    // head-satisfaction checks, the anchored joins and the search's
-    // dead-trigger filter all read the same content. At every
-    // round start the pending delta is the index tail, which is what the
-    // semi-naive search's old-fact watermark relies on; a resumed run sets
-    // that up here (the append is part of the build, not an extend).
-    let mut index = match delta.as_mut() {
-        None => InstanceIndex::new(&instance),
-        Some(delta) => index_with_tail(&mut instance, delta),
-    };
-    stats.index_rebuilds += 1;
     let mut triggers = TriggerRun::new(tgds);
 
     let accountant = MemoryAccountant::new(budget.effective_max_bytes());
@@ -387,10 +511,11 @@ fn chase_impl(
 
     let outcome = 'run: loop {
         // Every cutoff below lands on a round boundary (the mid-apply
-        // cancellation poll rolls its half-applied round back to one), so a
-        // cancelled (or fault-tripped) run's instance is exactly the state
-        // after its last completed round — the prefix property the
+        // cancellation poll truncates its half-applied round back to one),
+        // so a cancelled (or fault-tripped) run's instance is exactly the
+        // state after its last completed round — the prefix property the
         // proptests pin down, and the state a `ChaseCheckpoint` captures.
+        let instance = index.instance();
         if token.is_cancelled() {
             break 'run ChaseOutcome::Cancelled;
         }
@@ -426,13 +551,11 @@ fn chase_impl(
         stats.triggers_found += triggers.len();
 
         let apply_started = Instant::now();
-        let mut added_this_round: Vec<Fact> = Vec::new();
-        // Prefix of `added_this_round` already folded into the index.
-        let mut folded = 0usize;
-        let mut fired_this_round = false;
         // Round-boundary watermarks: everything a mid-apply cancellation
-        // must undo to land the run back on the boundary (the index is not
-        // rolled back — it is local to this run and dead after the break).
+        // must undo to land the run back on the boundary. The rows past
+        // `round_start` are this round's additions.
+        let round_start = index.instance().watermark();
+        let facts_at_start = index.instance().fact_count();
         let null_watermark = next_null;
         let log_watermark = log.as_deref().map_or(0, |p| p.steps.len());
         let fired_watermark = stats.triggers_fired;
@@ -448,17 +571,18 @@ fn chase_impl(
                     // Roll the half-applied round back to its boundary:
                     // the cancelled instance must be exactly the state
                     // after the last *completed* round.
-                    for fact in &added_this_round {
-                        instance.remove_fact(fact.pred, &fact.args);
-                    }
+                    index.truncate(&round_start);
                     for (oti, ouni) in oblivious_undo.drain(..) {
                         fired[oti].remove(&ouni);
                     }
                     if let Some(prov) = log.as_deref_mut() {
                         prov.steps.truncate(log_watermark);
                     }
+                    // The round's nulls entered the domain with its
+                    // facts; with those gone they are isolated.
                     for e in null_watermark..next_null {
                         nulls.remove(&Elem(e));
+                        index.remove_dom_elem(Elem(e));
                     }
                     next_null = null_watermark;
                     stats.triggers_fired = fired_watermark;
@@ -473,14 +597,7 @@ fn chase_impl(
             if tgd.is_full() {
                 // Full tgds invent no nulls: firing is an idempotent set
                 // insertion, cheaper than any satisfaction check.
-                let changed = insert_head(
-                    &mut instance,
-                    tgd,
-                    universal,
-                    &mut head_args,
-                    &mut added_this_round,
-                    step,
-                );
+                let changed = insert_head(&mut index, tgd, universal, &mut head_args, step);
                 if changed {
                     if let Some(prov) = log.as_deref_mut() {
                         prov.steps.push(DerivationStep {
@@ -490,9 +607,8 @@ fn chase_impl(
                             added: step_added,
                         });
                     }
-                    fired_this_round = true;
                     stats.triggers_fired += 1;
-                    if instance.fact_count() > hard_fact_cap {
+                    if index.instance().fact_count() > hard_fact_cap {
                         stats.apply_time += apply_started.elapsed();
                         resumable = false;
                         break 'run ChaseOutcome::BudgetExceeded;
@@ -502,14 +618,8 @@ fn chase_impl(
             }
             match variant {
                 ChaseVariant::Restricted => {
-                    // Re-check satisfaction against the *current* instance:
-                    // fold any facts added since the last check into the
-                    // live index (amortized O(|Δ|)).
-                    if folded < added_this_round.len() {
-                        index.extend(&added_this_round[folded..]);
-                        stats.index_extends += 1;
-                        folded = added_this_round.len();
-                    }
+                    // Re-check satisfaction against the *current* instance,
+                    // which the index always covers.
                     let mut head_fixed: Binding = vec![None; tgd.var_count()];
                     for (v, &e) in universal.iter().enumerate() {
                         head_fixed[v] = Some(e);
@@ -538,14 +648,7 @@ fn chase_impl(
                 witnesses.push(e);
                 assignment.push(e);
             }
-            insert_head(
-                &mut instance,
-                tgd,
-                &assignment,
-                &mut head_args,
-                &mut added_this_round,
-                step,
-            );
+            insert_head(&mut index, tgd, &assignment, &mut head_args, step);
             if let Some(prov) = log.as_deref_mut() {
                 prov.steps.push(DerivationStep {
                     tgd_index: ti,
@@ -554,122 +657,75 @@ fn chase_impl(
                     added: step_added,
                 });
             }
-            fired_this_round = true;
             stats.triggers_fired += 1;
-            if instance.fact_count() > hard_fact_cap {
+            if index.instance().fact_count() > hard_fact_cap {
                 stats.apply_time += apply_started.elapsed();
                 resumable = false;
                 break 'run ChaseOutcome::BudgetExceeded;
             }
         }
 
-        if !fired_this_round {
+        // The round fired iff it fired a trigger; a fired trigger of an
+        // existential tgd may add no fact (its head atoms can all be
+        // present already, e.g. under the oblivious variant).
+        if stats.triggers_fired == fired_watermark {
             stats.apply_time += apply_started.elapsed();
             break 'run ChaseOutcome::Terminated;
         }
-        // Fold the round's tail so the next round's search sees I ∪ Δ.
-        if folded < added_this_round.len() {
-            index.extend(&added_this_round[folded..]);
+        let added = index.instance().fact_count() - facts_at_start;
+        if added > 0 {
             stats.index_extends += 1;
         }
-        stats.facts_added += added_this_round.len();
+        stats.facts_added += added;
         stats.apply_time += apply_started.elapsed();
-        delta = Some(added_this_round);
+        delta = Some(round_start);
     };
 
     // Final high-water observation (the loop's charge sites see round
     // starts only, not the last round's growth).
-    accountant.observe(instance.heap_bytes());
+    accountant.observe(index.instance().heap_bytes());
     stats.mem_peak_bytes = stats.mem_peak_bytes.max(accountant.peak_bytes());
     stats.rounds = rounds;
     // `+=` not `=`: a resumed run accumulates wall time across segments.
     stats.total_time += run_started.elapsed();
-    (
-        ChaseResult {
-            instance,
-            outcome,
-            nulls,
-            rounds,
-            stats,
-        },
-        ChaseRunEnd {
-            next_null,
-            fired,
-            delta,
-            resumable,
-        },
-    )
+    ChaseRun {
+        index,
+        outcome,
+        stats,
+        nulls,
+        rounds,
+        next_null,
+        fired,
+        delta,
+        resumable,
+    }
 }
 
 /// Inserts the head facts of one firing of `tgd`, each argument read
-/// through `image` (the universal image, then any witnesses). Each new
-/// fact is kept once, owned, in `added`, and cloned into `step` when a
-/// provenance step is being built; the tuple itself is assembled in the
-/// reused `buf`, so a fact that is already present allocates nothing.
-/// Returns whether any fact was new.
+/// through `image` (the universal image, then any witnesses), into the
+/// index and its instance. The tuple is assembled in the reused `buf`, so
+/// firing allocates nothing per fact; a [`Fact`] is built only for `step`,
+/// when a provenance step is being recorded. Returns whether any fact was
+/// new.
 fn insert_head(
-    instance: &mut Instance,
+    index: &mut InstanceIndex<'static>,
     tgd: &Tgd,
     image: &[Elem],
     buf: &mut Vec<Elem>,
-    added: &mut Vec<Fact>,
     mut step: Option<&mut Vec<Fact>>,
 ) -> bool {
     let mut changed = false;
     for atom in tgd.head() {
         buf.clear();
         buf.extend(atom.args.iter().map(|v| image[v.index()]));
-        if instance.add_tuple(atom.pred, buf) {
-            let fact = Fact::new(atom.pred, buf.clone());
+        if index.insert(atom.pred, buf) {
             if let Some(step) = step.as_deref_mut() {
-                step.push(fact.clone());
+                step.push(Fact::new(atom.pred, buf.clone()));
             }
-            added.push(fact);
             changed = true;
         }
     }
     changed
-}
-
-/// Indexes `instance` with the pending `delta` as the index tail: the
-/// facts of `I ∖ Δ` first, in instance order, then `Δ` in delta order.
-/// `delta` is trimmed to the facts present in `instance`, each once, so its
-/// per-predicate counts are exactly the tail's; `instance` ends unchanged.
-pub(crate) fn index_with_tail(instance: &mut Instance, delta: &mut Vec<Fact>) -> InstanceIndex {
-    delta.retain(|fact| instance.remove_fact(fact.pred, &fact.args));
-    let mut index = InstanceIndex::new(instance);
-    for fact in delta.iter() {
-        instance.add_tuple(fact.pred, &fact.args);
-    }
-    index.extend(delta);
-    index
-}
-
-/// Builds the checkpoint for a non-terminated, round-boundary stop.
-fn capture_checkpoint(
-    result: &ChaseResult,
-    end: ChaseRunEnd,
-    variant: ChaseVariant,
-    sigma_fp: u64,
-) -> Option<Box<ChaseCheckpoint>> {
-    if result.outcome == ChaseOutcome::Terminated || !end.resumable {
-        return None;
-    }
-    Some(Box::new(ChaseCheckpoint {
-        variant,
-        rounds: result.rounds,
-        next_null: end.next_null,
-        sigma_fp,
-        nulls: result.nulls.clone(),
-        // Restricted runs never consult `fired`; drop it from the capture.
-        fired: match variant {
-            ChaseVariant::Oblivious => end.fired,
-            ChaseVariant::Restricted => Vec::new(),
-        },
-        delta: end.delta,
-        stats: result.stats,
-        instance: result.instance.clone(),
-    }))
 }
 
 /// [`chase_governed`] that additionally captures a [`ChaseCheckpoint`]
@@ -686,9 +742,8 @@ pub fn chase_checkpointing(
     token: &CancelToken,
 ) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
     let sigma_fp = tgds_fingerprint(tgds);
-    let (result, end) = chase_impl(start, tgds, variant, budget, token, None, None);
-    let checkpoint = capture_checkpoint(&result, end, variant, sigma_fp);
-    (result, checkpoint)
+    let state = RunState::fresh(start, tgds);
+    chase_impl(state, tgds, variant, budget, token, None).finish(variant, sigma_fp)
 }
 
 /// Continues a suspended chase from `checkpoint` under a (typically
@@ -712,17 +767,8 @@ pub fn chase_resume(
         return Err(CheckpointError::ContextMismatch("fired-set arity"));
     }
     let variant = checkpoint.variant;
-    let (result, end) = chase_impl(
-        &checkpoint.instance,
-        tgds,
-        variant,
-        budget,
-        token,
-        None,
-        Some(checkpoint),
-    );
-    let next = capture_checkpoint(&result, end, variant, sigma_fp);
-    Ok((result, next))
+    let state = RunState::resume(checkpoint, tgds);
+    Ok(chase_impl(state, tgds, variant, budget, token, None).finish(variant, sigma_fp))
 }
 
 /// **Incremental fold**: extends an already-chased *fixpoint* with a batch
@@ -756,17 +802,15 @@ pub fn chase_extend_governed(
     token: &CancelToken,
 ) -> (ChaseResult, Option<Box<ChaseCheckpoint>>) {
     let sigma_fp = tgds_fingerprint(tgds);
-    let mut instance = base.clone();
-    let mut delta: Vec<Fact> = Vec::new();
-    for fact in batch {
-        if instance.add_fact(fact.pred, fact.args.clone()) {
-            delta.push(fact.clone());
-        }
-    }
-    if delta.is_empty() {
+    let mut state = RunState::fresh(base, tgds);
+    // The base is indexed first, so the facts of the batch that are new
+    // land past its watermark: the delta is the index tail as inserted.
+    let marks = state.index.instance().watermark();
+    state.index.extend(batch);
+    if state.index.instance().watermark() == marks {
         return (
             ChaseResult {
-                instance,
+                instance: state.index.into_instance(),
                 outcome: ChaseOutcome::Terminated,
                 nulls: base_nulls.clone(),
                 rounds: 0,
@@ -775,28 +819,15 @@ pub fn chase_extend_governed(
             None,
         );
     }
-    // A synthesized round-boundary checkpoint: the base fixpoint plus the
-    // inserted batch as the pending delta. `next_null` is re-derived from
-    // the extended instance so nulls allocated by the fold can never
-    // collide with batch constants. `fired` stays empty — the oblivious
-    // resume path re-seeds it fresh, which only matters for triggers
+    // A round boundary: the base fixpoint plus the inserted batch as the
+    // pending delta. `next_null` is re-derived from the extended instance
+    // so nulls allocated by the fold can never collide with batch
+    // constants. `fired` starts fresh, which only matters for triggers
     // touching the delta (all-old triggers are never searched again).
-    let cp = ChaseCheckpoint {
-        variant,
-        rounds: 0,
-        next_null: instance.fresh_elem().0,
-        sigma_fp,
-        nulls: base_nulls.clone(),
-        fired: Vec::new(),
-        delta: Some(delta),
-        stats: ChaseStats::default(),
-        instance,
-    };
-    let (mut result, end) = chase_impl(&cp.instance, tgds, variant, budget, token, None, Some(&cp));
-    // The resume path counts itself as a resumption; a fold is not one.
-    result.stats.resumes = result.stats.resumes.saturating_sub(1);
-    let next = capture_checkpoint(&result, end, variant, sigma_fp);
-    (result, next)
+    state.next_null = state.index.instance().fresh_elem().0;
+    state.nulls = base_nulls.clone();
+    state.delta = Some(marks);
+    chase_impl(state, tgds, variant, budget, token, None).finish(variant, sigma_fp)
 }
 
 /// The **core chase**: a restricted chase followed by core minimization
@@ -1484,6 +1515,61 @@ mod tests {
             if result.cancelled() {
                 assert_eq!(result.instance, prefixes[result.rounds]);
             }
+        }
+    }
+
+    /// A cancellation noticed inside the apply loop truncates the round
+    /// back to its watermark: instance, nulls and fired count land on the
+    /// run capped at the rounds completed, for both variants. Rounds here
+    /// fire well over `APPLY_CANCEL_STRIDE` triggers, so some seeds cancel
+    /// mid-apply, which shows as triggers found beyond the capped run's.
+    #[test]
+    fn mid_apply_cancellation_truncates_to_the_round_watermark() {
+        let mut s = Schema::default();
+        let tgds = parse_tgds(
+            &mut s,
+            "E(x,y), E(y,z) -> E(x,z). E(x,y) -> exists w : F(y,w).",
+        )
+        .unwrap();
+        let e = s.pred_id("E").unwrap();
+        let mut path = Instance::new(s.clone());
+        for i in 0..100u32 {
+            path.add_fact(e, vec![Elem(i), Elem(i + 1)]);
+        }
+        let budget = ChaseBudget {
+            max_facts: usize::MAX,
+            max_rounds: 6,
+            max_bytes: usize::MAX,
+        };
+        for variant in [ChaseVariant::Restricted, ChaseVariant::Oblivious] {
+            let capped: Vec<ChaseResult> = (0..=budget.max_rounds)
+                .map(|j| {
+                    let budget = ChaseBudget {
+                        max_rounds: j,
+                        ..budget
+                    };
+                    chase(&path, &tgds, variant, budget)
+                })
+                .collect();
+            let mut mid_apply = 0;
+            for seed in 0..32u64 {
+                let token = CancelToken::with_faults(crate::faults::FaultPlan::only(
+                    seed,
+                    FaultSite::DeadlineExpire,
+                    12,
+                ));
+                let result = chase_governed(&path, &tgds, variant, budget, &token);
+                if !result.cancelled() {
+                    continue;
+                }
+                let want = &capped[result.rounds];
+                assert_eq!(result.instance, want.instance, "seed {seed}");
+                assert_eq!(result.nulls, want.nulls, "seed {seed}");
+                assert_eq!(result.stats.triggers_fired, want.stats.triggers_fired);
+                assert_eq!(result.stats.facts_added, want.stats.facts_added);
+                mid_apply += usize::from(result.stats.triggers_found > want.stats.triggers_found);
+            }
+            assert!(mid_apply > 0, "{variant:?}: no seed cancelled mid-apply");
         }
     }
 

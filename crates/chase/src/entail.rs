@@ -12,7 +12,7 @@
 //! chase-only procedure on its own, sharing the head probe.
 
 use crate::cache::{evaluate_group, sigma_fingerprint, BodyGroup, EntailBatchStats, EntailCache};
-use crate::chase::{chase, ChaseBudget, ChaseOutcome, ChaseVariant};
+use crate::chase::{chase_indexed, ChaseBudget, ChaseOutcome};
 use crate::govern::CancelToken;
 use std::borrow::Cow;
 use std::ops::ControlFlow;
@@ -81,7 +81,7 @@ pub(crate) fn holds_pinned(
     atoms: &[Atom<Var>],
     var_count: usize,
     pinned: usize,
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     fixed: &mut Binding,
 ) -> bool {
     fixed.clear();
@@ -118,18 +118,17 @@ pub(crate) fn holds_pinned(
 /// ```
 pub fn entails(schema: &Schema, sigma: &[Tgd], candidate: &Tgd, budget: ChaseBudget) -> Entailment {
     let frozen = freeze_body(schema, candidate);
-    let result = chase(&frozen, sigma, ChaseVariant::Restricted, budget);
-    let index = InstanceIndex::new(&result.instance);
+    let run = chase_indexed(&frozen, sigma, budget, &CancelToken::new());
     let (head, vars) = (candidate.head(), candidate.var_count());
     if holds_pinned(
         head,
         vars,
         candidate.universal_count(),
-        &index,
+        &run.index,
         &mut Vec::new(),
     ) {
         Entailment::Proved
-    } else if result.outcome == ChaseOutcome::Terminated {
+    } else if run.outcome == ChaseOutcome::Terminated {
         Entailment::Disproved
     } else {
         Entailment::Unknown
@@ -185,13 +184,12 @@ pub fn entails_edd_under_tgds(
     {
         return Entailment::Proved;
     }
-    let result = chase(
+    let run = chase_indexed(
         &freeze(schema, edd.body()),
         sigma,
-        ChaseVariant::Restricted,
         budget,
+        &CancelToken::new(),
     );
-    let index = InstanceIndex::new(&result.instance);
     let n = edd.universal_count();
     let mut fixed = Vec::new();
     // Non-trivial equality disjuncts never hold on the frozen distinct
@@ -205,13 +203,13 @@ pub fn entails_edd_under_tgds(
                 .max()
                 .unwrap_or(0)
                 .max(n);
-            holds_pinned(atoms, vars, n, &index, &mut fixed)
+            holds_pinned(atoms, vars, n, &run.index, &mut fixed)
         }
         EddDisjunct::Eq(..) => false,
     });
     if proved {
         Entailment::Proved
-    } else if result.outcome == ChaseOutcome::Terminated {
+    } else if run.outcome == ChaseOutcome::Terminated {
         Entailment::Disproved
     } else {
         Entailment::Unknown

@@ -98,7 +98,7 @@ impl Query {
     /// themselves. Taking the index (rather than the instance) lets the
     /// saturation loop probe thousands of rewritings against one shared
     /// index instead of rebuilding it per query.
-    fn holds_in(&self, index: &InstanceIndex) -> bool {
+    fn holds_in(&self, index: &InstanceIndex<'_>) -> bool {
         // Convert to a Var-conjunction: constants become pinned variables.
         let num_qvars = self.max_qvar();
         let mut consts: Vec<u32> = Vec::new();

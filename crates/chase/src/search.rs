@@ -4,10 +4,10 @@
 //! runs [`for_each_hom_anchored`] once per `(tgd, anchor)` whose predicate
 //! has a fact in the delta.
 //!
-//! The search is exactly semi-naive. The delta is the index tail, so per
-//! predicate the rows below `count − |Δ_p|` are the old facts, and the
-//! anchored search matches the body atoms *before* the anchor against old
-//! facts only. A body match whose delta atoms sit at positions `S` is then
+//! The search is exactly semi-naive. The delta is the index tail: per
+//! predicate the rows below the round's watermark are the old facts and
+//! the rows at or past it are the delta, and the anchored search matches
+//! the body atoms *before* the anchor against old facts only. A body match whose delta atoms sit at positions `S` is then
 //! found once, at anchor `min(S)` — not once per delta atom it uses.
 //!
 //! The search drops **dead** triggers as they are found: a binding of a
@@ -54,7 +54,7 @@ use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tgdkit_hom::{for_each_hom_anchored, for_each_hom_indexed, Binding, InstanceIndex};
 use tgdkit_instance::store::{self, RowSet};
-use tgdkit_instance::{Elem, Fact};
+use tgdkit_instance::Elem;
 use tgdkit_logic::{PredId, Tgd};
 
 /// One round's triggers as a flat arena: `entries` holds
@@ -203,7 +203,7 @@ impl TriggerRun {
     /// binary head, else one hash), and most bindings fail it. The order
     /// cannot change what is kept: the index does not change during the
     /// search, so a head image found live stays live for the whole round.
-    fn offer(&mut self, ti: usize, tgd: &Tgd, binding: &Binding, index: &InstanceIndex) {
+    fn offer(&mut self, ti: usize, tgd: &Tgd, binding: &Binding, index: &InstanceIndex<'_>) {
         self.offered += 1;
         let Some((lo, hi)) = self.heads[ti] else {
             self.push_binding(ti, binding);
@@ -302,17 +302,18 @@ pub(crate) struct TriggerScan {
 /// full-tgd bindings dropped, and the rest merged into the canonical
 /// firing order with duplicate head images collapsed.
 ///
-/// `index` must cover exactly the current instance, with `delta` (when
-/// given) as its tail. Without a delta the round is the first, and its
+/// `index` must cover exactly the current instance, and `old` (when given)
+/// is the watermark below which its rows are the old facts: the rows at or
+/// past it are the delta. Without it the round is the first, and its
 /// frontier is the whole instance.
 pub(crate) fn find_triggers(
     tgds: &[Tgd],
-    index: &InstanceIndex,
-    delta: Option<&[Fact]>,
+    index: &InstanceIndex<'_>,
+    old: Option<&[usize]>,
     run: &mut TriggerRun,
     token: &CancelToken,
 ) -> TriggerScan {
-    scan(tgds, index, delta, run, token, Path::BitRows)
+    scan(tgds, index, old, run, token, Path::BitRows)
 }
 
 /// Whether [`scan`] may take the bit-row step. Only the tests compare the
@@ -327,33 +328,12 @@ enum Path {
 /// [`find_triggers`], with the bit-row step on or off.
 fn scan(
     tgds: &[Tgd],
-    index: &InstanceIndex,
-    delta: Option<&[Fact]>,
+    index: &InstanceIndex<'_>,
+    old: Option<&[usize]>,
     run: &mut TriggerRun,
     token: &CancelToken,
     path: Path,
 ) -> TriggerScan {
-    // The delta is the index tail (the chase appends each round's
-    // additions last, and a resume indexes I ∖ Δ before appending Δ), so
-    // per predicate the rows below `count − |Δ_p|` are the old facts.
-    let mut delta_rows: Vec<usize> = Vec::new();
-    for fact in delta.unwrap_or_default() {
-        let p = fact.pred.index();
-        if p >= delta_rows.len() {
-            delta_rows.resize(p + 1, 0);
-        }
-        delta_rows[p] += 1;
-    }
-    let old: Vec<usize> = delta_rows
-        .iter()
-        .enumerate()
-        .map(|(p, &n)| {
-            let rows = index.count(PredId(p as u32));
-            debug_assert!(n <= rows, "the delta must be the index tail");
-            rows.saturating_sub(n)
-        })
-        .collect();
-
     run.clear();
     let mut aborted = false;
     let mut panics_contained = 0usize;
@@ -367,9 +347,9 @@ fn scan(
                 panic!("{INJECTED_PANIC}: trigger worker for tgd {ti}");
             }
             let chain = run.chains[ti].filter(|_| path == Path::BitRows);
-            match chain.and_then(|chain| bit_row_step(ti, chain, index, delta, run, token)) {
+            match chain.and_then(|chain| bit_row_step(ti, chain, index, old, run, token)) {
                 Some(finished) => finished,
-                None => triggers_into(ti, tgd, index, delta, &old, run, token),
+                None => triggers_into(ti, tgd, index, old, run, token),
             }
         }));
         match outcome {
@@ -395,16 +375,15 @@ fn scan(
 }
 
 /// Collects one tgd's live triggers into `run`: one full body search on
-/// the first round (`delta` is `None`), else one anchored search per body
-/// atom whose predicate has a fact in the delta. Returns `false` when
-/// cancellation cut the enumeration short (the run then holds a partial
-/// set; the caller discards the round).
+/// the first round (`old` is `None`), else one anchored search per body
+/// atom whose predicate has a delta row. Returns `false` when cancellation
+/// cut the enumeration short (the run then holds a partial set; the caller
+/// discards the round).
 fn triggers_into(
     ti: usize,
     tgd: &Tgd,
-    index: &InstanceIndex,
-    delta: Option<&[Fact]>,
-    old: &[usize],
+    index: &InstanceIndex<'_>,
+    old: Option<&[usize]>,
     run: &mut TriggerRun,
     token: &CancelToken,
 ) -> bool {
@@ -423,7 +402,7 @@ fn triggers_into(
         run.offer(ti, tgd, binding, index);
         ControlFlow::Continue(())
     };
-    match delta {
+    match old {
         // The whole instance is the frontier: one full body search finds
         // every trigger once (anchoring each body atom on every fact would
         // find each of them once per atom).
@@ -431,7 +410,7 @@ fn triggers_into(
             let fixed: Binding = vec![None; tgd.var_count()];
             for_each_hom_indexed(body, tgd.var_count(), index, &fixed, &mut visit);
         }
-        Some(delta) => {
+        Some(old) => {
             for (anchor, atom) in body.iter().enumerate() {
                 // An anchor whose predicate has no delta row anchors nothing.
                 let p = atom.pred;
@@ -439,15 +418,8 @@ fn triggers_into(
                 if !anchored {
                     continue;
                 }
-                let flow = for_each_hom_anchored(
-                    body,
-                    tgd.var_count(),
-                    index,
-                    anchor,
-                    delta,
-                    old,
-                    &mut visit,
-                );
+                let flow =
+                    for_each_hom_anchored(body, tgd.var_count(), index, anchor, old, &mut visit);
                 if flow.is_break() {
                     break;
                 }
@@ -480,8 +452,8 @@ fn triggers_into(
 fn bit_row_step(
     ti: usize,
     chain: Chain,
-    index: &InstanceIndex,
-    delta: Option<&[Fact]>,
+    index: &InstanceIndex<'_>,
+    old: Option<&[usize]>,
     run: &mut TriggerRun,
     token: &CancelToken,
 ) -> Option<bool> {
@@ -490,20 +462,29 @@ fn bit_row_step(
     let h = index.bit_rows(chain.h)?;
     // The x to walk, as bits below P's side (P's sources are all there).
     let mut xs = vec![0u64; p.row_words()];
-    match delta {
+    match old {
         None => xs.fill(!0),
-        Some(delta) => {
+        Some(old) => {
+            // The first column of a predicate's delta rows: its rows past
+            // the watermark (a predicate beyond it has none).
+            let delta_sources = |pred: PredId| {
+                let col = index.tuples(pred).col(0);
+                &col[old
+                    .get(pred.index())
+                    .map_or(col.len(), |&o| o.min(col.len()))..]
+            };
+            for &x in delta_sources(chain.p) {
+                set_bit(&mut xs, x);
+            }
             // The Δ_Q sources whose P-predecessors are marked: each source's
             // postings are walked once, however many Δ_Q facts leave it. A
             // source at or beyond P's side has no P-predecessor.
+            let p_sources = index.tuples(chain.p).col(0);
             let mut sources = vec![0u64; p.row_words()];
-            for fact in delta {
-                if fact.pred == chain.p {
-                    set_bit(&mut xs, fact.args[0]);
-                }
-                if fact.pred == chain.q && set_bit(&mut sources, fact.args[0]) {
-                    for &row in index.postings(chain.p, 1, fact.args[0]) {
-                        set_bit(&mut xs, index.at(chain.p, row, 0));
+            for &source in delta_sources(chain.q) {
+                if set_bit(&mut sources, source) {
+                    for &prow in index.postings(chain.p, 1, source) {
+                        set_bit(&mut xs, p_sources[prow as usize]);
                     }
                 }
             }
@@ -574,6 +555,7 @@ fn ones_in(w: usize, mut word: u64) -> impl Iterator<Item = Elem> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tgdkit_instance::Fact;
 
     #[test]
     fn trigger_run_sorts_and_dedups_like_an_ordered_set() {
@@ -686,7 +668,6 @@ mod tests {
     /// which an anchor-per-atom search over the whole index finds twice.
     #[test]
     fn round_two_offers_each_delta_touching_match_once() {
-        use crate::chase::index_with_tail;
         use crate::{chase_checkpointing, ChaseBudget, ChaseVariant};
         use std::collections::HashSet;
         let (tgds, start) = tc_probe();
@@ -698,9 +679,8 @@ mod tests {
         let token = CancelToken::new();
         let (_, cp) = chase_checkpointing(&start, &tgds, ChaseVariant::Restricted, budget, &token);
         let cp = cp.expect("a round-budget trip is resumable");
-        let mut instance = cp.instance.clone();
-        let mut delta = cp.delta.clone().expect("round one added facts");
-        let index = index_with_tail(&mut instance, &mut delta);
+        let delta = cp.delta.clone().expect("round one added facts");
+        let (index, old) = InstanceIndex::with_tail(cp.instance.clone(), &delta);
 
         // Reference: every body match into I ∪ Δ, counted when it uses Δ.
         let new: HashSet<&[Elem]> = delta.iter().map(|f| f.args.as_slice()).collect();
@@ -716,7 +696,7 @@ mod tests {
         assert!(both > 0, "some match uses two delta facts");
 
         let mut run = TriggerRun::new(&tgds);
-        let found = scan(&tgds, &index, Some(&delta), &mut run, &token, Path::Generic);
+        let found = scan(&tgds, &index, Some(&old), &mut run, &token, Path::Generic);
         assert!(!found.aborted && found.panics_contained == 0);
         assert_eq!(run.offered, touching);
     }
@@ -724,12 +704,12 @@ mod tests {
     /// One round's triggers on `path`, in firing order.
     fn triggers_on(
         tgds: &[Tgd],
-        index: &InstanceIndex,
-        delta: Option<&[Fact]>,
+        index: &InstanceIndex<'_>,
+        old: Option<&[usize]>,
         path: Path,
     ) -> Vec<(usize, Vec<Elem>)> {
         let mut run = TriggerRun::new(tgds);
-        let found = scan(tgds, index, delta, &mut run, &CancelToken::new(), path);
+        let found = scan(tgds, index, old, &mut run, &CancelToken::new(), path);
         assert!(!found.aborted && found.panics_contained == 0);
         run.iter().map(|(ti, u)| (ti, u.to_vec())).collect()
     }
@@ -761,7 +741,6 @@ mod tests {
     /// every round after the first (whose 420 rows keep the bits off).
     #[test]
     fn bit_row_step_matches_the_generic_path_on_every_round() {
-        use crate::chase::index_with_tail;
         use crate::{chase_checkpointing, ChaseBudget, ChaseVariant};
         let (tgds, start) = tc_probe();
         let e = tgds[0].head()[0].pred;
@@ -776,16 +755,17 @@ mod tests {
             let (_, cp) =
                 chase_checkpointing(&start, &tgds, ChaseVariant::Restricted, budget, &token);
             let Some(cp) = cp else { break };
-            let mut instance = cp.instance.clone();
-            let mut delta = cp.delta.clone();
-            let index = match delta.as_mut() {
-                None => InstanceIndex::new(&instance),
-                Some(delta) => index_with_tail(&mut instance, delta),
+            let (index, old) = match cp.delta() {
+                None => (InstanceIndex::owned(cp.instance.clone()), None),
+                Some(delta) => {
+                    let (index, old) = InstanceIndex::with_tail(cp.instance.clone(), delta);
+                    (index, Some(old))
+                }
             };
             total += 1;
             stepped += usize::from(index.bit_rows(e).is_some());
-            let generic = triggers_on(&tgds, &index, delta.as_deref(), Path::Generic);
-            let bit_rows = triggers_on(&tgds, &index, delta.as_deref(), Path::BitRows);
+            let generic = triggers_on(&tgds, &index, old.as_deref(), Path::Generic);
+            let bit_rows = triggers_on(&tgds, &index, old.as_deref(), Path::BitRows);
             assert_eq!(bit_rows, generic, "round {}", rounds + 1);
         }
         assert!(total > 2, "{total} rounds");
@@ -814,26 +794,27 @@ mod tests {
         for &(u, v) in &edges {
             instance.add_fact(e, vec![Elem(u), Elem(v)]);
         }
-        let mut index = InstanceIndex::new(&instance);
-        let delta = [
+        let mut index = InstanceIndex::owned(instance);
+        let old = index.instance().watermark();
+        index.extend(&[
             Fact::new(e, vec![Elem(3), Elem(4)]),
             Fact::new(e, vec![Elem(4), Elem(5)]),
-        ];
-        index.extend(&delta);
+        ]);
         assert!(index.bit_rows(e).is_some());
-        let generic = triggers_on(&tgds, &index, Some(&delta), Path::Generic);
-        let bit_rows = triggers_on(&tgds, &index, Some(&delta), Path::BitRows);
+        let generic = triggers_on(&tgds, &index, Some(&old), Path::Generic);
+        let bit_rows = triggers_on(&tgds, &index, Some(&old), Path::BitRows);
         assert_eq!(generic, vec![(0, vec![Elem(3), Elem(4), Elem(5)])]);
         assert_eq!(bit_rows, generic);
     }
 
     /// The chain `P(x,y), Q(y,z) -> H(x,z)` over the instance `old`, with
-    /// `delta` appended as the index tail. Each `(pred, edges)` lists one
-    /// predicate's facts by name.
+    /// `delta` appended as the index tail, and the watermark below which
+    /// the rows are old. Each `(pred, edges)` lists one predicate's facts by
+    /// name.
     fn chain_round(
         old: &[(&str, Vec<(u32, u32)>)],
         delta: &[(&str, Vec<(u32, u32)>)],
-    ) -> (Vec<Tgd>, InstanceIndex, Vec<Fact>) {
+    ) -> (Vec<Tgd>, InstanceIndex<'static>, Vec<usize>) {
         use tgdkit_logic::{parse_tgds, Schema};
         let mut schema = Schema::default();
         let tgds = parse_tgds(&mut schema, "P(x,y), Q(y,z) -> H(x,z).").unwrap();
@@ -853,12 +834,13 @@ mod tests {
         for fact in &old {
             instance.add_tuple(fact.pred, &fact.args);
         }
-        let mut index = InstanceIndex::new(&instance);
+        let mut index = InstanceIndex::owned(instance);
+        let marks = index.instance().watermark();
         index.extend(&delta);
-        for pred in ["P", "Q", "H"].map(|n| instance.schema().pred_id(n).unwrap()) {
+        for pred in ["P", "Q", "H"].map(|n| index.instance().schema().pred_id(n).unwrap()) {
             assert!(index.bit_rows(pred).is_some(), "bits on for {pred:?}");
         }
-        (tgds, index, delta)
+        (tgds, index, marks)
     }
 
     /// Every `(a, b)` with `a` in `sources` and `b` in `targets`.
@@ -886,8 +868,8 @@ mod tests {
         let mut q = grid(5..6, 20..30);
         q.extend(grid(7..8, 20..30));
         let delta = [("P", vec![(5, 9)]), ("Q", q)];
-        let (tgds, index, delta) = chain_round(&old, &delta);
-        let generic = triggers_on(&tgds, &index, Some(&delta), Path::Generic);
+        let (tgds, index, marks) = chain_round(&old, &delta);
+        let generic = triggers_on(&tgds, &index, Some(&marks), Path::Generic);
         // H(3,z) is derived through 5 and 7; the smaller y is kept.
         let mut want: Vec<(usize, Vec<Elem>)> = [(1, 5), (2, 5), (3, 5), (4, 7)]
             .into_iter()
@@ -895,7 +877,7 @@ mod tests {
             .collect();
         want.sort();
         assert_eq!(generic, want);
-        let bit_rows = triggers_on(&tgds, &index, Some(&delta), Path::BitRows);
+        let bit_rows = triggers_on(&tgds, &index, Some(&marks), Path::BitRows);
         assert_eq!(bit_rows, generic);
     }
 
@@ -912,12 +894,12 @@ mod tests {
             ("H", grid(48..52, 56..64)),
         ];
         let delta = [("Q", vec![(70, 1), (3, 2), (70, 2)])];
-        let (tgds, index, delta) = chain_round(&old, &delta);
+        let (tgds, index, marks) = chain_round(&old, &delta);
         let side = |i: usize| index.dense_side(tgds[0].body()[i].pred);
         assert_eq!((side(0), side(1)), (Some(64), Some(128)));
-        let generic = triggers_on(&tgds, &index, Some(&delta), Path::Generic);
+        let generic = triggers_on(&tgds, &index, Some(&marks), Path::Generic);
         assert_eq!(generic, vec![(0, vec![Elem(10), Elem(3), Elem(2)])]);
-        let bit_rows = triggers_on(&tgds, &index, Some(&delta), Path::BitRows);
+        let bit_rows = triggers_on(&tgds, &index, Some(&marks), Path::BitRows);
         assert_eq!(bit_rows, generic);
     }
 }

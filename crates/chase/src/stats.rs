@@ -28,10 +28,16 @@ pub struct ChaseStats {
     pub triggers_fired: usize,
     /// Facts added across all rounds.
     pub facts_added: usize,
-    /// Incremental [`tgdkit_hom::InstanceIndex::extend`] calls.
+    /// Rounds that grew the run's index. The index layers over the chased
+    /// instance, so each fired fact is appended to it in place by its
+    /// insert ([`tgdkit_hom::InstanceIndex::insert`]); this counts the
+    /// rounds that added at least one fact, not the inserts.
     pub index_extends: usize,
-    /// Full [`tgdkit_hom::InstanceIndex::new`] builds (one per chase pass;
-    /// more would mean the incremental path regressed).
+    /// Full index builds over an existing instance
+    /// ([`tgdkit_hom::InstanceIndex::owned`], or
+    /// [`tgdkit_hom::InstanceIndex::with_tail`] on a resume): one per chase
+    /// pass, whether a fresh run, a resumed segment or an incremental fold;
+    /// more would mean the incremental path regressed.
     pub index_rebuilds: usize,
     /// Rounds whose trigger search ran on multiple worker threads. The
     /// search runs on the calling thread, so the chase leaves this at 0;
@@ -61,7 +67,8 @@ pub struct ChaseStats {
     pub resumes: usize,
     /// Wall time spent finding triggers.
     pub trigger_search_time: Duration,
-    /// Wall time spent checking/firing triggers and extending the index.
+    /// Wall time spent checking and firing triggers, the inserts that grow
+    /// the instance and its index included.
     pub apply_time: Duration,
     /// Total wall time of the chase pass.
     pub total_time: Duration,

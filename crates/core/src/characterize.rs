@@ -26,9 +26,10 @@
 
 use crate::enumerate::{all_candidates, atom_universe, EnumOptions};
 use crate::ontology::{FiniteOntology, Ontology};
+use crate::rewrite::minimize;
 use tgdkit_chase::{
-    entails, entails_batch, entails_edd_under_tgds, equivalent, satisfies_edd, satisfies_egd,
-    satisfies_tgd, ChaseBudget, Entailment,
+    entails_batch, entails_edd_under_tgds, equivalent, satisfies_edd, satisfies_egd, satisfies_tgd,
+    CancelToken, ChaseBudget, Entailment,
 };
 use tgdkit_logic::{conjunction_vars, Atom, Edd, EddDisjunct, Egd, Tgd, TgdSet, Var};
 
@@ -282,23 +283,7 @@ pub fn recover_tgds(hidden: &TgdSet, opts: &EnumOptions, budget: ChaseBudget) ->
         .map(|(c, _)| c.clone())
         .collect();
     let candidates = enumeration.tgds.len();
-    // Minimize: simplify heads, drop tautologies, then drop members
-    // entailed by the rest (from the back).
-    let mut kept: Vec<Tgd> = kept.iter().filter_map(tgdkit_logic::simplify_tgd).collect();
-    let mut i = kept.len();
-    while i > 0 {
-        i -= 1;
-        let candidate = kept[i].clone();
-        let rest: Vec<Tgd> = kept
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, t)| t.clone())
-            .collect();
-        if entails(hidden.schema(), &rest, &candidate, budget) == Entailment::Proved {
-            kept.remove(i);
-        }
-    }
+    let kept = minimize(hidden.schema(), kept, budget, None, &CancelToken::new());
     let equivalence = equivalent(hidden.schema(), &kept, hidden.tgds(), budget);
     Recovery {
         tgds: kept,

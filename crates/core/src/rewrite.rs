@@ -469,7 +469,7 @@ fn conclude(
             // A cancellation inside `minimize` only stops the pruning early:
             // the partially minimized Σ' is still a correct rewriting, so
             // the outcome stays `Rewritten` (with `stats.cancelled` set).
-            let minimized = minimize(schema, sigma_prime, opts.budget, cache, token);
+            let minimized = minimize(schema, sigma_prime, opts.budget, Some(cache), token);
             stats.rewriting_size = minimized.len();
             stats.cancelled = token.is_cancelled();
             (RewriteOutcome::Rewritten(minimized), stats)
@@ -495,14 +495,16 @@ fn negative(stats: &RewriteStats, enumeration: &Enumeration) -> RewriteOutcome {
 }
 
 /// Removes candidates entailed by the remaining ones (greedy, keeping the
-/// earlier, syntactically smaller candidates). Cancellation stops the
-/// pruning early; the survivors still form a correct (merely less minimal)
-/// rewriting.
-fn minimize(
+/// earlier, syntactically smaller candidates), each check one [`decide`]
+/// through `cache` when given. Cancellation stops the pruning early; the
+/// survivors still form a correct (merely less minimal) set equivalent to
+/// `tgds`. Rewriting and Theorem 4.1 synthesis
+/// ([`crate::characterize::recover_tgds`]) share it.
+pub(crate) fn minimize(
     schema: &Schema,
     tgds: Vec<Tgd>,
     budget: ChaseBudget,
-    cache: &EntailCache,
+    cache: Option<&EntailCache>,
     token: &CancelToken,
 ) -> Vec<Tgd> {
     // Drop tautologies and redundant head atoms first.
@@ -521,7 +523,7 @@ fn minimize(
             .filter(|&(j, _)| j != i)
             .map(|(_, t)| t.clone())
             .collect();
-        if decide(schema, &rest, &candidate, budget, Some(cache), token) == Entailment::Proved {
+        if decide(schema, &rest, &candidate, budget, cache, token) == Entailment::Proved {
             tgds.remove(i);
         }
     }

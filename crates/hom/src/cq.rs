@@ -128,7 +128,7 @@ impl Cq {
 
     /// [`Cq::holds_with`] against a prebuilt [`InstanceIndex`] (reuse the
     /// index when probing many bindings against the same instance).
-    pub fn holds_with_indexed(&self, index: &InstanceIndex, fixed: &Binding) -> bool {
+    pub fn holds_with_indexed(&self, index: &InstanceIndex<'_>, fixed: &Binding) -> bool {
         let mut padded = fixed.clone();
         padded.resize(self.num_vars.max(fixed.len()), None);
         let mut found = false;

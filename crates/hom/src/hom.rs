@@ -15,7 +15,7 @@ use crate::plan::{
 };
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use tgdkit_instance::{store, Elem, Fact, Instance};
+use tgdkit_instance::{store, Elem, Instance};
 use tgdkit_logic::{Atom, PredId, Var};
 
 /// A partial assignment of variables to elements (`None` = unassigned).
@@ -53,7 +53,7 @@ pub fn find_hom(
 pub fn find_hom_indexed(
     atoms: &[Atom<Var>],
     num_vars: usize,
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     fixed: &Binding,
 ) -> Option<Binding> {
     let mut result = None;
@@ -68,7 +68,7 @@ pub fn find_hom_indexed(
 pub fn for_each_hom_indexed(
     atoms: &[Atom<Var>],
     num_vars: usize,
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     fixed: &Binding,
     visit: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
 ) {
@@ -84,7 +84,7 @@ pub fn for_each_hom_indexed(
 pub fn for_each_hom_reusing(
     atoms: &[Atom<Var>],
     num_vars: usize,
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     binding: &mut Binding,
     visit: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
 ) {
@@ -111,18 +111,17 @@ pub fn for_each_hom(
 }
 
 /// One anchor's worth of a semi-naive enumeration: binds atom `anchor` to
-/// each `delta` fact in turn and searches the remaining atoms, those
-/// before the anchor over old facts only.
+/// each delta row of its predicate in turn and searches the remaining
+/// atoms, those before the anchor over old facts only.
 ///
-/// The index must hold `I ∪ Δ` with the delta appended last (see
-/// [`InstanceIndex::extend`]): the rows of predicate `p` below `old[p]`
-/// are the old facts `I`, the rest are `Δ`. Predicates beyond `old` have
-/// no delta rows. Run over every anchor with `delta = Δ` (new, distinct
-/// facts), the visits are exactly the homomorphisms into `I ∪ Δ` that are
-/// not homomorphisms into `I`, each once: a match whose delta atoms sit at
-/// body positions `S` is found at anchor `min(S)` and no other. The chase
-/// skips the anchors whose predicate has no delta row, so the anchor loop
-/// lives with the caller.
+/// `old` is a watermark of the index (see [`Instance::watermark`]): the
+/// rows of predicate `p` below `old[p]` are the old facts `I`, the rest are
+/// `Δ`. Predicates beyond `old` have no delta rows. Run over every anchor,
+/// the visits are exactly the homomorphisms into `I ∪ Δ` that are not
+/// homomorphisms into `I`, each once: a match whose delta atoms sit at body
+/// positions `S` is found at anchor `min(S)` and no other. The chase skips
+/// the anchors whose predicate has no delta row, so the anchor loop lives
+/// with the caller.
 ///
 /// Returns [`ControlFlow::Break`] iff `visit` broke (so a caller looping
 /// over anchors can stop early). Generic over the visitor, so a concrete
@@ -130,9 +129,8 @@ pub fn for_each_hom(
 pub fn for_each_hom_anchored<V>(
     atoms: &[Atom<Var>],
     num_vars: usize,
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     anchor: usize,
-    delta: &[Fact],
     old: &[usize],
     visit: &mut V,
 ) -> ControlFlow<()>
@@ -141,6 +139,11 @@ where
 {
     let mut anchor_undo: Vec<u32> = Vec::new();
     let atom = &atoms[anchor];
+    let tuples = index.tuples(atom.pred);
+    let first = old.get(atom.pred.index()).copied().unwrap_or(usize::MAX);
+    if first >= tuples.len() || tuples.arity() != atom.args.len() {
+        return ControlFlow::Continue(());
+    }
     // The non-anchor conjunction is the same for every delta fact at
     // this anchor; build it once instead of once per fact.
     let rest: Vec<Atom<Var>> = atoms
@@ -189,14 +192,12 @@ where
     // anchor's own assignments (the executor restores everything else).
     let mut binding: Binding = vec![None; num_vars];
     let mut stop = false;
-    for fact in delta {
-        if fact.pred != atom.pred || fact.args.len() != atom.args.len() {
-            continue;
-        }
-        // Bind the anchor atom to the delta fact.
+    for row in first..tuples.len() {
+        // Bind the anchor atom to the delta row.
         anchor_undo.clear();
         let mut ok = true;
-        for (&v, &e) in atom.args.iter().zip(&fact.args) {
+        for (pos, &v) in atom.args.iter().enumerate() {
+            let e = tuples.at(row, pos);
             match binding[v.index()] {
                 Some(prev) if prev != e => {
                     ok = false;
@@ -233,7 +234,7 @@ where
 fn search(
     atoms: &[Atom<Var>],
     num_vars: usize,
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     fixed: &Binding,
     visit: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
 ) {
@@ -245,7 +246,7 @@ fn search(
 fn search_in(
     atoms: &[Atom<Var>],
     num_vars: usize,
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     binding: &mut Binding,
     visit: &mut dyn FnMut(&Binding) -> ControlFlow<()>,
 ) {
@@ -327,7 +328,7 @@ impl<'a> Watermark<'a> {
 struct Exec<'a> {
     atoms: &'a [Atom<Var>],
     steps: &'a [PlanStep],
-    index: &'a InstanceIndex,
+    index: &'a InstanceIndex<'a>,
     watermark: Watermark<'a>,
     undo: Vec<Var>,
     counters: JoinCounters,
@@ -347,7 +348,7 @@ impl<'a> Exec<'a> {
     fn new(
         atoms: &'a [Atom<Var>],
         steps: &'a [PlanStep],
-        index: &'a InstanceIndex,
+        index: &'a InstanceIndex<'a>,
         watermark: Watermark<'a>,
     ) -> Exec<'a> {
         Exec {

@@ -1,47 +1,54 @@
 //! Positional indexes over instances, accelerating homomorphism search.
 //!
-//! Tuples are stored column-major (struct-of-arrays, mirroring the
-//! [`tgdkit_instance::Relation`] layout): one contiguous `Vec<Elem>` per
-//! argument position. Single-position lookups go through hash postings,
-//! multi-position lookups through lazily built `JoinTable`s (hash maps
-//! keyed by the joint value of a *set* of positions — the build side of the
-//! executor's hash joins), and batched filters read whole column slices.
+//! An [`InstanceIndex`] layers over an instance's own relations: the tuples
+//! stay in the [`tgdkit_instance::Relation`] columns (struct-of-arrays, one
+//! contiguous `Vec<Elem>` per argument position), and the index keys
+//! everything it adds by the relation's physical row ids. Single-position
+//! lookups go through hash postings, multi-position lookups through lazily
+//! built `JoinTable`s (hash maps keyed by the joint value of a *set* of
+//! positions — the build side of the executor's hash joins), and batched
+//! filters read whole column slices straight off the relation.
 //!
-//! Membership is a [`RowSet`] keyed by tuple hash. Unary and binary
-//! predicates whose element ids are dense also keep one bit per possible
-//! tuple (`DenseBits`), so the chase's dead-trigger probe — almost every
-//! body match it offers — is one bit test instead of a hash, a slot read and
-//! a column-wise verify.
+//! Membership is the relation's own [`tgdkit_instance::store::RowSet`],
+//! keyed by tuple hash. Unary and binary predicates whose element ids are
+//! dense also keep one bit per possible tuple (`DenseBits`), so the chase's
+//! dead-trigger probe — almost every body match it offers — is one bit test
+//! instead of a hash, a slot read and a column-wise verify.
+//!
+//! Read-only callers borrow the instance ([`InstanceIndex::new`]); the
+//! chase hands its instance over ([`InstanceIndex::owned`]) and grows both
+//! through [`InstanceIndex::insert`], so a chased fact is hashed and
+//! deduplicated once, by the relation, and the index then only appends its
+//! postings and sets a bit. Rows are only ever appended, so the facts added
+//! since a [`Instance::watermark`] are the rows at or past it, and
+//! [`InstanceIndex::truncate`] takes them out again.
+//!
+//! Rows are enumerated in physical order — insertion order, not the
+//! relation's canonical sorted order — so the order in which searches find
+//! homomorphisms follows the order the instance's facts were added.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
-use tgdkit_instance::store::{self, RowSet};
-use tgdkit_instance::{Elem, Fact, FxBuildHasher, Instance};
+use tgdkit_instance::store;
+use tgdkit_instance::{Elem, Fact, FxBuildHasher, Instance, Relation};
 use tgdkit_logic::{PredId, Schema, Var};
 
-/// Per-predicate columnar tuple store plus positional postings and lazy
-/// multi-column join tables.
+/// What the index keeps per predicate beside the relation's own rows:
+/// positional postings, dense membership bits and lazy multi-column join
+/// tables, all keyed by the relation's physical row ids.
 #[derive(Debug, Default)]
 struct PredIndex {
-    arity: usize,
-    rows: usize,
-    /// One column per argument position, `rows` elements long, in the order
-    /// the tuples were indexed (canonical instance order for the initial
-    /// build, delta order for `extend`).
-    cols: Vec<Vec<Elem>>,
     /// Position → element → rows having that element at that position,
     /// ascending (rows are only ever appended).
     postings: Vec<HashMap<Elem, Vec<u32>, FxBuildHasher>>,
-    /// Collision-safe membership: the rows, keyed by tuple hash and
-    /// verified column-wise. The only map from a tuple to its row id.
-    seen: RowSet,
     /// Exact membership bits for arity 1 and 2, on while the density rule
     /// holds (see [`DenseBits`]).
     dense: DenseBits,
     /// Lazily built hash-join tables, keyed by the bound-position bitmask
     /// they index. Built on first probe (the executor decides per plan step
     /// whether a hash join pays), shared across concurrent searches, and
-    /// invalidated wholesale when the predicate grows.
+    /// invalidated wholesale when the predicate changes.
     tables: RwLock<HashMap<u64, Arc<JoinTable>, FxBuildHasher>>,
 }
 
@@ -51,7 +58,7 @@ struct PredIndex {
 /// iff the tuple is indexed, so a test is exact; an id at or beyond `side`
 /// reads as absent.
 ///
-/// The bits are kept only while they cost no more than the [`RowSet`] they
+/// The bits are kept only while they cost no more than the row set they
 /// shortcut, which holds at least two 8-byte slots per row: `side^arity ≤
 /// 128 · rows` bits, i.e. at most 16 bytes per row, and never below 32
 /// rows. The floor is where binary bits start anyway (64² bits need 32
@@ -60,7 +67,9 @@ struct PredIndex {
 /// with no build and no allocation. The rule is re-evaluated
 /// when the row count reaches a power of two and when an id at or beyond
 /// `side` arrives; switching on or resizing rebuilds the bits from the
-/// columns in O(rows), which is amortized O(1) per insert.
+/// columns in O(rows), which is amortized O(1) per insert. Every threshold
+/// of the rule is a power of two, so the bits grown insert by insert are
+/// the bits a fresh build over the same rows would choose.
 #[derive(Debug, Default)]
 struct DenseBits {
     /// `log2(side)`.
@@ -77,19 +86,16 @@ impl DenseBits {
     /// The density rule: no bits for fewer rows than this.
     const MIN_ROWS: usize = 32;
 
-    /// The bits for the first `rows` tuples of the `arity` columns `cols`,
-    /// sized by their largest element id, or off when they would break the
-    /// density rule.
-    fn build(arity: usize, cols: &[Vec<Elem>], rows: usize) -> DenseBits {
-        if rows < Self::MIN_ROWS {
+    /// The bits for the rows of `rel`, sized by their largest element id,
+    /// or off when they would break the density rule or the arity is not 1
+    /// or 2.
+    fn build(rel: &Relation) -> DenseBits {
+        let (arity, rows) = (rel.arity(), rel.len());
+        if !matches!(arity, 1 | 2) || rows < Self::MIN_ROWS {
             return DenseBits::default();
         }
-        let max_elem = cols
-            .iter()
-            .flat_map(|col| &col[..rows])
-            .map(|e| e.0)
-            .max()
-            .unwrap_or(0);
+        let cols = rel.columns();
+        let max_elem = cols.iter().flatten().map(|e| e.0).max().unwrap_or(0);
         let shift = (u64::from(max_elem) + 1)
             .next_power_of_two()
             .trailing_zeros()
@@ -153,70 +159,87 @@ impl DenseBits {
 }
 
 impl PredIndex {
-    #[inline]
-    fn at(&self, row: u32, pos: usize) -> Elem {
-        self.cols[pos][row as usize]
+    /// The index over every row of `rel`.
+    fn build(rel: &Relation) -> PredIndex {
+        let mut postings = vec![HashMap::default(); rel.arity()];
+        for (map, col) in postings.iter_mut().zip(rel.columns()) {
+            for (row, &e) in (0u32..).zip(col) {
+                map.entry(e).or_insert_with(Vec::new).push(row);
+            }
+        }
+        PredIndex {
+            postings,
+            dense: DenseBits::build(rel),
+            tables: RwLock::default(),
+        }
     }
 
-    /// `true` when the tuple `elem(0..len)` is indexed at a row below
-    /// `limit`. Indexed tuples are distinct, so the one match decides. With
+    /// `true` when the tuple `elem(0..len)` is in `rel` at a row below
+    /// `limit`. Stored tuples are distinct, so the one match decides. With
     /// the dense bits on, a clear bit decides absence and, when `limit`
     /// covers every row, a set bit decides presence; only a probe below a
-    /// watermark needs the row id, which the [`RowSet`] alone maps.
+    /// watermark needs the row id, which the relation's row set maps.
     #[inline]
-    fn contains_with(&self, len: usize, elem: impl Fn(usize) -> Elem, limit: usize) -> bool {
-        if len != self.arity {
+    fn contains_with(
+        &self,
+        rel: &Relation,
+        len: usize,
+        elem: impl Fn(usize) -> Elem,
+        limit: usize,
+    ) -> bool {
+        if len != rel.arity() {
             return false;
         }
         if let Some(present) = self.dense.test(len, &elem) {
-            if !present || limit >= self.rows {
+            if !present || limit >= rel.len() {
                 return present;
             }
         }
-        self.seen
-            .find(store::tuple_hash_iter((0..len).map(&elem)), |r| {
-                (0..len).all(|pos| self.at(r, pos) == elem(pos))
-            })
-            .is_some_and(|r| (r as usize) < limit)
+        rel.find_row(elem).is_some_and(|r| (r as usize) < limit)
     }
 
-    /// Appends `tuple` unless already present; returns `true` when added.
-    ///
-    /// # Panics
-    /// Panics when the predicate already holds [`store::MAX_ROWS`] rows.
-    fn push(&mut self, tuple: &[Elem]) -> bool {
-        debug_assert_eq!(tuple.len(), self.arity);
-        let hash = store::tuple_hash(tuple);
-        let cols = &self.cols;
-        let present = match self.dense.test(self.arity, |pos| tuple[pos]) {
-            Some(present) => present,
-            None => self
-                .seen
-                .find(hash, |r| store::columns_row_eq(cols, r, tuple))
-                .is_some(),
-        };
-        if present {
-            return false;
+    /// Indexes the last row of `rel`, just appended.
+    fn append(&mut self, rel: &Relation) {
+        let rows = rel.len();
+        let row = (rows - 1) as u32;
+        let cols = rel.columns();
+        for (map, col) in self.postings.iter_mut().zip(cols) {
+            map.entry(col[row as usize])
+                .or_insert_with(Vec::new)
+                .push(row);
         }
-        let row = store::next_row_id(self.rows).unwrap_or_else(|e| panic!("index overflow: {e}"));
-        self.seen
-            .insert(hash, row, |r| store::columns_row_hash(cols, r));
-        for (pos, (col, &e)) in self.cols.iter_mut().zip(tuple).enumerate() {
-            col.push(e);
-            self.postings[pos].entry(e).or_default().push(row);
-        }
-        self.rows += 1;
-        if matches!(self.arity, 1 | 2) {
+        let arity = rel.arity();
+        if matches!(arity, 1 | 2) {
             let refresh = if self.dense.is_on() {
-                !self.dense.set(self.arity, |pos| tuple[pos])
+                !self.dense.set(arity, |pos| cols[pos][row as usize])
             } else {
-                self.rows.is_power_of_two()
+                rows.is_power_of_two()
             };
             if refresh {
-                self.dense = DenseBits::build(self.arity, &self.cols, self.rows);
+                self.dense = DenseBits::build(rel);
             }
         }
-        // The predicate changed shape: any cached join table is stale.
+        self.drop_tables();
+    }
+
+    /// Takes the rows of `rel` at or past `keep` out of the postings
+    /// (before the relation drops them).
+    fn unindex_tail(&mut self, rel: &Relation, keep: usize) {
+        for (map, col) in self.postings.iter_mut().zip(rel.columns()) {
+            for (row, e) in col.iter().enumerate().skip(keep).rev() {
+                let list = map.get_mut(e).expect("an indexed element has postings");
+                let popped = list.pop();
+                debug_assert_eq!(popped, Some(row as u32), "postings ascend");
+                if list.is_empty() {
+                    map.remove(e);
+                }
+            }
+        }
+        self.drop_tables();
+    }
+
+    /// The predicate changed shape: any cached join table is stale.
+    fn drop_tables(&mut self) {
         let tables = self
             .tables
             .get_mut()
@@ -224,26 +247,26 @@ impl PredIndex {
         if !tables.is_empty() {
             tables.clear();
         }
-        true
     }
 
-    /// The join table over the positions in `mask`, building (and caching)
-    /// it on first use. Returns the rows scanned by a fresh build (0 on a
-    /// cache hit) alongside the table, for the `build_rows` telemetry.
-    fn join_table(&self, mask: u64) -> (Arc<JoinTable>, u64) {
+    /// The join table over the positions in `mask` of `rel`, building (and
+    /// caching) it on first use. Returns the rows scanned by a fresh build
+    /// (0 on a cache hit) alongside the table, for the `build_rows`
+    /// telemetry.
+    fn join_table(&self, rel: &Relation, mask: u64) -> (Arc<JoinTable>, u64) {
         {
             let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(t) = tables.get(&mask) {
                 return (Arc::clone(t), 0);
             }
         }
-        let built = Arc::new(JoinTable::build(&self.cols, self.rows, mask));
+        let built = Arc::new(JoinTable::build(rel.columns(), rel.len(), mask));
         let mut tables = self.tables.write().unwrap_or_else(PoisonError::into_inner);
         // Another thread may have built it between the locks; first build
         // wins so all probers share one table.
         let entry = tables.entry(mask).or_insert_with(|| Arc::clone(&built));
         let fresh = Arc::ptr_eq(entry, &built);
-        (Arc::clone(entry), if fresh { self.rows as u64 } else { 0 })
+        (Arc::clone(entry), if fresh { rel.len() as u64 } else { 0 })
     }
 }
 
@@ -280,17 +303,23 @@ impl JoinTable {
     }
 }
 
-/// A per-predicate, per-position index of an instance's tuples.
+/// A per-predicate, per-position index over an instance's relations.
 ///
-/// For each predicate the tuples are materialized column-major (in the
-/// instance's deterministic order) and, for each argument position, a map
-/// from element to the list of tuple indices having that element at that
-/// position. Join-style candidate lookups during homomorphism search then
-/// cost a hash lookup instead of a relation scan, equality filters run over
-/// contiguous column slices, and multi-position probes hit cached hash-join
-/// tables.
+/// The tuples are the relations' own columns; for each argument position
+/// the index adds a map from element to the rows having that element at
+/// that position. Join-style candidate lookups during homomorphism search
+/// then cost a hash lookup instead of a relation scan, equality filters run
+/// over contiguous column slices, and multi-position probes hit cached
+/// hash-join tables.
+///
+/// The instance is borrowed ([`InstanceIndex::new`]) or owned
+/// ([`InstanceIndex::owned`]); only an owned index is grown in place, and a
+/// borrowed one copies its instance on the first insert. Predicates beyond
+/// the instance's schema read as empty relations.
 #[derive(Debug)]
-pub struct InstanceIndex {
+pub struct InstanceIndex<'a> {
+    instance: Cow<'a, Instance>,
+    /// One entry per predicate of the instance's schema.
     preds: Vec<PredIndex>,
     /// Hash of the indexed schema (predicate names and arities) — part of
     /// the planner's cross-run plan-cache key, so plans cached against one
@@ -308,36 +337,64 @@ fn schema_fingerprint(schema: &Schema) -> u64 {
     h.finish()
 }
 
-impl InstanceIndex {
-    /// Builds the index for `instance`.
-    pub fn new(instance: &Instance) -> InstanceIndex {
+impl<'a> InstanceIndex<'a> {
+    /// Indexes `instance` in place, borrowing it.
+    pub fn new(instance: &'a Instance) -> InstanceIndex<'a> {
+        InstanceIndex::build(Cow::Borrowed(instance))
+    }
+
+    /// Indexes `instance`, taking it over: the form that grows in place
+    /// ([`InstanceIndex::insert`]).
+    pub fn owned(instance: Instance) -> InstanceIndex<'static> {
+        InstanceIndex::build(Cow::Owned(instance))
+    }
+
+    fn build(instance: Cow<'a, Instance>) -> InstanceIndex<'a> {
         let schema = instance.schema();
-        let mut preds: Vec<PredIndex> = Vec::with_capacity(schema.len());
-        let mut scratch: Vec<Elem> = Vec::new();
-        for pred in schema.preds() {
-            let rel = instance.relation(pred);
-            let arity = schema.arity(pred);
-            let mut pi = PredIndex {
-                arity,
-                rows: 0,
-                cols: (0..arity).map(|_| Vec::with_capacity(rel.len())).collect(),
-                postings: vec![HashMap::default(); arity],
-                seen: RowSet::new(),
-                dense: DenseBits::default(),
-                tables: RwLock::default(),
-            };
-            let mut built: u64 = 0;
-            for tuple in rel {
-                tuple.copy_into(&mut scratch);
-                built += pi.push(&scratch) as u64;
-            }
-            crate::plan::record_build_rows(built);
-            preds.push(pi);
-        }
+        let preds = schema
+            .preds()
+            .map(|pred| PredIndex::build(instance.relation(pred)))
+            .collect();
+        crate::plan::record_build_rows(instance.fact_count() as u64);
+        let fingerprint = schema_fingerprint(schema);
         InstanceIndex {
+            instance,
             preds,
-            fingerprint: schema_fingerprint(schema),
+            fingerprint,
         }
+    }
+
+    /// Indexes `instance` with the facts of `delta` as its tail: the facts
+    /// of `I ∖ Δ` take the first rows, and the delta facts present in
+    /// `instance` are moved past them, each once. Returns the index and the
+    /// watermark below which the rows are `I ∖ Δ` — the shape a chase
+    /// round starts from. Facts of `delta` missing from `instance` are
+    /// ignored, and the instance's fact set and domain end unchanged.
+    pub fn with_tail(
+        mut instance: Instance,
+        delta: &[Fact],
+    ) -> (InstanceIndex<'static>, Vec<usize>) {
+        let moved: Vec<&Fact> = delta
+            .iter()
+            .filter(|fact| instance.remove_fact(fact.pred, &fact.args))
+            .collect();
+        let marks = instance.watermark();
+        let mut index = InstanceIndex::owned(instance);
+        for fact in moved {
+            index.insert(fact.pred, &fact.args);
+        }
+        (index, marks)
+    }
+
+    /// The indexed instance.
+    #[inline]
+    pub fn instance(&self) -> &Instance {
+        &self.instance
+    }
+
+    /// The indexed instance, copied out when it is borrowed.
+    pub fn into_instance(self) -> Instance {
+        self.instance.into_owned()
     }
 
     /// Hash of the indexed schema, scoping cached join plans (see
@@ -347,16 +404,24 @@ impl InstanceIndex {
         self.fingerprint
     }
 
-    /// All tuples of `pred`, in deterministic order, as a columnar view.
+    /// The relation of `pred` beside its index entry; `None` beyond the
+    /// schema.
+    #[inline]
+    fn pred(&self, pred: PredId) -> Option<(&Relation, &PredIndex)> {
+        let pi = self.preds.get(pred.index())?;
+        Some((self.instance.relation(pred), pi))
+    }
+
+    /// All tuples of `pred`, in physical row order, as a columnar view.
     /// Predicates beyond the indexed instance's schema (e.g. added to a
     /// shared schema after the instance was built) read as empty relations.
     #[inline]
     pub fn tuples(&self, pred: PredId) -> Tuples<'_> {
-        match self.preds.get(pred.index()) {
-            Some(pi) => Tuples {
-                cols: &pi.cols,
-                arity: pi.arity,
-                rows: pi.rows,
+        match self.pred(pred) {
+            Some((rel, _)) => Tuples {
+                cols: rel.columns(),
+                arity: rel.arity(),
+                rows: rel.len(),
             },
             None => Tuples {
                 cols: &[],
@@ -366,16 +431,16 @@ impl InstanceIndex {
         }
     }
 
-    /// The element at position `pos` of indexed tuple `row` of `pred`.
+    /// The element at position `pos` of row `row` of `pred`.
     ///
     /// # Panics
     /// Panics if the row or position is out of range for the predicate.
     #[inline]
     pub fn at(&self, pred: PredId, row: u32, pos: usize) -> Elem {
-        self.preds[pred.index()].at(row, pos)
+        self.instance.relation(pred).column(pos)[row as usize]
     }
 
-    /// Tuple indices of `pred` having `elem` at `position` (empty slice if
+    /// Rows of `pred` having `elem` at `position`, ascending (empty slice if
     /// none, or if the predicate/position is beyond the indexed schema).
     #[inline]
     pub fn postings(&self, pred: PredId, position: usize, elem: Elem) -> &[u32] {
@@ -387,12 +452,12 @@ impl InstanceIndex {
     }
 
     /// The hash-join table of `pred` over the positions in `mask`, built on
-    /// first use and cached until the predicate grows. `None` beyond the
+    /// first use and cached until the predicate changes. `None` beyond the
     /// indexed schema. The second component is the number of rows a fresh
     /// build scanned (0 on a cache hit).
     #[inline]
     pub(crate) fn join_table(&self, pred: PredId, mask: u64) -> Option<(Arc<JoinTable>, u64)> {
-        self.preds.get(pred.index()).map(|pi| pi.join_table(mask))
+        self.pred(pred).map(|(rel, pi)| pi.join_table(rel, mask))
     }
 
     /// Number of distinct elements occurring at `position` of `pred` — the
@@ -409,7 +474,7 @@ impl InstanceIndex {
     /// Number of tuples of `pred` (zero beyond the indexed schema).
     #[inline]
     pub fn count(&self, pred: PredId) -> usize {
-        self.preds.get(pred.index()).map_or(0, |pi| pi.rows)
+        self.pred(pred).map_or(0, |(rel, _)| rel.len())
     }
 
     /// The side of `pred`'s dense membership bits (see the module docs):
@@ -428,10 +493,9 @@ impl InstanceIndex {
     /// other arity. The bits are exact, so a join over the rows decides
     /// membership without touching the columns.
     pub fn bit_rows(&self, pred: PredId) -> Option<BitRows<'_>> {
-        self.preds
-            .get(pred.index())
-            .filter(|pi| pi.arity == 2 && pi.dense.is_on())
-            .map(|pi| BitRows {
+        self.pred(pred)
+            .filter(|(rel, pi)| rel.arity() == 2 && pi.dense.is_on())
+            .map(|(_, pi)| BitRows {
                 words: &pi.dense.words,
                 shift: pi.dense.shift,
             })
@@ -439,22 +503,20 @@ impl InstanceIndex {
 
     /// Total number of indexed tuples across all predicates.
     pub fn total_count(&self) -> usize {
-        self.preds.iter().map(|pi| pi.rows).sum()
+        self.instance.fact_count()
     }
 
-    /// `true` if the tuple `args` of `pred` is already indexed.
+    /// `true` if the tuple `args` of `pred` is present.
     pub fn contains(&self, pred: PredId, args: &[Elem]) -> bool {
         self.contains_below(pred, args, usize::MAX)
     }
 
-    /// `true` if the tuple `args` of `pred` is indexed at a row below
+    /// `true` if the tuple `args` of `pred` is present at a row below
     /// `limit`. With `limit` a semi-naive watermark, that is whether it is
-    /// an old fact rather than part of the appended delta (see
-    /// [`InstanceIndex::extend`]).
+    /// an old fact rather than one appended since.
     pub fn contains_below(&self, pred: PredId, args: &[Elem], limit: usize) -> bool {
-        self.preds
-            .get(pred.index())
-            .is_some_and(|pi| pi.contains_with(args.len(), |pos| args[pos], limit))
+        self.pred(pred)
+            .is_some_and(|(rel, pi)| pi.contains_with(rel, args.len(), |pos| args[pos], limit))
     }
 
     /// [`InstanceIndex::contains`] for the tuple an atom with arguments
@@ -479,51 +541,72 @@ impl InstanceIndex {
         limit: usize,
     ) -> bool {
         let elem = |pos: usize| binding[args[pos].index()].expect("probed variable is bound");
-        self.preds
-            .get(pred.index())
-            .is_some_and(|pi| pi.contains_with(args.len(), elem, limit))
+        self.pred(pred)
+            .is_some_and(|(rel, pi)| pi.contains_with(rel, args.len(), elem, limit))
     }
 
-    /// Appends `delta` to the index, growing it in place.
+    /// Adds the fact `pred(args)` to the instance and the index; returns
+    /// `true` when it was new. The relation hashes and deduplicates the
+    /// tuple and appends its row; the index then appends the row to its
+    /// postings and sets its dense bit. A duplicate that the dense bits
+    /// already show is turned away without hashing. A borrowed index
+    /// copies its instance first.
     ///
-    /// Observationally equivalent to rebuilding with [`InstanceIndex::new`]
-    /// on the extended instance — same tuple *sets* and consistent postings
-    /// — except that new tuples are appended in `delta` order instead of
-    /// the instance's sorted order, so [`InstanceIndex::tuples`] may
-    /// enumerate in a different order. Facts already indexed (and
-    /// duplicates within `delta`) are skipped, and predicates beyond the
-    /// original schema grow the index as needed, so repeated `extend`s from
-    /// any source converge to the same fact set. Cost is O(|delta|) amortized
-    /// — this is what keeps multi-round chases from paying a full O(|I|)
-    /// rebuild per round. Cached join tables of the touched predicates are
-    /// invalidated (rebuilt lazily on the next probe).
-    ///
-    /// Appended rows get the next row numbers, and postings and join-table
-    /// rows stay ascending. So when `delta` holds new, distinct facts, they
-    /// are exactly the rows of each predicate `p` at or above
-    /// `count(p) − |delta_p|` — the watermark the semi-naive search
-    /// ([`crate::for_each_hom_anchored`]) cuts old facts at.
-    pub fn extend(&mut self, delta: &[Fact]) {
-        let mut built: u64 = 0;
-        for fact in delta {
-            let p = fact.pred.index();
-            if p >= self.preds.len() {
-                self.preds.resize_with(p + 1, PredIndex::default);
+    /// # Panics
+    /// As [`Instance::add_tuple`]: on a predicate outside the schema, an
+    /// arity mismatch, or a relation at its row-id capacity.
+    pub fn insert(&mut self, pred: PredId, args: &[Elem]) -> bool {
+        if let Some((rel, pi)) = self.pred(pred) {
+            if rel.arity() == args.len() && pi.dense.test(args.len(), |pos| args[pos]) == Some(true)
+            {
+                return false;
             }
-            let pi = &mut self.preds[p];
-            if pi.rows == 0 && pi.arity != fact.args.len() {
-                // Predicate first seen through a delta (or still empty):
-                // adopt the fact's arity.
-                pi.arity = fact.args.len();
-            }
-            debug_assert_eq!(pi.arity, fact.args.len(), "mixed arity in extend");
-            if pi.cols.len() < fact.args.len() {
-                pi.cols.resize_with(fact.args.len(), Vec::new);
-                pi.postings.resize_with(fact.args.len(), HashMap::default);
-            }
-            built += pi.push(&fact.args) as u64;
         }
-        crate::plan::record_build_rows(built);
+        let instance = self.instance.to_mut();
+        if !instance.add_tuple(pred, args) {
+            return false;
+        }
+        self.preds[pred.index()].append(instance.relation(pred));
+        true
+    }
+
+    /// Inserts every fact of `delta` ([`InstanceIndex::insert`]), in order.
+    /// New facts get the next rows of their predicates, so the facts of
+    /// `delta` that were new are exactly the rows at or past the
+    /// [`Instance::watermark`] read before the call.
+    pub fn extend(&mut self, delta: &[Fact]) {
+        for fact in delta {
+            self.insert(fact.pred, &fact.args);
+        }
+    }
+
+    /// [`Instance::remove_dom_elem`] on the indexed instance: the domain
+    /// is not indexed, so dropping an isolated element leaves the index as
+    /// it is.
+    pub fn remove_dom_elem(&mut self, e: Elem) -> bool {
+        self.instance.to_mut().remove_dom_elem(e)
+    }
+
+    /// Drops every row at or past `marks` (a watermark of the indexed
+    /// instance) from the instance and the index: after inserts alone, the
+    /// state the watermark was read in. The instance's domain is kept, as
+    /// [`Instance::truncate`] keeps it. The dense bits of a truncated
+    /// predicate are rebuilt from its remaining rows.
+    pub fn truncate(&mut self, marks: &[usize]) {
+        let instance = self.instance.to_mut();
+        let mut cut = Vec::new();
+        for (p, (pi, &mark)) in self.preds.iter_mut().zip(marks).enumerate() {
+            let rel = instance.relation(PredId(p as u32));
+            if mark < rel.len() {
+                pi.unindex_tail(rel, mark);
+                cut.push(p);
+            }
+        }
+        instance.truncate(marks);
+        for p in cut {
+            let pi = &mut self.preds[p];
+            pi.dense = DenseBits::build(instance.relation(PredId(p as u32)));
+        }
     }
 }
 
@@ -561,9 +644,8 @@ impl<'a> BitRows<'a> {
     }
 }
 
-/// A columnar view of one predicate's indexed tuples: per-position element
-/// access plus whole-column slices for batched scans. Copy-cheap (three
-/// words).
+/// A columnar view of one predicate's tuples: per-position element access
+/// plus whole-column slices for batched scans. Copy-cheap (three words).
 #[derive(Clone, Copy)]
 pub struct Tuples<'a> {
     cols: &'a [Vec<Elem>],
@@ -600,7 +682,7 @@ impl<'a> Tuples<'a> {
     }
 
     /// The contiguous column of elements at position `pos` (one per tuple,
-    /// in index order) — the slice chunked equality filters scan.
+    /// in row order) — the slice chunked equality filters scan.
     ///
     /// # Panics
     /// Panics if `pos >= arity()`.
@@ -658,7 +740,7 @@ mod tests {
         let p = s.pred_id("P").unwrap();
         let mut i = Instance::new(s);
         i.add_fact(r, vec![Elem(0), Elem(1)]);
-        let mut idx = InstanceIndex::new(&i);
+        let mut idx = InstanceIndex::owned(i.clone());
         let delta = [
             Fact::new(r, vec![Elem(1), Elem(2)]),
             Fact::new(p, vec![Elem(0)]),
@@ -688,23 +770,93 @@ mod tests {
     }
 
     #[test]
-    fn extend_grows_past_indexed_schema() {
+    fn rows_follow_the_relation_and_insert_grows_both() {
+        let s = Schema::builder().pred("R", 2).pred("Z", 0).build();
+        let r = s.pred_id("R").unwrap();
+        let z = s.pred_id("Z").unwrap();
+        let mut i = Instance::new(s);
+        i.add_fact(r, vec![Elem(5), Elem(1)]);
+        i.add_fact(r, vec![Elem(0), Elem(2)]);
+        // Physical (insertion) order, not the canonical sorted order.
+        let borrowed = InstanceIndex::new(&i);
+        assert_eq!(borrowed.tuples(r).col(0), &[Elem(5), Elem(0)]);
+        assert_eq!(borrowed.postings(r, 0, Elem(0)), &[1]);
+        let mut idx = InstanceIndex::owned(i);
+        assert!(idx.insert(r, &[Elem(3), Elem(1)]));
+        assert!(!idx.insert(r, &[Elem(5), Elem(1)]), "already present");
+        assert!(idx.insert(z, &[]));
+        assert!(!idx.insert(z, &[]));
+        assert_eq!(idx.postings(r, 1, Elem(1)), &[0, 2]);
+        assert_eq!(idx.count(z), 1);
+        assert!(idx.contains(z, &[]));
+        assert_eq!(idx.instance().fact_count(), 4);
+        assert!(idx.instance().contains_fact(r, &[Elem(3), Elem(1)]));
+    }
+
+    #[test]
+    fn truncate_returns_to_the_watermark() {
+        let s = Schema::builder().pred("R", 2).pred("P", 1).build();
+        let r = s.pred_id("R").unwrap();
+        let p = s.pred_id("P").unwrap();
+        let mut idx = InstanceIndex::owned(Instance::new(s));
+        for a in 0..40 {
+            idx.insert(r, &[Elem(a), Elem(a + 1)]);
+        }
+        let mark = idx.instance().watermark();
+        let before = idx.instance().clone();
+        for a in 40..70 {
+            idx.insert(r, &[Elem(a), Elem(1)]);
+            idx.insert(p, &[Elem(a)]);
+        }
+        let (table, _) = idx.join_table(r, 0b11).unwrap();
+        assert_eq!(
+            table
+                .probe(store::tuple_hash_iter([Elem(50), Elem(1)].into_iter()))
+                .len(),
+            1
+        );
+        idx.truncate(&mark);
+        assert_eq!(idx.instance().facts().count(), before.fact_count());
+        assert_eq!(idx.postings(r, 1, Elem(1)), &[0]);
+        assert_eq!(idx.distinct(r, 0), 40);
+        assert_eq!(idx.distinct(p, 0), 0);
+        assert!(!idx.contains(r, &[Elem(50), Elem(1)]));
+        assert!(idx.contains(r, &[Elem(39), Elem(40)]));
+        // The dense bits are those of a fresh build over the 40 rows.
+        let fresh = InstanceIndex::new(&before);
+        assert_eq!(idx.dense_side(r), fresh.dense_side(r));
+        assert_eq!(idx.dense_side(p), None);
+        let (table, built) = idx.join_table(r, 0b11).unwrap();
+        assert_eq!(built, 40, "the join table is rebuilt over what is left");
+        assert!(table
+            .probe(store::tuple_hash_iter([Elem(50), Elem(1)].into_iter()))
+            .is_empty());
+        // Truncated rows insert again at the tail.
+        assert!(idx.insert(r, &[Elem(50), Elem(1)]));
+        assert_eq!(idx.postings(r, 1, Elem(1)), &[0, 40]);
+    }
+
+    #[test]
+    fn with_tail_moves_the_delta_past_the_watermark() {
         let s = Schema::builder().pred("R", 2).build();
-        let i = Instance::new(s);
-        let mut idx = InstanceIndex::new(&i);
-        // A predicate the indexed instance never saw, plus a zero-arity one.
-        let ghost = tgdkit_logic::PredId(3);
-        let zero = tgdkit_logic::PredId(5);
-        idx.extend(&[
-            Fact::new(ghost, vec![Elem(4), Elem(5)]),
-            Fact::new(zero, vec![]),
-            Fact::new(zero, vec![]),
-        ]);
-        assert_eq!(idx.count(ghost), 1);
-        assert_eq!(idx.postings(ghost, 1, Elem(5)), &[0]);
-        assert_eq!(idx.count(zero), 1);
-        assert!(idx.contains(zero, &[]));
-        assert!(!idx.contains(tgdkit_logic::PredId(9), &[]));
+        let r = s.pred_id("R").unwrap();
+        let mut i = Instance::new(s);
+        for a in 0..5 {
+            i.add_fact(r, vec![Elem(a), Elem(a + 1)]);
+        }
+        let delta = [
+            Fact::new(r, vec![Elem(0), Elem(1)]),
+            Fact::new(r, vec![Elem(9), Elem(9)]), // absent: ignored
+            Fact::new(r, vec![Elem(2), Elem(3)]),
+            Fact::new(r, vec![Elem(0), Elem(1)]), // repeated: moved once
+        ];
+        let (idx, mark) = InstanceIndex::with_tail(i.clone(), &delta);
+        assert_eq!(mark, vec![3]);
+        assert_eq!(idx.instance(), &i);
+        let tail: Vec<Fact> = idx.instance().facts_from(&mark).collect();
+        assert_eq!(tail, vec![delta[0].clone(), delta[2].clone()]);
+        assert!(idx.contains_below(r, &[Elem(1), Elem(2)], 3));
+        assert!(!idx.contains_below(r, &[Elem(0), Elem(1)], 3));
     }
 
     #[test]
@@ -756,7 +908,7 @@ mod tests {
         let r = s.pred_id("R").unwrap();
         let mut i = Instance::new(s);
         i.add_fact(r, vec![Elem(0), Elem(1)]);
-        let mut idx = InstanceIndex::new(&i);
+        let mut idx = InstanceIndex::owned(i);
         let mask = 0b11u64;
         let (stale, _) = idx.join_table(r, mask).unwrap();
         idx.extend(&[Fact::new(r, vec![Elem(2), Elem(3)])]);
@@ -772,7 +924,7 @@ mod tests {
         let s = Schema::builder().pred("R", 2).pred("P", 1).build();
         let r = s.pred_id("R").unwrap();
         let p = s.pred_id("P").unwrap();
-        let mut idx = InstanceIndex::new(&Instance::new(s));
+        let mut idx = InstanceIndex::owned(Instance::new(s));
         let edge = |a: u32, b: u32| Fact::new(r, vec![Elem(a), Elem(b)]);
         let unary = |a: u32| Fact::new(p, vec![Elem(a)]);
         // Below 32 rows a unary predicate has no bits, though 64 ≤ 128 · 31.
@@ -820,7 +972,7 @@ mod tests {
         let s = Schema::builder().pred("R", 2).pred("P", 1).build();
         let r = s.pred_id("R").unwrap();
         let p = s.pred_id("P").unwrap();
-        let mut idx = InstanceIndex::new(&Instance::new(s));
+        let mut idx = InstanceIndex::owned(Instance::new(s));
         let edges: Vec<Fact> = (0..40)
             .map(|i| Fact::new(r, vec![Elem(i), Elem((i * 7 + 3) % 64)]))
             .collect();

@@ -113,9 +113,10 @@ pub struct JoinStats {
     /// Plan steps executed as indexed nested loops (single-position postings
     /// drives) or columnar scans.
     pub nested_loop_joins: u64,
-    /// Build-side rows ingested: tuples pushed into the positional index
-    /// (initial build plus delta folds) and rows scanned constructing
-    /// hash-join tables. Nonzero whenever any indexed search ran.
+    /// Build-side rows ingested: rows indexed by building an index over an
+    /// existing instance, and rows scanned constructing hash-join tables.
+    /// Rows a chase appends through its index's inserts are not counted.
+    /// Nonzero whenever any indexed search ran over a nonempty instance.
     pub build_rows: u64,
     /// Candidate rows returned by hash-join probes (before column-wise
     /// verification).
@@ -162,11 +163,12 @@ pub(crate) fn record_join_counters(hash: u64, nested: u64, build: u64, probe: u6
     }
 }
 
-/// Charges `n` rows to the build side of the join telemetry. Index
-/// construction calls this for every tuple it ingests ([`InstanceIndex`]
-/// builds and delta folds feed every later probe, so they are build work in
-/// the hash-join sense), alongside the executor's own accounting of
-/// join-table construction scans.
+/// Charges `n` rows to the build side of the join telemetry. Building an
+/// [`InstanceIndex`] over an existing instance calls this for every row it
+/// indexes (the build feeds every later probe, so it is build work in the
+/// hash-join sense), alongside the executor's own accounting of join-table
+/// construction scans. Rows appended one insert at a time are not charged:
+/// the insert path stays free of shared counters.
 ///
 /// [`InstanceIndex`]: crate::index::InstanceIndex
 #[inline]
@@ -224,7 +226,7 @@ impl JoinPlan {
 /// Estimated number of candidate tuples for `atom` given the set of bound
 /// variables: `|R| / Π_{bound positions p} distinct(R, p)`, clamped to at
 /// least one candidate unless the relation is empty.
-fn estimate(atom: &Atom<Var>, index: &InstanceIndex, bound: &[bool]) -> f64 {
+fn estimate(atom: &Atom<Var>, index: &InstanceIndex<'_>, bound: &[bool]) -> f64 {
     let card = index.count(atom.pred) as f64;
     if card == 0.0 {
         return 0.0;
@@ -269,7 +271,7 @@ pub(crate) fn step_for(i: usize, atom: &Atom<Var>, is_bound: impl Fn(usize) -> b
 /// differs from the syntactic atom order.
 fn build_plan(
     atoms: &[Atom<Var>],
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     entry_bound: &[bool],
 ) -> (JoinPlan, bool) {
     let mut bound = entry_bound.to_vec();
@@ -317,7 +319,7 @@ fn build_plan(
 /// atom index, so the plan is deterministic. Always builds fresh (and
 /// counts a built plan); the executor-facing entry point is
 /// [`plan_join_cached`], which memoizes.
-pub fn plan_join(atoms: &[Atom<Var>], index: &InstanceIndex, bound: &[bool]) -> Vec<usize> {
+pub fn plan_join(atoms: &[Atom<Var>], index: &InstanceIndex<'_>, bound: &[bool]) -> Vec<usize> {
     if atoms.is_empty() {
         PLANS_BUILT.add(1);
         return Vec::new();
@@ -365,7 +367,7 @@ fn plan_cache() -> &'static RwLock<PlanCache> {
 /// cache hits allocate nothing.
 fn for_each_key_word(
     atoms: &[Atom<Var>],
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     bound: &[bool],
     mut f: impl FnMut(u64),
 ) {
@@ -390,13 +392,18 @@ fn for_each_key_word(
     }
 }
 
-fn key_hash(atoms: &[Atom<Var>], index: &InstanceIndex, bound: &[bool]) -> u64 {
+fn key_hash(atoms: &[Atom<Var>], index: &InstanceIndex<'_>, bound: &[bool]) -> u64 {
     let mut h = store::FxHasher::default();
     for_each_key_word(atoms, index, bound, |w| h.write_u64(w));
     h.finish()
 }
 
-fn key_matches(stored: &[u64], atoms: &[Atom<Var>], index: &InstanceIndex, bound: &[bool]) -> bool {
+fn key_matches(
+    stored: &[u64],
+    atoms: &[Atom<Var>],
+    index: &InstanceIndex<'_>,
+    bound: &[bool],
+) -> bool {
     let mut i = 0;
     let mut ok = true;
     for_each_key_word(atoms, index, bound, |w| {
@@ -418,7 +425,7 @@ fn key_matches(stored: &[u64], atoms: &[Atom<Var>], index: &InstanceIndex, bound
 /// shapes hundreds of thousands of times per run.
 pub fn plan_join_cached(
     atoms: &[Atom<Var>],
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     bound: &[bool],
 ) -> Arc<JoinPlan> {
     if atoms.is_empty() {

@@ -132,6 +132,13 @@ impl Instance {
         self.dom.insert(e);
     }
 
+    /// Removes `e` from the domain if it is isolated (in no fact); returns
+    /// whether it was removed. An active element stays, so `adom ⊆ dom`
+    /// holds.
+    pub fn remove_dom_elem(&mut self, e: Elem) -> bool {
+        !self.adom.contains(&e) && self.dom.remove(&e)
+    }
+
     /// Removes isolated elements so that `dom(I) = adom(I)` (the
     /// normalization used throughout paper §4, justified by domain
     /// independence).
@@ -228,6 +235,54 @@ impl Instance {
             }
         }
         removed
+    }
+
+    /// The row count of every relation, in predicate order: a watermark.
+    /// Inserts append rows, so the facts added after it are exactly the
+    /// rows at or past it ([`Instance::facts_from`]), and
+    /// [`Instance::truncate`] drops them again.
+    pub fn watermark(&self) -> Vec<usize> {
+        self.rels.iter().map(Relation::len).collect()
+    }
+
+    /// Drops every fact at a row at or past `marks` (a [`Instance::watermark`];
+    /// predicates beyond `marks` keep all their rows). Like
+    /// [`Instance::remove_fact`], the domain is left unchanged and the
+    /// active domain shrinks by the elements no remaining fact mentions.
+    /// Rows are appended in insertion order, so after inserts alone this
+    /// undoes exactly the inserts made since the watermark was read.
+    pub fn truncate(&mut self, marks: &[usize]) {
+        for (rel, &mark) in self.rels.iter_mut().zip(marks) {
+            for col in rel.columns() {
+                for &e in col.get(mark..).unwrap_or_default() {
+                    let count = self
+                        .adom_counts
+                        .get_mut(&e)
+                        .expect("a stored element is counted");
+                    *count -= 1;
+                    if *count == 0 {
+                        self.adom_counts.remove(&e);
+                        self.adom.remove(&e);
+                    }
+                }
+            }
+            rel.truncate(mark);
+        }
+    }
+
+    /// The facts at rows at or past `marks` (a [`Instance::watermark`]),
+    /// predicate by predicate and in row order within each; predicates
+    /// beyond `marks` contribute none.
+    pub fn facts_from<'a>(&'a self, marks: &'a [usize]) -> impl Iterator<Item = Fact> + 'a {
+        self.schema
+            .preds()
+            .zip(marks)
+            .flat_map(move |(pred, &mark)| {
+                let cols = self.rels[pred.index()].columns();
+                let rows = self.rels[pred.index()].len();
+                (mark.min(rows)..rows)
+                    .map(move |row| Fact::new(pred, cols.iter().map(|c| c[row]).collect()))
+            })
     }
 
     /// `true` when the instance contains `pred(args)`.
@@ -610,6 +665,48 @@ mod tests {
         assert_eq!(i.active_domain().len(), 2);
         i.remove_fact(r(&s), &[Elem(0), Elem(1)]);
         assert!(i.active_domain().is_empty());
+    }
+
+    #[test]
+    fn only_isolated_elements_leave_the_domain() {
+        let s = schema();
+        let mut i = Instance::new(s.clone());
+        i.add_fact(t(&s), vec![Elem(1)]);
+        i.add_dom_elem(Elem(2));
+        assert!(!i.remove_dom_elem(Elem(1)), "active");
+        assert!(i.remove_dom_elem(Elem(2)));
+        assert!(!i.remove_dom_elem(Elem(2)), "already gone");
+        assert_eq!(i.dom().len(), 1);
+    }
+
+    #[test]
+    fn truncate_undoes_the_inserts_since_a_watermark() {
+        let s = schema();
+        let mut i = Instance::new(s.clone());
+        i.add_fact(r(&s), vec![Elem(0), Elem(1)]);
+        let mark = i.watermark();
+        let before = i.clone();
+        i.add_fact(t(&s), vec![Elem(1)]);
+        i.add_fact(r(&s), vec![Elem(1), Elem(2)]);
+        i.add_fact(t(&s), vec![Elem(3)]);
+        let tail: Vec<Fact> = i.facts_from(&mark).collect();
+        assert_eq!(
+            tail,
+            vec![
+                Fact::new(r(&s), vec![Elem(1), Elem(2)]),
+                Fact::new(t(&s), vec![Elem(1)]),
+                Fact::new(t(&s), vec![Elem(3)]),
+            ]
+        );
+        i.truncate(&mark);
+        assert_eq!(
+            i.facts().collect::<Vec<_>>(),
+            before.facts().collect::<Vec<_>>()
+        );
+        assert_eq!(i.active_domain(), before.active_domain());
+        // The domain keeps the dropped elements, as `remove_fact` does.
+        assert_eq!(i.dom().len(), 4);
+        assert_eq!(i.facts_from(&mark).count(), 0);
     }
 
     #[test]

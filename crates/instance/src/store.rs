@@ -372,6 +372,13 @@ impl Relation {
         &self.cols[pos]
     }
 
+    /// Every column, position by position, each `len()` elements long in
+    /// physical row order: the storage the hom index reads its rows from.
+    #[inline]
+    pub fn columns(&self) -> &[Vec<Elem>] {
+        &self.cols
+    }
+
     /// Bytes of tuple payload held across all columns (excludes index
     /// overhead). Computed from logical column lengths, not capacities.
     #[inline]
@@ -455,6 +462,20 @@ impl Relation {
             .is_some()
     }
 
+    /// The physical row holding the tuple `elem(0..arity)`, if present:
+    /// one hash and one probe, with no tuple materialized. `elem` is asked
+    /// only for positions below the relation's arity.
+    #[inline]
+    pub fn find_row(&self, elem: impl Fn(usize) -> Elem) -> Option<u32> {
+        let hash = tuple_hash_iter((0..self.arity).map(&elem));
+        self.dedup.find(hash, |r| {
+            self.cols
+                .iter()
+                .enumerate()
+                .all(|(pos, col)| col[r as usize] == elem(pos))
+        })
+    }
+
     /// Inserts `tuple`, returning `true` if it was not already present.
     ///
     /// # Panics
@@ -529,6 +550,31 @@ impl Relation {
         self.rows -= 1;
         self.order = OnceLock::new();
         true
+    }
+
+    /// Drops every physical row at or past `rows` (nothing when the
+    /// relation holds no more than `rows`). Rows are appended in insertion
+    /// order, so after inserts alone this undoes exactly the inserts made
+    /// since the relation held `rows` tuples.
+    pub fn truncate(&mut self, rows: usize) {
+        if rows >= self.rows {
+            return;
+        }
+        let cols = &self.cols;
+        for row in (rows..self.rows).rev() {
+            let row = row as u32;
+            let removed = self.dedup.remove(
+                columns_row_hash(cols, row),
+                |r| r == row,
+                |r| columns_row_hash(cols, r),
+            );
+            debug_assert_eq!(removed, Some(row), "every row is in the dedup set");
+        }
+        for col in &mut self.cols {
+            col.truncate(rows);
+        }
+        self.rows = rows;
+        self.order = OnceLock::new();
     }
 
     /// The canonical (lexicographically sorted) row permutation, computed on
@@ -783,6 +829,27 @@ mod tests {
         }
         let listed: Vec<Vec<Elem>> = r.iter().map(|s| s.to_vec()).collect();
         assert_eq!(listed, vec![t(&[1]), t(&[2]), t(&[3]), t(&[4])]);
+    }
+
+    #[test]
+    fn truncate_drops_the_tail_rows() {
+        let mut r = Relation::new(2);
+        for v in 0..6 {
+            r.insert(&t(&[v, v + 1]));
+        }
+        assert_eq!(r.find_row(|pos| Elem(4 + pos as u32)), Some(4));
+        r.truncate(9);
+        assert_eq!(r.len(), 6, "a mark past the end keeps every row");
+        r.truncate(3);
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.column(0), &[Elem(0), Elem(1), Elem(2)]);
+        assert!(!r.contains(&t(&[4, 5])));
+        assert_eq!(r.find_row(|pos| Elem(4 + pos as u32)), None);
+        assert!(r.contains(&t(&[2, 3])));
+        assert!(r.insert(&t(&[4, 5])), "a dropped tuple inserts again");
+        assert_eq!(r.find_row(|pos| Elem(4 + pos as u32)), Some(3));
+        let listed: Vec<Vec<Elem>> = r.iter().map(|s| s.to_vec()).collect();
+        assert_eq!(listed, vec![t(&[0, 1]), t(&[1, 2]), t(&[2, 3]), t(&[4, 5])]);
     }
 
     #[test]

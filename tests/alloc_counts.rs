@@ -1,10 +1,11 @@
-//! Allocation counts of the tuple stores' membership tables.
+//! Allocation counts of the tuple store and the index over it.
 //!
-//! A relation and the hom index keep their tuples in columns and find them
-//! through a flat row set, so storing a tuple costs no allocation of its
-//! own: what remains is the amortized growth of a few vectors (and, in the
-//! index, the per-element postings lists). A per-tuple allocation anywhere
-//! on these paths shows here as thousands of extra calls.
+//! A relation keeps its tuples in columns and finds them through a flat row
+//! set, and the hom index adds only postings and bits keyed by the
+//! relation's rows, so storing a tuple costs no allocation of its own: what
+//! remains is the amortized growth of a few vectors (and, in the index, the
+//! per-element postings lists). A per-tuple allocation anywhere on these
+//! paths shows here as thousands of extra calls.
 //!
 //! The binary installs a counting global allocator, so it holds only these
 //! tests. Counts are kept per thread, so the harness's own threads add
@@ -100,11 +101,13 @@ fn index_build_allocates_per_growth_and_posting_not_per_tuple() {
 }
 
 /// A restricted chase of transitive closure on a 48-node graph: full-tgd
-/// firing allocates one buffer per added fact, the owned `Fact` kept for
-/// the next round's delta, and the rest is amortized growth of the
-/// instance, the index, the trigger run and the round vectors.
+/// firing allocates nothing per added fact — the round's delta is the rows
+/// past a watermark, not a list of owned facts — so what remains is
+/// amortized growth of the instance, the index postings, the trigger run
+/// and the round vectors: about one allocation per four added facts here,
+/// most of it the 96 postings lists doubling up to 48 rows each.
 #[test]
-fn full_tgd_chase_allocates_one_buffer_per_added_fact() {
+fn full_tgd_chase_allocates_under_one_buffer_per_three_added_facts() {
     let mut schema = Schema::default();
     let tgds = parse_tgds(&mut schema, "E(x,y), E(y,z) -> E(x,z).").expect("rule parses");
     let e = schema.pred_id("E").expect("E is declared");
@@ -121,8 +124,5 @@ fn full_tgd_chase_allocates_one_buffer_per_added_fact() {
     assert!(result.terminated());
     let added = result.stats.facts_added as u64;
     assert_eq!(added, 48 * 48 - 48);
-    assert!(
-        n < added + added / 2,
-        "{n} allocations for {added} added facts"
-    );
+    assert!(n < added / 3, "{n} allocations for {added} added facts");
 }

@@ -96,7 +96,7 @@ fn id_grid(arity: usize) -> Vec<Vec<Elem>> {
 /// probe of the wrong arity; then `contains` over the whole id grid, where
 /// a bit set at a wrong position would show.
 fn check_membership(
-    index: &InstanceIndex,
+    index: &InstanceIndex<'_>,
     pred: PredId,
     rows: &HashMap<Vec<Elem>, usize>,
     probes: &[Vec<Elem>],
@@ -158,15 +158,93 @@ fn check_membership(
     Ok(())
 }
 
+/// `index` answers as an index freshly built over its own instance does,
+/// predicate by predicate: counts, distinct counts, postings of every
+/// element (as sets), the tuples (as a set), the bit rows, and membership
+/// — `contains` and `contains_below(round)` — of every held tuple and of
+/// random probes around them.
+fn check_coherence(
+    index: &InstanceIndex<'_>,
+    round: &[usize],
+    rng: &mut StdRng,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let instance = index.instance();
+    let fresh = InstanceIndex::new(instance);
+    prop_assert_eq!(index.total_count(), fresh.total_count());
+    for pred in instance.schema().preds() {
+        let arity = instance.schema().arity(pred);
+        prop_assert_eq!(index.count(pred), fresh.count(pred));
+        let set =
+            |i: &InstanceIndex<'_>| i.tuples(pred).to_vec().into_iter().collect::<BTreeSet<_>>();
+        let tuples = set(index);
+        prop_assert_eq!(&tuples, &set(&fresh));
+        for pos in 0..arity {
+            prop_assert_eq!(index.distinct(pred, pos), fresh.distinct(pred, pos));
+            for e in tuples.iter().map(|t| t[pos]) {
+                let rows = |i: &InstanceIndex<'_>| {
+                    i.postings(pred, pos, e)
+                        .iter()
+                        .copied()
+                        .collect::<BTreeSet<u32>>()
+                };
+                prop_assert_eq!(rows(index), rows(&fresh));
+            }
+        }
+        match (index.bit_rows(pred), fresh.bit_rows(pred)) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                prop_assert_eq!(a.side(), b.side());
+                for x in 0..a.side() as u32 {
+                    prop_assert_eq!(a.row(Elem(x)), b.row(Elem(x)));
+                }
+            }
+            (a, b) => prop_assert!(
+                false,
+                "bit rows {:?} vs fresh {:?}",
+                a.is_some(),
+                b.is_some()
+            ),
+        }
+        prop_assert_eq!(index.dense_side(pred), fresh.dense_side(pred));
+        let mut probes: Vec<Vec<Elem>> = tuples.iter().cloned().collect();
+        for _ in 0..16 {
+            probes.push(
+                (0..arity)
+                    .map(|_| Elem(rng.random_range(0u32..130)))
+                    .collect(),
+            );
+        }
+        let limit = round.get(pred.index()).copied().unwrap_or(0);
+        for t in &probes {
+            prop_assert_eq!(
+                index.contains(pred, t),
+                tuples.contains(t),
+                "contains {:?}",
+                t
+            );
+            prop_assert_eq!(index.contains(pred, t), fresh.contains(pred, t));
+            prop_assert_eq!(
+                index.contains_below(pred, t, limit),
+                fresh.contains_below(pred, t, limit),
+                "contains_below {:?} {}",
+                t,
+                limit
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
     /// The index's membership answers — the dense bits of unary and binary
-    /// predicates, the row set behind them and the watermark probes — match
-    /// a `BTreeSet` reference over arities 0–3, whether the index is built
-    /// at once ([`InstanceIndex::new`], canonical row order) or grown chunk
-    /// by chunk ([`InstanceIndex::extend`], insertion row order), while the
-    /// drawn ids cross the density rule in both directions.
+    /// predicates, the relation's row set behind them and the watermark
+    /// probes — match a `BTreeSet` reference over arities 0–3, whether the
+    /// index is built at once over an instance ([`InstanceIndex::new`]) or
+    /// grown chunk by chunk ([`InstanceIndex::extend`]), while the drawn ids
+    /// cross the density rule in both directions. Either way a tuple's row
+    /// is its first insertion.
     #[test]
     fn index_membership_matches_btreeset_model(
         seed in 0u64..1000,
@@ -187,7 +265,7 @@ proptest! {
         let r = schema.pred_id("R").unwrap();
 
         // Grown by `extend`: rows in first-insertion order.
-        let mut grown = InstanceIndex::new(&Instance::new(schema.clone()));
+        let mut grown = InstanceIndex::owned(Instance::new(schema.clone()));
         let mut rows: HashMap<Vec<Elem>, usize> = HashMap::new();
         for chunk in tuples.chunks(count.div_ceil(chunks)) {
             let facts: Vec<Fact> = chunk.iter().map(|t| Fact::new(r, t.clone())).collect();
@@ -199,15 +277,91 @@ proptest! {
             check_membership(&grown, r, &rows, &tuples, &grid)?;
         }
 
-        // Built by `new`: rows in the instance's canonical (sorted) order.
+        // Built by `new` over the instance: rows are the relation's
+        // physical rows, the same first-insertion order.
         let mut inst = Instance::new(schema);
         for t in &tuples {
             inst.add_fact(r, t.clone());
         }
-        let sorted: BTreeSet<Vec<Elem>> = tuples.iter().cloned().collect();
-        let rows: HashMap<Vec<Elem>, usize> =
-            sorted.into_iter().enumerate().map(|(i, t)| (t, i)).collect();
         check_membership(&InstanceIndex::new(&inst), r, &rows, &tuples, &grid)?;
+    }
+
+    /// An index grown in place stays coherent with its instance: after
+    /// every step of a random interleaving of inserts through the index,
+    /// truncations back to the last round boundary and re-tailings of a
+    /// random delta ([`InstanceIndex::with_tail`]), it answers `count`,
+    /// `distinct`, `contains`, `contains_below` at the round watermark,
+    /// `postings`, `tuples` and `bit_rows` exactly as an index freshly built
+    /// over the same instance does (postings, tuples and bits compared as
+    /// sets). Ids mostly stay below a bound that grows with the step, so
+    /// the unary and binary predicates cross the density rule.
+    #[test]
+    fn grown_index_agrees_with_a_fresh_build(seed in 0u64..1000, steps in 1usize..24) {
+        let schema = Schema::builder()
+            .pred("Z", 0)
+            .pred("P", 1)
+            .pred("R", 2)
+            .pred("T", 3)
+            .build();
+        let preds: Vec<PredId> = schema.preds().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut index = InstanceIndex::owned(Instance::new(schema.clone()));
+        let mut round = index.instance().watermark();
+        for step in 0..steps {
+            let bound = 40 + 2 * step as u32;
+            let fact = |rng: &mut StdRng| {
+                // P and R, the predicates with dense bits, twice as often.
+                let pred = preds[[0, 1, 2, 3, 1, 2][rng.random_range(0..6)]];
+                let args: Vec<Elem> = (0..schema.arity(pred))
+                    .map(|_| match rng.random_range(0u32..400) {
+                        0 => Elem(rng.random_range(200u32..300)),
+                        _ => Elem(rng.random_range(0..bound)),
+                    })
+                    .collect();
+                Fact::new(pred, args)
+            };
+            match rng.random_range(0u32..10) {
+                0 => {
+                    index.truncate(&round);
+                    prop_assert_eq!(index.instance().watermark(), round.clone());
+                }
+                1 => {
+                    // Re-tail: some held facts, a repeat and an absent one.
+                    let held: Vec<Fact> = index.instance().facts().collect();
+                    let mut delta: Vec<Fact> = held
+                        .iter()
+                        .filter(|_| rng.random_bool(0.3))
+                        .cloned()
+                        .collect();
+                    delta.extend(delta.first().cloned());
+                    delta.push(fact(&mut rng));
+                    let instance = std::mem::replace(
+                        &mut index,
+                        InstanceIndex::owned(Instance::new(schema.clone())),
+                    )
+                    .into_instance();
+                    let facts: BTreeSet<Fact> = instance.facts().collect();
+                    let moved: BTreeSet<Fact> =
+                        delta.iter().filter(|f| facts.contains(f)).cloned().collect();
+                    let (tailed, marks) = InstanceIndex::with_tail(instance, &delta);
+                    prop_assert_eq!(tailed.instance().facts().collect::<BTreeSet<_>>(), facts);
+                    let tail: Vec<Fact> = tailed.instance().facts_from(&marks).collect();
+                    prop_assert_eq!(tail.len(), moved.len());
+                    prop_assert_eq!(tail.into_iter().collect::<BTreeSet<_>>(), moved);
+                    index = tailed;
+                    round = marks;
+                }
+                2 => round = index.instance().watermark(),
+                _ => {
+                    for _ in 0..rng.random_range(1usize..100) {
+                        let f = fact(&mut rng);
+                        let new = !index.instance().contains_fact(f.pred, &f.args);
+                        prop_assert_eq!(index.insert(f.pred, &f.args), new);
+                    }
+                }
+            }
+            check_coherence(&index, &round, &mut rng)?;
+        }
     }
 
     /// A [`Relation`] under a random insert/remove workload is
@@ -635,7 +789,7 @@ fn dense_tuple_streams_cross_the_density_rule() {
             let tuples = dense_tuples(seed, arity, 699, seed % 3 == 0, seed % 2 == 0, huge);
             let schema = Schema::builder().pred("R", arity).build();
             let r = schema.pred_id("R").unwrap();
-            let mut index = InstanceIndex::new(&Instance::new(schema));
+            let mut index = InstanceIndex::owned(Instance::new(schema));
             let mut side = None;
             for t in tuples {
                 index.extend(&[Fact::new(r, t)]);

@@ -1,5 +1,6 @@
 //! Property-based tests for the incremental chase machinery: append-only
-//! index maintenance ([`InstanceIndex::extend`]) and coherent chase stats.
+//! index maintenance ([`InstanceIndex::extend`] of an owned index) and
+//! coherent chase stats.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -59,7 +60,7 @@ proptest! {
         for fact in &base {
             instance.add_fact(fact.pred, fact.args.clone());
         }
-        let mut incremental = InstanceIndex::new(&instance);
+        let mut incremental = InstanceIndex::owned(instance.clone());
         incremental.extend(&delta);
 
         for fact in &delta {

@@ -5,8 +5,11 @@
 //! when an element's count goes from 0 to 1. That rests on `adom ⊆ dom`
 //! holding after every operation. Here random sequences of every operation
 //! that adds, removes or rebuilds facts or domain elements run beside a
-//! model that keeps the fact set and the domain as plain sets, and after
-//! every step:
+//! model that keeps the fact set and the domain as plain sets. Truncation
+//! to a watermark is one of them: back to a watermark read before a run of
+//! inserts it restores the fact set of that moment, and to any other
+//! watermark it drops exactly the facts the rows past it hold. After every
+//! step:
 //!
 //! - the active domain is exactly the elements of the facts;
 //! - the domain is the model's domain, and contains the active domain;
@@ -34,11 +37,14 @@ fn schema() -> Schema {
         .build()
 }
 
-/// The model: the fact set and the domain as plain sets.
+/// The model: the fact set and the domain as plain sets, and the last
+/// watermark read with the fact set of that moment, kept while only
+/// inserts follow it.
 #[derive(Default)]
 struct Model {
     facts: BTreeSet<Fact>,
     dom: BTreeSet<Elem>,
+    mark: Option<(Vec<usize>, BTreeSet<Fact>)>,
 }
 
 impl Model {
@@ -68,8 +74,13 @@ fn fact_of(s: &Schema, code: u64) -> Fact {
 /// each return value against the model.
 fn step(inst: &mut Instance, model: &mut Model, op: u64) -> Result<(), TestCaseError> {
     let s = inst.schema().clone();
-    let code = op >> 3;
-    match op % 8 {
+    let code = op >> 4;
+    // Removals and rebuilds move rows: a watermark read before them no
+    // longer marks where the later inserts begin.
+    if matches!(op % 11, 3 | 6 | 7) {
+        model.mark = None;
+    }
+    match op % 11 {
         kind @ 0..=2 => {
             let fact = fact_of(&s, code);
             let want = !model.facts.contains(&fact);
@@ -115,6 +126,39 @@ fn step(inst: &mut Instance, model: &mut Model, op: u64) -> Result<(), TestCaseE
                 .facts
                 .retain(|f| f.args.iter().all(|e| dom.contains(e)));
         }
+        8 => model.mark = Some((inst.watermark(), model.facts.clone())),
+        10 => {
+            let e = elems(code, 1)[0];
+            let isolated = model.dom.contains(&e) && !model.active().contains(&e);
+            prop_assert_eq!(inst.remove_dom_elem(e), isolated);
+            if isolated {
+                model.dom.remove(&e);
+            }
+        }
+        9 => match model.mark.take() {
+            Some((marks, facts)) => {
+                inst.truncate(&marks);
+                model.facts = facts;
+            }
+            None => {
+                // Any watermark at or below the row counts: the facts past
+                // it go, each once, and every one of them was held.
+                let marks: Vec<usize> = inst
+                    .watermark()
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &rows)| (code >> (4 * p)) as usize % (rows + 1))
+                    .collect();
+                let tail: Vec<Fact> = inst.facts_from(&marks).collect();
+                let dropped = marks.iter().zip(inst.watermark()).map(|(m, r)| r - m);
+                prop_assert_eq!(tail.len(), dropped.sum::<usize>());
+                inst.truncate(&marks);
+                prop_assert_eq!(inst.watermark(), marks);
+                for fact in tail {
+                    prop_assert!(model.facts.remove(&fact), "dropped {:?} twice", fact);
+                }
+            }
+        },
         _ => {
             // A non-injective map, sometimes into fresh ids.
             let (k, shift) = (2 + code % 9, (code >> 4) % 3 * 5);

@@ -156,7 +156,7 @@ fn dense_start(schema: Schema, seed: u64, size: usize) -> Instance {
 /// the side) and switch `"off"` after the start.
 fn dense_events(start: &Instance, steps: &[DerivationStep]) -> BTreeSet<&'static str> {
     let preds: Vec<_> = start.schema().preds().collect();
-    let mut index = InstanceIndex::new(start);
+    let mut index = InstanceIndex::owned(start.clone());
     let mut sides: Vec<Option<u64>> = preds.iter().map(|&p| index.dense_side(p)).collect();
     let mut events = BTreeSet::new();
     for step in steps {
@@ -274,7 +274,7 @@ fn round_start_indexes(
     tgds: &[Tgd],
     steps: &[DerivationStep],
     rounds: usize,
-) -> Vec<InstanceIndex> {
+) -> Vec<InstanceIndex<'static>> {
     (0..rounds)
         .map(|j| {
             let trip = ChaseBudget {
@@ -284,7 +284,7 @@ fn round_start_indexes(
             let token = CancelToken::new();
             let (tripped, _) =
                 chase_checkpointing(start, tgds, ChaseVariant::Restricted, trip, &token);
-            let mut index = InstanceIndex::new(start);
+            let mut index = InstanceIndex::owned(start.clone());
             for step in &steps[..tripped.stats.triggers_fired] {
                 index.extend(&step.added);
             }

@@ -134,8 +134,8 @@ proptest! {
             .filter(|f| all_facts.insert(f.clone()))
             .collect();
 
-        let mut index = InstanceIndex::new(&instance);
-        let old: Vec<usize> = schema.preds().map(|p| index.count(p)).collect();
+        let mut index = InstanceIndex::owned(instance);
+        let old = index.instance().watermark();
         index.extend(&delta);
 
         let atoms: Vec<Atom<Var>> = body
@@ -152,7 +152,6 @@ proptest! {
                 VARS,
                 &index,
                 anchor,
-                &delta,
                 &old,
                 &mut |b| {
                     visited.push(b.clone());
@@ -309,7 +308,7 @@ impl ChainCase {
     /// `delta`) keeps dense bits for both predicates: the step then joins
     /// every tgd of the set.
     fn on_the_step(&self, old: &Instance, delta: &[Fact]) -> bool {
-        let mut index = InstanceIndex::new(old);
+        let mut index = InstanceIndex::owned(old.clone());
         index.extend(delta);
         self.schema.preds().all(|p| index.bit_rows(p).is_some())
     }
