@@ -16,18 +16,18 @@
 //! anything else is done with the binding, since most bindings fail it. It
 //! reads the head arguments straight off the binding, with no tuple
 //! buffer, and for a unary or binary head predicate whose element ids are
-//! dense it is one bit test ([`InstanceIndex::contains_bound`]); the
-//! anchored search is generic over its visitor, so the probe inlines into
-//! the join loop.
+//! dense it is one test of the relation's membership bits
+//! ([`InstanceIndex::contains_bound`]); the anchored search is generic over
+//! its visitor, so the probe inlines into the join loop.
 //!
 //! A full tgd of chain shape `P(x,y), Q(y,z) -> H(x,z)` (x, y and z
 //! distinct, either body order) skips the enumeration when `P`, `Q` and
 //! `H` are binary and all keep dense bits at round start: the **bit-row
-//! step** reads their bit rows ([`InstanceIndex::bit_rows`]) and computes
-//! the round's live triggers word by word. For each x it walks y ascending
-//! over `P(x,·)` and takes `new = Q(y,·) ∧ ¬H(x,·) ∧ ¬claimed`, pushing
-//! `(x, y, z)` for each z in `new`; `claimed` is one reused row, cleared per
-//! x. Dead matches cost a cleared bit, not a visit. Each absent head image
+//! step** reads their relations' bits as rows ([`InstanceIndex::bit_rows`])
+//! and computes the round's live triggers word by word. For each x it walks
+//! y ascending over `P(x,·)` and takes `new = Q(y,·) ∧ ¬H(x,·) ∧ ¬claimed`,
+//! pushing `(x, y, z)` for each z in `new`; `claimed` is one reused row,
+//! cleared per x. Dead matches cost a cleared bit, not a visit. Each absent head image
 //! gets its smallest y, the trigger `offer` would keep, and every match
 //! with an absent head is found: `I ∖ Δ` is closed under the full tgds at
 //! every round boundary, so such a match touches Δ. For the same reason
@@ -41,11 +41,14 @@
 //! `(tgd, universal-image)` entries — and one `sort_unstable` + dedup
 //! produces exactly the sequence a `BTreeSet<(usize, Vec<Elem>)>` would
 //! iterate; full-tgd triggers sharing a head image then collapse to the
-//! first of them. The firing phase consumes the triggers in that canonical
-//! order, so it adds facts and numbers nulls independently of the order in
-//! which the search found them. A visit appends a few words to two flat
-//! vectors instead of allocating a `Vec<Elem>` per trigger, and the dedup
-//! cost is paid once per round in one cache-friendly sort.
+//! first of them. A bit-row step whose image lists x, y and z in that
+//! order walks them ascending and emits each once, so a round filled only
+//! by such steps is in that order already and skips the sort. The firing
+//! phase consumes the triggers in that canonical order, so it adds facts
+//! and numbers nulls independently of the order in which the search found
+//! them. A visit appends a few words to two flat vectors instead of
+//! allocating a `Vec<Elem>` per trigger, and the dedup cost is paid once
+//! per round in one cache-friendly sort.
 
 use crate::chase::CANCEL_CHECK_STRIDE;
 use crate::faults::{FaultSite, INJECTED_PANIC};
@@ -86,6 +89,12 @@ pub(crate) struct TriggerRun {
     offered: u64,
     /// Per tgd: its chain shape, when it has one (see [`Chain`]).
     chains: Vec<Option<Chain>>,
+    /// How many leading `entries` are known to be in canonical order with
+    /// no repeats: those that bit-row steps whose universal image is
+    /// `(x, y, z)` in that order appended, segment after segment in
+    /// ascending tgd order. When that is all of them,
+    /// [`TriggerRun::sort_dedup`] has nothing to do.
+    in_order: usize,
 }
 
 /// A full tgd of chain shape `P(x,y), Q(y,z) -> H(x,z)`, with x, y and z
@@ -160,6 +169,7 @@ impl TriggerRun {
             by_head: RowSet::new(),
             offered: 0,
             chains: tgds.iter().map(Chain::of).collect(),
+            in_order: 0,
         }
     }
 
@@ -169,6 +179,17 @@ impl TriggerRun {
         self.elems.clear();
         self.by_head.clear();
         self.offered = 0;
+        self.in_order = 0;
+    }
+
+    /// Records that tgd `ti` appended `entries[start..]`, in canonical
+    /// order when `ascending`: the run stays in order only if the segment
+    /// is, and follows an in-order run of entries of smaller tgds.
+    fn end_segment(&mut self, ti: usize, start: usize, ascending: bool) {
+        let follows = start == 0 || (self.entries[start - 1].0 as usize) < ti;
+        if ascending && follows && self.in_order == start {
+            self.in_order = self.entries.len();
+        }
     }
 
     /// Appends tgd `ti`'s trigger with the universal image read off
@@ -256,18 +277,29 @@ impl TriggerRun {
         &self.elems[off as usize..off as usize + self.lens[ti as usize] as usize]
     }
 
+    /// The `(tgd, universal-image lex)` order of two entries.
+    fn cmp_entries(&self, (ta, oa): (u32, u32), (tb, ob): (u32, u32)) -> std::cmp::Ordering {
+        ta.cmp(&tb)
+            .then_with(|| self.slice(ta, oa).cmp(self.slice(tb, ob)))
+    }
+
     /// Sorts by `(tgd, universal-image lex)` and drops duplicates —
     /// after this, iteration order equals a `BTreeSet<(usize, Vec<Elem>)>`
-    /// holding the same triggers.
+    /// holding the same triggers. A run that is in that order already
+    /// (only in-order bit-row steps filled it) is left as it is.
     pub(crate) fn sort_dedup(&mut self) {
+        if self.in_order == self.entries.len() {
+            debug_assert!(
+                self.entries
+                    .windows(2)
+                    .all(|w| self.cmp_entries(w[0], w[1]).is_lt()),
+                "a run taken as sorted is not"
+            );
+            return;
+        }
         let mut entries = std::mem::take(&mut self.entries);
-        entries.sort_unstable_by(|&(ta, oa), &(tb, ob)| {
-            ta.cmp(&tb)
-                .then_with(|| self.slice(ta, oa).cmp(self.slice(tb, ob)))
-        });
-        entries.dedup_by(|&mut (ta, oa), &mut (tb, ob)| {
-            ta == tb && self.slice(ta, oa) == self.slice(tb, ob)
-        });
+        entries.sort_unstable_by(|&a, &b| self.cmp_entries(a, b));
+        entries.dedup_by(|&mut a, &mut b| self.cmp_entries(a, b).is_eq());
         self.entries = entries;
     }
 
@@ -347,10 +379,14 @@ fn scan(
                 panic!("{INJECTED_PANIC}: trigger worker for tgd {ti}");
             }
             let chain = run.chains[ti].filter(|_| path == Path::BitRows);
-            match chain.and_then(|chain| bit_row_step(ti, chain, index, old, run, token)) {
-                Some(finished) => finished,
-                None => triggers_into(ti, tgd, index, old, run, token),
-            }
+            let start = run.entries.len();
+            let stepped = chain.and_then(|chain| bit_row_step(ti, chain, index, old, run, token));
+            let (finished, ascending) = match stepped {
+                Some(step) => step,
+                None => (triggers_into(ti, tgd, index, old, run, token), false),
+            };
+            run.end_segment(ti, start, ascending);
+            finished
         }));
         match outcome {
             Ok(true) => {}
@@ -432,8 +468,11 @@ fn triggers_into(
 /// The bit-row join step: tgd `ti`'s live triggers, for a chain
 /// `P(x,y), Q(y,z) -> H(x,z)` whose three predicates all keep dense bits,
 /// straight from the bit rows. `None` when a bit set is off (the caller
-/// then runs the anchored search); else `Some(false)` when cancellation
-/// cut the walk short.
+/// then runs the anchored search); else `Some((finished, ascending))`:
+/// `finished` is `false` when cancellation cut the walk short, and
+/// `ascending` is `true` when the universal image lists x, y and z in that
+/// order, so the walk (x, then y, then z ascending, each image once)
+/// emitted its triggers in canonical order.
 ///
 /// For each x it walks y ascending over `P(x,·)`, takes
 /// `new = Q(y,·) ∧ ¬H(x,·) ∧ ¬claimed` and pushes `(x, y, z)` for each z
@@ -456,7 +495,7 @@ fn bit_row_step(
     old: Option<&[usize]>,
     run: &mut TriggerRun,
     token: &CancelToken,
-) -> Option<bool> {
+) -> Option<(bool, bool)> {
     let p = index.bit_rows(chain.p)?;
     let q = index.bit_rows(chain.q)?;
     let h = index.bit_rows(chain.h)?;
@@ -503,7 +542,7 @@ fn bit_row_step(
             if since_check >= CANCEL_CHECK_STRIDE {
                 since_check = 0;
                 if token.is_cancelled() {
-                    return Some(false);
+                    return Some((false, false));
                 }
             }
             image[vy] = y;
@@ -517,7 +556,7 @@ fn bit_row_step(
             }
         }
     }
-    Some(true)
+    Some((true, chain.vars == [0, 1, 2]))
 }
 
 /// Sets `e`'s bit in `words`; `true` when it was clear. An id beyond the
@@ -773,6 +812,58 @@ mod tests {
             stepped,
             total - 1,
             "the step ran in {stepped} of {total} rounds"
+        );
+    }
+
+    /// A bit-row round of the closure probe arrives in canonical order, so
+    /// its sort is skipped, and the sequence is the one sorting gives. With
+    /// the body atoms swapped the image lists y, z, x: the step still runs,
+    /// but its run is sorted, and agrees with the anchored search.
+    #[test]
+    fn bit_row_round_is_the_sorted_run_without_sorting() {
+        use crate::{chase_checkpointing, ChaseBudget, ChaseVariant};
+        use tgdkit_logic::parse_tgds;
+        let (tgds, start) = tc_probe();
+        let budget = ChaseBudget {
+            max_facts: 2_000_000,
+            max_rounds: 1,
+            max_bytes: usize::MAX,
+        };
+        let token = CancelToken::new();
+        let (_, cp) = chase_checkpointing(&start, &tgds, ChaseVariant::Restricted, budget, &token);
+        let cp = cp.expect("a round-budget trip is resumable");
+        let delta = cp.delta.clone().expect("round one added facts");
+        let (index, old) = InstanceIndex::with_tail(cp.instance.clone(), &delta);
+        assert!(index.bit_rows(tgds[0].head()[0].pred).is_some());
+
+        let mut run = TriggerRun::new(&tgds);
+        let found = scan(&tgds, &index, Some(&old), &mut run, &token, Path::BitRows);
+        assert!(!found.aborted && found.panics_contained == 0);
+        assert_eq!(run.in_order, run.len(), "the round's sort was not skipped");
+        let unsorted: Vec<(usize, Vec<Elem>)> = run.iter().map(|(t, u)| (t, u.to_vec())).collect();
+        assert!(unsorted.len() > 100, "{} triggers", unsorted.len());
+        run.in_order = 0;
+        run.sort_dedup();
+        let sorted: Vec<(usize, Vec<Elem>)> = run.iter().map(|(t, u)| (t, u.to_vec())).collect();
+        assert_eq!(unsorted, sorted);
+
+        let mut schema = index.instance().schema().clone();
+        let swapped = parse_tgds(&mut schema, "E(y,z), E(x,y) -> E(x,z).").unwrap();
+        assert_eq!(Chain::of(&swapped[0]).map(|c| c.vars), Some([2, 0, 1]));
+        let mut run = TriggerRun::new(&swapped);
+        scan(
+            &swapped,
+            &index,
+            Some(&old),
+            &mut run,
+            &token,
+            Path::BitRows,
+        );
+        assert!(run.in_order < run.len());
+        let stepped: Vec<(usize, Vec<Elem>)> = run.iter().map(|(t, u)| (t, u.to_vec())).collect();
+        assert_eq!(
+            stepped,
+            triggers_on(&swapped, &index, Some(&old), Path::Generic)
         );
     }
 

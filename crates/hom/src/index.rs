@@ -9,19 +9,20 @@
 //! positions — the build side of the executor's hash joins), and batched
 //! filters read whole column slices straight off the relation.
 //!
-//! Membership is the relation's own [`tgdkit_instance::store::RowSet`],
-//! keyed by tuple hash. Unary and binary predicates whose element ids are
-//! dense also keep one bit per possible tuple (`DenseBits`), so the chase's
-//! dead-trigger probe — almost every body match it offers — is one bit test
-//! instead of a hash, a slot read and a column-wise verify.
+//! Membership is the relation's own: its dense bits for a unary or binary
+//! predicate whose element ids are dense, else its row set keyed by tuple
+//! hash (see [`tgdkit_instance::store`]). So the chase's dead-trigger probe
+//! — almost every body match it offers — is one bit test on a dense
+//! predicate, instead of a hash, a slot read and a column-wise verify, and
+//! [`InstanceIndex::bit_rows`] hands the bits to the chase's bit-row step.
 //!
 //! Read-only callers borrow the instance ([`InstanceIndex::new`]); the
 //! chase hands its instance over ([`InstanceIndex::owned`]) and grows both
-//! through [`InstanceIndex::insert`], so a chased fact is hashed and
-//! deduplicated once, by the relation, and the index then only appends its
-//! postings and sets a bit. Rows are only ever appended, so the facts added
-//! since a [`Instance::watermark`] are the rows at or past it, and
-//! [`InstanceIndex::truncate`] takes them out again.
+//! through [`InstanceIndex::insert`], so a chased fact is deduplicated
+//! once, by the relation (a bit test-and-set on a dense predicate), and the
+//! index then only appends its postings. Rows are only ever appended, so
+//! the facts added since a [`Instance::watermark`] are the rows at or past
+//! it, and [`InstanceIndex::truncate`] takes them out again.
 //!
 //! Rows are enumerated in physical order — insertion order, not the
 //! relation's canonical sorted order — so the order in which searches find
@@ -31,131 +32,22 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 use tgdkit_instance::store;
-use tgdkit_instance::{Elem, Fact, FxBuildHasher, Instance, Relation};
+use tgdkit_instance::{BitRows, Elem, Fact, FxBuildHasher, Instance, Relation};
 use tgdkit_logic::{PredId, Schema, Var};
 
 /// What the index keeps per predicate beside the relation's own rows:
-/// positional postings, dense membership bits and lazy multi-column join
-/// tables, all keyed by the relation's physical row ids.
+/// positional postings and lazy multi-column join tables, both keyed by the
+/// relation's physical row ids.
 #[derive(Debug, Default)]
 struct PredIndex {
     /// Position → element → rows having that element at that position,
     /// ascending (rows are only ever appended).
     postings: Vec<HashMap<Elem, Vec<u32>, FxBuildHasher>>,
-    /// Exact membership bits for arity 1 and 2, on while the density rule
-    /// holds (see [`DenseBits`]).
-    dense: DenseBits,
     /// Lazily built hash-join tables, keyed by the bound-position bitmask
     /// they index. Built on first probe (the executor decides per plan step
     /// whether a hash join pays), shared across concurrent searches, and
     /// invalidated wholesale when the predicate changes.
     tables: RwLock<HashMap<u64, Arc<JoinTable>, FxBuildHasher>>,
-}
-
-/// One bit per possible tuple of a unary or binary predicate: bit `a` for
-/// `P(a)`, bit `a · side + b` for `R(a, b)`, where `side` is the smallest
-/// power of two (at least 64) above every indexed element id. A bit is set
-/// iff the tuple is indexed, so a test is exact; an id at or beyond `side`
-/// reads as absent.
-///
-/// The bits are kept only while they cost no more than the row set they
-/// shortcut, which holds at least two 8-byte slots per row: `side^arity ≤
-/// 128 · rows` bits, i.e. at most 16 bytes per row, and never below 32
-/// rows. The floor is where binary bits start anyway (64² bits need 32
-/// rows); for unary predicates it keeps the thousands of tiny indexes of a
-/// rewrite's entailment checks, a row or two each, on the row set alone,
-/// with no build and no allocation. The rule is re-evaluated
-/// when the row count reaches a power of two and when an id at or beyond
-/// `side` arrives; switching on or resizing rebuilds the bits from the
-/// columns in O(rows), which is amortized O(1) per insert. Every threshold
-/// of the rule is a power of two, so the bits grown insert by insert are
-/// the bits a fresh build over the same rows would choose.
-#[derive(Debug, Default)]
-struct DenseBits {
-    /// `log2(side)`.
-    shift: u32,
-    /// Empty while the bits are off.
-    words: Vec<u64>,
-}
-
-impl DenseBits {
-    /// `log2` of the smallest side: one 64-bit word per bit row.
-    const MIN_SHIFT: u32 = 6;
-    /// The density rule: at most this many bits per indexed row.
-    const MAX_BITS_PER_ROW: u128 = 128;
-    /// The density rule: no bits for fewer rows than this.
-    const MIN_ROWS: usize = 32;
-
-    /// The bits for the rows of `rel`, sized by their largest element id,
-    /// or off when they would break the density rule or the arity is not 1
-    /// or 2.
-    fn build(rel: &Relation) -> DenseBits {
-        let (arity, rows) = (rel.arity(), rel.len());
-        if !matches!(arity, 1 | 2) || rows < Self::MIN_ROWS {
-            return DenseBits::default();
-        }
-        let cols = rel.columns();
-        let max_elem = cols.iter().flatten().map(|e| e.0).max().unwrap_or(0);
-        let shift = (u64::from(max_elem) + 1)
-            .next_power_of_two()
-            .trailing_zeros()
-            .max(Self::MIN_SHIFT);
-        let bits = 1u128 << (arity as u32 * shift);
-        if bits > Self::MAX_BITS_PER_ROW * rows as u128 {
-            return DenseBits::default();
-        }
-        let mut dense = DenseBits {
-            shift,
-            words: vec![0; (bits / 64) as usize],
-        };
-        let covered = (0..rows).all(|row| dense.set(arity, |pos| cols[pos][row]));
-        debug_assert!(covered, "the side covers every indexed id");
-        dense
-    }
-
-    #[inline]
-    fn is_on(&self) -> bool {
-        !self.words.is_empty()
-    }
-
-    /// The bit of the tuple `elem(0..arity)`, or `None` when an id is at or
-    /// beyond `side`. Only meaningful while the bits are on (arity 1 or 2).
-    #[inline]
-    fn bit(&self, arity: usize, elem: impl Fn(usize) -> Elem) -> Option<u64> {
-        let a = u64::from(elem(0).0);
-        let (key, ids) = if arity == 1 {
-            (a, a)
-        } else {
-            let b = u64::from(elem(1).0);
-            ((a << self.shift) | b, a | b)
-        };
-        (ids >> self.shift == 0).then_some(key)
-    }
-
-    /// Exact membership while on; `None` while off.
-    #[inline]
-    fn test(&self, arity: usize, elem: impl Fn(usize) -> Elem) -> Option<bool> {
-        if !self.is_on() {
-            return None;
-        }
-        Some(
-            self.bit(arity, elem)
-                .is_some_and(|i| self.words[(i >> 6) as usize] >> (i & 63) & 1 == 1),
-        )
-    }
-
-    /// Sets the tuple's bit; `false` (and nothing set) when an id is at or
-    /// beyond `side`.
-    #[inline]
-    fn set(&mut self, arity: usize, elem: impl Fn(usize) -> Elem) -> bool {
-        match self.bit(arity, elem) {
-            Some(i) => {
-                self.words[(i >> 6) as usize] |= 1 << (i & 63);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 impl PredIndex {
@@ -169,55 +61,17 @@ impl PredIndex {
         }
         PredIndex {
             postings,
-            dense: DenseBits::build(rel),
             tables: RwLock::default(),
         }
     }
 
-    /// `true` when the tuple `elem(0..len)` is in `rel` at a row below
-    /// `limit`. Stored tuples are distinct, so the one match decides. With
-    /// the dense bits on, a clear bit decides absence and, when `limit`
-    /// covers every row, a set bit decides presence; only a probe below a
-    /// watermark needs the row id, which the relation's row set maps.
-    #[inline]
-    fn contains_with(
-        &self,
-        rel: &Relation,
-        len: usize,
-        elem: impl Fn(usize) -> Elem,
-        limit: usize,
-    ) -> bool {
-        if len != rel.arity() {
-            return false;
-        }
-        if let Some(present) = self.dense.test(len, &elem) {
-            if !present || limit >= rel.len() {
-                return present;
-            }
-        }
-        rel.find_row(elem).is_some_and(|r| (r as usize) < limit)
-    }
-
     /// Indexes the last row of `rel`, just appended.
     fn append(&mut self, rel: &Relation) {
-        let rows = rel.len();
-        let row = (rows - 1) as u32;
-        let cols = rel.columns();
-        for (map, col) in self.postings.iter_mut().zip(cols) {
-            map.entry(col[row as usize])
+        let row = rel.len() - 1;
+        for (map, col) in self.postings.iter_mut().zip(rel.columns()) {
+            map.entry(col[row])
                 .or_insert_with(Vec::new)
-                .push(row);
-        }
-        let arity = rel.arity();
-        if matches!(arity, 1 | 2) {
-            let refresh = if self.dense.is_on() {
-                !self.dense.set(arity, |pos| cols[pos][row as usize])
-            } else {
-                rows.is_power_of_two()
-            };
-            if refresh {
-                self.dense = DenseBits::build(rel);
-            }
+                .push(row as u32);
         }
         self.drop_tables();
     }
@@ -477,28 +331,18 @@ impl<'a> InstanceIndex<'a> {
         self.pred(pred).map_or(0, |(rel, _)| rel.len())
     }
 
-    /// The side of `pred`'s dense membership bits (see the module docs):
-    /// every element id below it has a bit, and `None` means the bits are
-    /// off, as they always are for arities other than 1 and 2. A
-    /// diagnostic: no answer of the index depends on it.
+    /// The side of `pred`'s dense membership bits
+    /// ([`Relation::dense_side`]); `None` while they are off and beyond the
+    /// indexed schema. A diagnostic: no answer of the index depends on it.
     pub fn dense_side(&self, pred: PredId) -> Option<u64> {
-        self.preds
-            .get(pred.index())
-            .filter(|pi| pi.dense.is_on())
-            .map(|pi| 1u64 << pi.dense.shift)
+        self.pred(pred).and_then(|(rel, _)| rel.dense_side())
     }
 
     /// The dense membership bits of a binary predicate, read as bit rows
-    /// (see [`BitRows`]); `None` while its bits are off, and for every
-    /// other arity. The bits are exact, so a join over the rows decides
-    /// membership without touching the columns.
+    /// ([`Relation::bit_rows`]); `None` while its bits are off, for every
+    /// other arity and beyond the indexed schema.
     pub fn bit_rows(&self, pred: PredId) -> Option<BitRows<'_>> {
-        self.pred(pred)
-            .filter(|(rel, pi)| rel.arity() == 2 && pi.dense.is_on())
-            .map(|(_, pi)| BitRows {
-                words: &pi.dense.words,
-                shift: pi.dense.shift,
-            })
+        self.pred(pred).and_then(|(rel, _)| rel.bit_rows())
     }
 
     /// Total number of indexed tuples across all predicates.
@@ -515,8 +359,9 @@ impl<'a> InstanceIndex<'a> {
     /// `limit`. With `limit` a semi-naive watermark, that is whether it is
     /// an old fact rather than one appended since.
     pub fn contains_below(&self, pred: PredId, args: &[Elem], limit: usize) -> bool {
-        self.pred(pred)
-            .is_some_and(|(rel, pi)| pi.contains_with(rel, args.len(), |pos| args[pos], limit))
+        self.pred(pred).is_some_and(|(rel, _)| {
+            rel.arity() == args.len() && rel.contains_below(|pos| args[pos], limit)
+        })
     }
 
     /// [`InstanceIndex::contains`] for the tuple an atom with arguments
@@ -542,26 +387,18 @@ impl<'a> InstanceIndex<'a> {
     ) -> bool {
         let elem = |pos: usize| binding[args[pos].index()].expect("probed variable is bound");
         self.pred(pred)
-            .is_some_and(|(rel, pi)| pi.contains_with(rel, args.len(), elem, limit))
+            .is_some_and(|(rel, _)| rel.arity() == args.len() && rel.contains_below(elem, limit))
     }
 
     /// Adds the fact `pred(args)` to the instance and the index; returns
-    /// `true` when it was new. The relation hashes and deduplicates the
-    /// tuple and appends its row; the index then appends the row to its
-    /// postings and sets its dense bit. A duplicate that the dense bits
-    /// already show is turned away without hashing. A borrowed index
-    /// copies its instance first.
+    /// `true` when it was new. The relation deduplicates the tuple and
+    /// appends its row; the index then appends the row to its postings. A
+    /// borrowed index copies its instance first.
     ///
     /// # Panics
     /// As [`Instance::add_tuple`]: on a predicate outside the schema, an
     /// arity mismatch, or a relation at its row-id capacity.
     pub fn insert(&mut self, pred: PredId, args: &[Elem]) -> bool {
-        if let Some((rel, pi)) = self.pred(pred) {
-            if rel.arity() == args.len() && pi.dense.test(args.len(), |pos| args[pos]) == Some(true)
-            {
-                return false;
-            }
-        }
         let instance = self.instance.to_mut();
         if !instance.add_tuple(pred, args) {
             return false;
@@ -590,57 +427,16 @@ impl<'a> InstanceIndex<'a> {
     /// Drops every row at or past `marks` (a watermark of the indexed
     /// instance) from the instance and the index: after inserts alone, the
     /// state the watermark was read in. The instance's domain is kept, as
-    /// [`Instance::truncate`] keeps it. The dense bits of a truncated
-    /// predicate are rebuilt from its remaining rows.
+    /// [`Instance::truncate`] keeps it.
     pub fn truncate(&mut self, marks: &[usize]) {
         let instance = self.instance.to_mut();
-        let mut cut = Vec::new();
         for (p, (pi, &mark)) in self.preds.iter_mut().zip(marks).enumerate() {
             let rel = instance.relation(PredId(p as u32));
             if mark < rel.len() {
                 pi.unindex_tail(rel, mark);
-                cut.push(p);
             }
         }
         instance.truncate(marks);
-        for p in cut {
-            let pi = &mut self.preds[p];
-            pi.dense = DenseBits::build(instance.relation(PredId(p as u32)));
-        }
-    }
-}
-
-/// The dense membership bits of one binary predicate `R` as rows of
-/// words: row `a` holds one bit per possible second argument, and bit
-/// `b % 64` of its word `b / 64` is set iff `R(a, b)` is indexed. Rows are
-/// `side / 64` words long; an id at or beyond the side has an empty row.
-/// Copy-cheap (two words).
-#[derive(Clone, Copy, Debug)]
-pub struct BitRows<'a> {
-    words: &'a [u64],
-    /// `log2(side)`, at least 6.
-    shift: u32,
-}
-
-impl<'a> BitRows<'a> {
-    /// Every element id below the side has a row, and a bit in each row.
-    #[inline]
-    pub fn side(&self) -> u64 {
-        1 << self.shift
-    }
-
-    /// Words per row: `side / 64`.
-    #[inline]
-    pub fn row_words(&self) -> usize {
-        1 << (self.shift - 6)
-    }
-
-    /// The bits of `R(a, ·)`; empty when `a` is at or beyond the side.
-    #[inline]
-    pub fn row(&self, a: Elem) -> &'a [u64] {
-        let a = a.0 as usize;
-        let n = self.row_words();
-        self.words.get(a * n..(a + 1) * n).unwrap_or_default()
     }
 }
 
@@ -920,54 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_bits_follow_the_density_rule() {
-        let s = Schema::builder().pred("R", 2).pred("P", 1).build();
-        let r = s.pred_id("R").unwrap();
-        let p = s.pred_id("P").unwrap();
-        let mut idx = InstanceIndex::owned(Instance::new(s));
-        let edge = |a: u32, b: u32| Fact::new(r, vec![Elem(a), Elem(b)]);
-        let unary = |a: u32| Fact::new(p, vec![Elem(a)]);
-        // Below 32 rows a unary predicate has no bits, though 64 ≤ 128 · 31.
-        idx.extend(&(0..31).map(unary).collect::<Vec<_>>());
-        assert_eq!(idx.dense_side(p), None);
-        // Its 32nd row reaches the floor: on.
-        idx.extend(&[unary(40)]);
-        assert_eq!(idx.dense_side(p), Some(64));
-        // 31 binary rows under side 64: 4096 bits > 128 · 31, off.
-        idx.extend(&(0..31).map(|i| edge(i, i + 1)).collect::<Vec<_>>());
-        assert_eq!(idx.dense_side(r), None);
-        // The 32nd row is a power of two and 4096 ≤ 128 · 32: on.
-        idx.extend(&[edge(40, 0)]);
-        assert_eq!(idx.dense_side(r), Some(64));
-        // Id 64 needs side 128 (16384 bits) with 33 rows: off again.
-        idx.extend(&[edge(0, 64)]);
-        assert_eq!(idx.dense_side(r), None);
-        // Back on at 128 rows, under side 128.
-        idx.extend(&(0..95).map(|i| edge(i, 63)).collect::<Vec<_>>());
-        assert_eq!(idx.count(r), 128);
-        assert_eq!(idx.dense_side(r), Some(128));
-        // A unary predicate grows with its ids while the rule allows it.
-        idx.extend(&[unary(100)]);
-        assert_eq!(idx.dense_side(p), Some(128));
-        idx.extend(&[unary(u32::MAX)]);
-        assert_eq!(idx.dense_side(p), None);
-        // Answers stay exact on every side of each switch.
-        assert!(idx.contains(r, &[Elem(0), Elem(64)]));
-        assert!(idx.contains(r, &[Elem(40), Elem(0)]));
-        assert!(!idx.contains(r, &[Elem(64), Elem(0)]));
-        assert!(!idx.contains(r, &[Elem(0), Elem(u32::MAX)]));
-        assert!(idx.contains(p, &[Elem(u32::MAX)]));
-        assert!(idx.contains(p, &[Elem(4)]));
-        assert!(!idx.contains(p, &[Elem(41)]));
-        // Below a watermark the row id decides, even with the bits on.
-        assert!(idx.contains_below(r, &[Elem(0), Elem(1)], 1));
-        assert!(!idx.contains_below(r, &[Elem(1), Elem(2)], 1));
-        let binding = [None, Some(Elem(1)), Some(Elem(0))];
-        assert!(idx.contains_bound(r, &[Var(2), Var(1)], &binding));
-        assert!(!idx.contains_bound(r, &[Var(1), Var(2)], &binding));
-    }
-
-    #[test]
     fn bit_rows_read_the_dense_bits() {
         let s = Schema::builder().pred("R", 2).pred("P", 1).build();
         let r = s.pred_id("R").unwrap();
@@ -996,6 +744,15 @@ mod tests {
         }
         assert!(rows.row(Elem(64)).is_empty());
         assert!(rows.row(Elem(u32::MAX)).is_empty());
+        assert_eq!(idx.dense_side(r), Some(64));
+        assert_eq!(idx.dense_side(p), Some(64));
+        // Probes read the relation's bits, and below a watermark its row ids.
+        let binding = [None, Some(Elem(3)), Some(Elem(0))];
+        assert!(idx.contains_bound(r, &[Var(2), Var(1)], &binding));
+        assert!(!idx.contains_bound(r, &[Var(1), Var(2)], &binding));
+        assert!(idx.contains_below(r, &[Elem(0), Elem(3)], 1));
+        assert!(!idx.contains_below(r, &[Elem(1), Elem(10)], 1));
+        assert!(idx.contains_below(r, &[Elem(1), Elem(10)], 2));
     }
 
     #[test]

@@ -31,10 +31,11 @@ pub use hom::{
     for_each_hom_reusing, Binding,
 };
 pub use hom::{find_hom_indexed, for_each_hom_anchored};
-pub use index::{BitRows, InstanceIndex, Tuples};
+pub use index::{InstanceIndex, Tuples};
 pub use iso::are_isomorphic;
 pub use plan::{
     join_stats, plan_join, plan_join_cached, plan_stats, reset_join_stats, reset_plan_stats,
     JoinPlan, JoinStats, PlanStats, PlanStep,
 };
 pub use retract::{core_of, core_preserving};
+pub use tgdkit_instance::BitRows;

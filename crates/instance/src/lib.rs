@@ -35,4 +35,4 @@ pub use duplicate::{non_oblivious_duplicating_extension, oblivious_duplicating_e
 pub use generator::InstanceGen;
 pub use instance::{Elem, Fact, Instance};
 pub use parse::parse_instance;
-pub use store::{CapacityError, FxBuildHasher, Relation, RowRef, MAX_ROWS};
+pub use store::{BitRows, CapacityError, FxBuildHasher, Relation, RowRef, MAX_ROWS};

@@ -5,10 +5,18 @@
 //! the point of the layout — equality and filter checks over one position
 //! run over a contiguous `&[Elem]` slice ([`Relation::column`]), which is
 //! what the hom-search executor's batched scans and hash-join builds
-//! consume. Membership is a [`RowSet`]: one flat open-addressing table of
-//! row ids keyed by tuple hash, each candidate verified column-wise, so hash
-//! collisions never conflate tuples and a tuple costs no allocation of its
-//! own. The hom index and the chase's head-image dedup use the same set.
+//! consume.
+//!
+//! Membership is one of two structures. A unary or binary relation whose
+//! element ids are dense keeps one bit per possible tuple (`DenseBits`):
+//! an insert is then a bit test-and-set plus the column pushes, with no
+//! hash, and a membership probe one word read. Every other relation — and
+//! a dense one once a caller asks for a row id — keeps a [`RowSet`]: one
+//! flat open-addressing table of row ids keyed by tuple hash, each
+//! candidate verified column-wise, so hash collisions never conflate
+//! tuples and a tuple costs no allocation of its own. The chase's
+//! head-image dedup uses the same set.
+//!
 //! The canonical (lexicographic) iteration order of a
 //! `BTreeSet<Vec<Elem>>` is kept through a lazily computed, cached sort
 //! permutation, so every observable enumeration stays byte-identical to the
@@ -157,6 +165,23 @@ impl RowSet {
     /// Creates an empty set; it allocates on the first insert.
     pub fn new() -> RowSet {
         RowSet::default()
+    }
+
+    /// The set of the distinct rows `0..rows`, row `r` under `hash(r)`,
+    /// in one pass over a table sized for them up front.
+    fn build(rows: u32, mut hash: impl FnMut(u32) -> u64) -> RowSet {
+        if rows == 0 {
+            return RowSet::new();
+        }
+        let size = (rows as usize * 2).next_power_of_two().max(Self::MIN_SLOTS);
+        let mut set = RowSet {
+            slots: vec![0; size],
+            len: 0,
+        };
+        for row in 0..rows {
+            set.insert(hash(row), row, |_| unreachable!("the table never grows"));
+        }
+        set
     }
 
     #[inline]
@@ -311,6 +336,150 @@ pub fn columns_row_eq(cols: &[Vec<Elem>], row: u32, tuple: &[Elem]) -> bool {
         .all(|(col, &e)| col[row as usize] == e)
 }
 
+/// One bit per possible tuple of a unary or binary relation: bit `a` for
+/// `P(a)`, bit `a · side + b` for `R(a, b)`, where `side` is the smallest
+/// power of two (at least 64) above every stored element id. A bit is set
+/// iff the tuple is stored, so a test is exact; an id at or beyond `side`
+/// reads as absent.
+///
+/// The bits are kept only while they cost no more than the row set they
+/// replace, which holds at least two 8-byte slots per row: `side^arity ≤
+/// 128 · rows` bits, i.e. at most 16 bytes per row, and never below 32
+/// rows. The floor is where binary bits start anyway (64² bits need 32
+/// rows); for unary relations it keeps the thousands of tiny instances of
+/// a rewrite's entailment checks, a row or two each, on the row set alone,
+/// with no build and no allocation. The rule is re-evaluated when the row
+/// count reaches a power of two, when an id at or beyond `side` arrives
+/// and on a truncation; switching on or resizing rebuilds the bits from
+/// the columns in O(rows), which is amortized O(1) per insert. Every
+/// threshold of the rule is a power of two, so the bits grown insert by
+/// insert are the bits a fresh build over the same rows would choose. A
+/// removal clears its bit and leaves the rule alone.
+#[derive(Clone, Debug, Default)]
+struct DenseBits {
+    /// `log2(side)`.
+    shift: u32,
+    /// Empty while the bits are off.
+    words: Vec<u64>,
+}
+
+impl DenseBits {
+    /// `log2` of the smallest side: one 64-bit word per bit row.
+    const MIN_SHIFT: u32 = 6;
+    /// The density rule: at most this many bits per stored row.
+    const MAX_BITS_PER_ROW: u128 = 128;
+    /// The density rule: no bits for fewer rows than this.
+    const MIN_ROWS: usize = 32;
+
+    /// The bits for the rows of `cols` (one column per position), sized by
+    /// their largest element id, or off when they would break the density
+    /// rule or the arity is not 1 or 2.
+    fn build(cols: &[Vec<Elem>]) -> DenseBits {
+        let (arity, rows) = (cols.len(), cols.first().map_or(0, Vec::len));
+        if !matches!(arity, 1 | 2) || rows < Self::MIN_ROWS {
+            return DenseBits::default();
+        }
+        let max_elem = cols.iter().flatten().map(|e| e.0).max().unwrap_or(0);
+        let shift = (u64::from(max_elem) + 1)
+            .next_power_of_two()
+            .trailing_zeros()
+            .max(Self::MIN_SHIFT);
+        let bits = 1u128 << (arity as u32 * shift);
+        if bits > Self::MAX_BITS_PER_ROW * rows as u128 {
+            return DenseBits::default();
+        }
+        let mut dense = DenseBits {
+            shift,
+            words: vec![0; (bits / 64) as usize],
+        };
+        let covered = (0..rows).all(|row| {
+            let bit = dense.bit(arity, |pos| cols[pos][row]);
+            bit.map(|i| dense.set(i)).is_some()
+        });
+        debug_assert!(covered, "the side covers every stored id");
+        dense
+    }
+
+    #[inline]
+    fn is_on(&self) -> bool {
+        !self.words.is_empty()
+    }
+
+    /// The index of the tuple `elem(0..arity)`'s bit, or `None` when an id
+    /// is at or beyond `side`. Only meaningful while the bits are on
+    /// (arity 1 or 2).
+    #[inline]
+    fn bit(&self, arity: usize, elem: impl Fn(usize) -> Elem) -> Option<u64> {
+        let a = u64::from(elem(0).0);
+        let (key, ids) = if arity == 1 {
+            (a, a)
+        } else {
+            let b = u64::from(elem(1).0);
+            ((a << self.shift) | b, a | b)
+        };
+        (ids >> self.shift == 0).then_some(key)
+    }
+
+    /// Whether bit `i` is set.
+    #[inline]
+    fn get(&self, i: u64) -> bool {
+        self.words[(i >> 6) as usize] >> (i & 63) & 1 == 1
+    }
+
+    #[inline]
+    fn set(&mut self, i: u64) {
+        self.words[(i >> 6) as usize] |= 1 << (i & 63);
+    }
+
+    #[inline]
+    fn clear(&mut self, i: u64) {
+        self.words[(i >> 6) as usize] &= !(1 << (i & 63));
+    }
+
+    /// Exact membership while on; `None` while off.
+    #[inline]
+    fn test(&self, arity: usize, elem: impl Fn(usize) -> Elem) -> Option<bool> {
+        if !self.is_on() {
+            return None;
+        }
+        Some(self.bit(arity, elem).is_some_and(|i| self.get(i)))
+    }
+}
+
+/// The dense membership bits of one binary relation `R` as rows of words:
+/// row `a` holds one bit per possible second argument, and bit `b % 64` of
+/// its word `b / 64` is set iff `R(a, b)` is stored. Rows are `side / 64`
+/// words long; an id at or beyond the side has an empty row. Copy-cheap
+/// (two words).
+#[derive(Clone, Copy, Debug)]
+pub struct BitRows<'a> {
+    words: &'a [u64],
+    /// `log2(side)`, at least 6.
+    shift: u32,
+}
+
+impl<'a> BitRows<'a> {
+    /// Every element id below the side has a row, and a bit in each row.
+    #[inline]
+    pub fn side(&self) -> u64 {
+        1 << self.shift
+    }
+
+    /// Words per row: `side / 64`.
+    #[inline]
+    pub fn row_words(&self) -> usize {
+        1 << (self.shift - 6)
+    }
+
+    /// The bits of `R(a, ·)`; empty when `a` is at or beyond the side.
+    #[inline]
+    pub fn row(&self, a: Elem) -> &'a [u64] {
+        let a = a.0 as usize;
+        let n = self.row_words();
+        self.words.get(a * n..(a + 1) * n).unwrap_or_default()
+    }
+}
+
 /// A single relation stored as struct-of-arrays columns.
 ///
 /// Insertion order is the physical row order; all public iteration goes
@@ -322,9 +491,17 @@ pub struct Relation {
     rows: usize,
     /// One column per argument position, each `rows` elements long.
     cols: Vec<Vec<Elem>>,
+    /// Exact membership bits for arity 1 and 2, on while the density rule
+    /// holds (see `DenseBits`).
+    dense: DenseBits,
     /// Collision-safe dedup: the row ids, keyed by tuple hash and verified
-    /// by column-wise equality on every probe.
-    dedup: RowSet,
+    /// by column-wise equality on every probe. Built from the columns in
+    /// one pass on first use — a membership test while the bits are off, or
+    /// a row-id request ([`Relation::find_row`], [`Relation::remove`], a
+    /// [`Relation::contains_below`] under a watermark) — and maintained
+    /// from then on; dropped when the bits switch on. So a dense relation
+    /// that no caller asks a row id of never hashes a tuple.
+    dedup: OnceLock<RowSet>,
     /// Lazily computed sort permutation over rows; reset on every mutation
     /// that changes the tuple set. `OnceLock` keeps `&self` iteration cheap
     /// and the type `Sync`.
@@ -338,7 +515,8 @@ impl Relation {
             arity,
             rows: 0,
             cols: vec![Vec::new(); arity],
-            dedup: RowSet::new(),
+            dense: DenseBits::default(),
+            dedup: OnceLock::new(),
             order: OnceLock::new(),
         }
     }
@@ -393,9 +571,10 @@ impl Relation {
     /// per-column payloads plus one `Vec` header per column, plus a fixed
     /// charge per tuple for the dedup index (36 bytes on 64-bit targets).
     /// That charge is an accounting unit, not a measurement — the
-    /// [`RowSet`] itself takes 16–32 bytes per tuple at its ½ load bound —
-    /// and it stays fixed because memory budgets are set against it:
-    /// changing it would move the round at which they trip.
+    /// [`RowSet`] takes 16–32 bytes per tuple at its ½ load bound, the
+    /// dense bits at most 16 and often none — and it stays fixed because
+    /// memory budgets are set against it: changing it would move the round
+    /// at which they trip.
     /// Computed from logical sizes, not capacities, so two relations
     /// holding the same tuple set always report the same figure — which is
     /// what lets the accountant trip at the same round on every replay of a
@@ -409,6 +588,32 @@ impl Relation {
         self.payload_bytes()
             + self.cols.len() * std::mem::size_of::<Vec<Elem>>()
             + self.rows * index_entry
+    }
+
+    /// The side of the dense membership bits: every element id below it
+    /// has a bit, and `None` means the bits are off, as they always are for
+    /// arities other than 1 and 2. A diagnostic: no answer of the relation
+    /// depends on it.
+    pub fn dense_side(&self) -> Option<u64> {
+        self.dense.is_on().then(|| 1 << self.dense.shift)
+    }
+
+    /// The dense membership bits of a binary relation, read as bit rows
+    /// (see [`BitRows`]); `None` while its bits are off, and for every
+    /// other arity. The bits are exact, so a join over the rows decides
+    /// membership without touching the columns.
+    pub fn bit_rows(&self) -> Option<BitRows<'_>> {
+        (self.arity == 2 && self.dense.is_on()).then_some(BitRows {
+            words: &self.dense.words,
+            shift: self.dense.shift,
+        })
+    }
+
+    /// Whether the relation keeps a [`RowSet`] now: always once it has
+    /// answered a membership test with its bits off, or a row-id request.
+    /// A diagnostic, for pinning the hash-free insert path in tests.
+    pub fn has_row_set(&self) -> bool {
+        self.dedup.get().is_some()
     }
 
     /// The element at physical row `row`, position `pos`.
@@ -436,39 +641,54 @@ impl Relation {
         std::cmp::Ordering::Equal
     }
 
+    /// The row set, built from the columns on first use.
+    fn row_set(&self) -> &RowSet {
+        self.dedup.get_or_init(|| {
+            let rows = u32::try_from(self.rows).expect("rows bounded by MAX_ROWS");
+            RowSet::build(rows, |r| columns_row_hash(&self.cols, r))
+        })
+    }
+
     /// `true` when `tuple` is present.
     ///
     /// # Panics
     /// Panics if the tuple length differs from the relation arity.
     pub fn contains(&self, tuple: &[Elem]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        self.dedup
-            .find(tuple_hash(tuple), |r| columns_row_eq(&self.cols, r, tuple))
-            .is_some()
+        self.contains_below(|pos| tuple[pos], usize::MAX)
     }
 
     /// `true` when the tuple viewed by `row` (possibly of *another*
     /// relation) is present — column-wise, without materializing the tuple.
     /// Rows of a different arity are simply absent.
     pub fn contains_row(&self, row: RowRef<'_>) -> bool {
-        if row.len() != self.arity {
-            return false;
+        row.len() == self.arity && self.contains_below(|pos| row.get(pos), usize::MAX)
+    }
+
+    /// `true` when the tuple `elem(0..arity)` is stored at a physical row
+    /// below `limit`; with `limit` a watermark, whether it was stored before
+    /// the watermark was read. Stored tuples are distinct, so the one match
+    /// decides. With the dense bits on, a clear bit decides absence and,
+    /// when `limit` covers every row, a set bit decides presence; only a
+    /// probe below a watermark needs the row id, which the row set maps.
+    #[inline]
+    pub fn contains_below(&self, elem: impl Fn(usize) -> Elem, limit: usize) -> bool {
+        if let Some(present) = self.dense.test(self.arity, &elem) {
+            if !present || limit >= self.rows {
+                return present;
+            }
         }
-        let hash = columns_row_hash(&row.rel.cols, row.row);
-        self.dedup
-            .find(hash, |r| {
-                (0..self.arity).all(|pos| self.elem(r, pos) == row.rel.elem(row.row, pos))
-            })
-            .is_some()
+        self.find_row(elem).is_some_and(|r| (r as usize) < limit)
     }
 
     /// The physical row holding the tuple `elem(0..arity)`, if present:
     /// one hash and one probe, with no tuple materialized. `elem` is asked
-    /// only for positions below the relation's arity.
+    /// only for positions below the relation's arity. The first row-id
+    /// request of a dense relation builds its row set.
     #[inline]
     pub fn find_row(&self, elem: impl Fn(usize) -> Elem) -> Option<u32> {
         let hash = tuple_hash_iter((0..self.arity).map(&elem));
-        self.dedup.find(hash, |r| {
+        self.row_set().find(hash, |r| {
             self.cols
                 .iter()
                 .enumerate()
@@ -493,48 +713,95 @@ impl Relation {
     /// this check `self.rows as u32` would wrap past 2^32 rows, silently
     /// aliasing new tuples with row 0 in the dedup map.
     ///
+    /// With the dense bits on and no row set kept, this is a bit
+    /// test-and-set plus one push per column: no hash.
+    ///
     /// # Panics
     /// Panics if the tuple length differs from the relation arity.
     pub fn try_insert(&mut self, tuple: &[Elem]) -> Result<bool, CapacityError> {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        let hash = tuple_hash(tuple);
-        let cols = &self.cols;
-        if self
-            .dedup
-            .find(hash, |r| columns_row_eq(cols, r, tuple))
-            .is_some()
-        {
-            return Ok(false);
-        }
+        // The duplicate probe: the tuple's bit while the bits are on (`None`
+        // for an id beyond their side, which is absent), else the row set.
+        let mut hash = None;
+        let bit = if self.dense.is_on() {
+            let bit = self.dense.bit(self.arity, |pos| tuple[pos]);
+            if bit.is_some_and(|i| self.dense.get(i)) {
+                return Ok(false);
+            }
+            bit
+        } else {
+            let h = tuple_hash(tuple);
+            let cols = &self.cols;
+            if self
+                .row_set()
+                .find(h, |r| columns_row_eq(cols, r, tuple))
+                .is_some()
+            {
+                return Ok(false);
+            }
+            hash = Some(h);
+            None
+        };
         // Check capacity only after the duplicate probe: membership queries
         // against a full relation must keep answering, not erroring.
         let row = next_row_id(self.rows)?;
-        self.dedup.insert(hash, row, |r| columns_row_hash(cols, r));
+        if let Some(set) = self.dedup.get_mut() {
+            let cols = &self.cols;
+            let hash = hash.unwrap_or_else(|| tuple_hash(tuple));
+            set.insert(hash, row, |r| columns_row_hash(cols, r));
+        }
         for (col, &e) in self.cols.iter_mut().zip(tuple) {
             col.push(e);
         }
         self.rows += 1;
         self.order = OnceLock::new();
+        match bit {
+            Some(i) => self.dense.set(i),
+            None if self.dense.is_on() || self.rows.is_power_of_two() => self.refresh_bits(),
+            None => {}
+        }
         Ok(true)
+    }
+
+    /// Re-evaluates the density rule over the stored rows and rebuilds the
+    /// bits; bits switching on drop the row set, which they replace.
+    fn refresh_bits(&mut self) {
+        let was_on = self.dense.is_on();
+        self.dense = DenseBits::build(&self.cols);
+        if self.dense.is_on() && !was_on {
+            self.dedup.take();
+        }
     }
 
     /// Removes `tuple`, returning `true` if it was present. The vacated row
     /// is back-filled by the last physical row in every column
     /// (swap-remove), keeping the columns dense; canonical iteration order
-    /// is unaffected because it is recomputed from the tuple set.
+    /// is unaffected because it is recomputed from the tuple set. Removal
+    /// renumbers a row, so it builds the row set of a dense relation; it
+    /// clears the tuple's bit and leaves the density rule alone.
     ///
     /// # Panics
     /// Panics if the tuple length differs from the relation arity.
     pub fn remove(&mut self, tuple: &[Elem]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
+        if self.dense.test(self.arity, |pos| tuple[pos]) == Some(false) {
+            return false;
+        }
+        self.row_set();
         let cols = &self.cols;
-        let Some(row) = self.dedup.remove(
+        let set = self.dedup.get_mut().expect("the row set was just built");
+        let Some(row) = set.remove(
             tuple_hash(tuple),
             |r| columns_row_eq(cols, r, tuple),
             |r| columns_row_hash(cols, r),
         ) else {
             return false;
         };
+        if self.dense.is_on() {
+            if let Some(i) = self.dense.bit(self.arity, |pos| tuple[pos]) {
+                self.dense.clear(i);
+            }
+        }
         // `rows <= MAX_ROWS` is an invariant enforced by `try_insert`, so the
         // conversion cannot truncate; keep it checked anyway so a future
         // violation fails loudly instead of corrupting the dedup map.
@@ -544,8 +811,7 @@ impl Relation {
         }
         if row != last {
             // The last row moved into the hole; repoint its dedup entry.
-            self.dedup
-                .repoint(columns_row_hash(&self.cols, row), last, row);
+            set.repoint(columns_row_hash(&self.cols, row), last, row);
         }
         self.rows -= 1;
         self.order = OnceLock::new();
@@ -555,26 +821,31 @@ impl Relation {
     /// Drops every physical row at or past `rows` (nothing when the
     /// relation holds no more than `rows`). Rows are appended in insertion
     /// order, so after inserts alone this undoes exactly the inserts made
-    /// since the relation held `rows` tuples.
+    /// since the relation held `rows` tuples. The density rule is
+    /// re-evaluated over the rows left, so the bits are those a fresh build
+    /// over them would choose.
     pub fn truncate(&mut self, rows: usize) {
         if rows >= self.rows {
             return;
         }
-        let cols = &self.cols;
-        for row in (rows..self.rows).rev() {
-            let row = row as u32;
-            let removed = self.dedup.remove(
-                columns_row_hash(cols, row),
-                |r| r == row,
-                |r| columns_row_hash(cols, r),
-            );
-            debug_assert_eq!(removed, Some(row), "every row is in the dedup set");
+        if let Some(set) = self.dedup.get_mut() {
+            let cols = &self.cols;
+            for row in (rows..self.rows).rev() {
+                let row = row as u32;
+                let removed = set.remove(
+                    columns_row_hash(cols, row),
+                    |r| r == row,
+                    |r| columns_row_hash(cols, r),
+                );
+                debug_assert_eq!(removed, Some(row), "every row is in the dedup set");
+            }
         }
         for col in &mut self.cols {
             col.truncate(rows);
         }
         self.rows = rows;
         self.order = OnceLock::new();
+        self.refresh_bits();
     }
 
     /// The canonical (lexicographically sorted) row permutation, computed on
@@ -608,16 +879,13 @@ impl Relation {
 
 impl Clone for Relation {
     fn clone(&self) -> Self {
-        let order = OnceLock::new();
-        if let Some(perm) = self.order.get() {
-            let _ = order.set(perm.clone());
-        }
         Relation {
             arity: self.arity,
             rows: self.rows,
             cols: self.cols.clone(),
+            dense: self.dense.clone(),
             dedup: self.dedup.clone(),
-            order,
+            order: self.order.clone(),
         }
     }
 }
@@ -950,6 +1218,92 @@ mod tests {
         // column headers and the fixed per-tuple index charge.
         #[cfg(target_pointer_width = "64")]
         assert_eq!(a.heap_bytes(), 2 * 8 + 2 * 24 + 2 * 36);
+    }
+
+    #[test]
+    fn dense_bits_follow_the_density_rule() {
+        let mut r = Relation::new(2);
+        let mut p = Relation::new(1);
+        // Below 32 rows a unary relation has no bits, though 64 ≤ 128 · 31.
+        for a in 0..31 {
+            p.insert(&t(&[a]));
+        }
+        assert_eq!(p.dense_side(), None);
+        assert!(p.has_row_set());
+        // Its 32nd row reaches the floor: on, and the row set is dropped.
+        p.insert(&t(&[40]));
+        assert_eq!(p.dense_side(), Some(64));
+        assert!(!p.has_row_set());
+        // 31 binary rows under side 64: 4096 bits > 128 · 31, off.
+        for a in 0..31 {
+            r.insert(&t(&[a, a + 1]));
+        }
+        assert_eq!(r.dense_side(), None);
+        // The 32nd row is a power of two and 4096 ≤ 128 · 32: on.
+        r.insert(&t(&[40, 0]));
+        assert_eq!(r.dense_side(), Some(64));
+        assert!(!r.has_row_set());
+        // Id 64 needs side 128 (16384 bits) with 33 rows: off again, and
+        // the next membership test builds the row set.
+        r.insert(&t(&[0, 64]));
+        assert_eq!(r.dense_side(), None);
+        assert!(r.contains(&t(&[0, 64])));
+        assert!(r.has_row_set());
+        // Back on at 128 rows, under side 128.
+        for a in 0..95 {
+            r.insert(&t(&[a, 63]));
+        }
+        assert_eq!(r.len(), 128);
+        assert_eq!(r.dense_side(), Some(128));
+        assert!(!r.has_row_set());
+        // A unary relation grows with its ids while the rule allows it.
+        p.insert(&t(&[100]));
+        assert_eq!(p.dense_side(), Some(128));
+        p.insert(&t(&[u32::MAX]));
+        assert_eq!(p.dense_side(), None);
+        // Answers stay exact on every side of each switch.
+        assert!(r.contains(&t(&[0, 64])));
+        assert!(r.contains(&t(&[40, 0])));
+        assert!(!r.contains(&t(&[64, 0])));
+        assert!(!r.contains(&t(&[0, u32::MAX])));
+        assert!(p.contains(&t(&[u32::MAX])));
+        assert!(p.contains(&t(&[4])));
+        assert!(!p.contains(&t(&[41])));
+        // Below a watermark the row id decides, even with the bits on: the
+        // request builds the row set, which inserts then maintain.
+        assert!(!r.contains_below(|pos| Elem([1, 2][pos]), 1));
+        assert!(r.has_row_set());
+        assert!(r.contains_below(|pos| Elem([0, 1][pos]), 1));
+        assert!(r.insert(&t(&[7, 7])));
+        assert_eq!(r.find_row(|_| Elem(7)), Some(128));
+        assert_eq!(r.dense_side(), Some(128));
+    }
+
+    #[test]
+    fn remove_clears_the_bit_and_truncate_rebuilds_the_bits() {
+        let mut r = Relation::new(2);
+        for a in 0..40 {
+            r.insert(&t(&[a, a + 1]));
+        }
+        assert_eq!(r.dense_side(), Some(64));
+        assert!(r.remove(&t(&[3, 4])));
+        assert!(!r.contains(&t(&[3, 4])));
+        assert!(!r.remove(&t(&[3, 4])));
+        // The rule is left alone by a removal: 31 rows keep their bits.
+        for a in 30..39 {
+            assert!(r.remove(&t(&[a, a + 1])));
+        }
+        assert_eq!((r.len(), r.dense_side()), (30, Some(64)));
+        assert!(r.insert(&t(&[3, 4])));
+        assert!(r.contains(&t(&[3, 4])));
+        // A truncation re-evaluates it over the rows left.
+        let dropped: Vec<Vec<Elem>> = (20..r.len())
+            .map(|row| vec![r.column(0)[row], r.column(1)[row]])
+            .collect();
+        r.truncate(20);
+        assert_eq!((r.len(), r.dense_side()), (20, None));
+        assert!(dropped.iter().all(|d| !r.contains(d)));
+        assert!(r.iter().all(|kept| r.contains(&kept.to_vec())));
     }
 
     /// A hash whose tag (high half) is `tag` and whose home bits are `home`.

@@ -225,21 +225,39 @@ pub fn run_smoke(config: &SmokeConfig) -> Result<SmokeReport, String> {
 }
 
 /// The knowledge-base crash-smoke ontology: pure transitive closure, so
-/// after applying the chain edges `E(0,1) … E(k-1,k)` the chased fixpoint
-/// holds `E(i,j)` exactly for `i < j <= k`. That closed form is what lets
-/// [`run_kb_verify`] check a *killed* server's recovered state without a
-/// reference run: whatever batch prefix survived, the visible facts must
-/// be exactly the ones that prefix implies.
+/// the chased fixpoint of the drive's chain edges has a closed form (see
+/// [`kb_smoke_edge`]). That closed form is what lets [`run_kb_verify`]
+/// check a *killed* server's recovered state without a reference run:
+/// whatever batch prefix survived, the visible facts must be exactly the
+/// ones that prefix implies.
 pub const KB_SMOKE_PROGRAM: &str = "E(x,y), E(y,z) -> E(x,z).";
 
-/// The `i`-th drive batch: insert the chain edge `E(i, i+1)`.
+/// Edges per chain segment of the drive (see [`kb_smoke_edge`]).
+pub const KB_SMOKE_SEGMENT: u32 = 8;
+
+/// The chain edge `E(a, a+1)` that drive batch `i` inserts, as `(s, a)`
+/// with `s` the first node of its segment. The batches lay chains of
+/// [`KB_SMOKE_SEGMENT`] edges one after another, each over fresh nodes, so
+/// after batches `0..k` the closure holds `E(u, v)` exactly for `u < v`
+/// in one segment with `v` reached by a batch below `k`; in particular
+/// `E(s, a+1)` holds iff `i < k`. A segment's closure has
+/// `SEGMENT · (SEGMENT+1) / 2` facts, 4.5 per batch, so a drive of 4,000
+/// batches stays under the default 20,000-fact fold budget — a single
+/// chain would pass it at batch 199.
+pub fn kb_smoke_edge(i: u32) -> (u32, u32) {
+    let segment = i / KB_SMOKE_SEGMENT;
+    (segment * (KB_SMOKE_SEGMENT + 1), i + segment)
+}
+
+/// The `i`-th drive batch: insert the chain edge of [`kb_smoke_edge`].
 pub fn kb_smoke_batch(tenant: &str, i: u32) -> Request {
+    let (_, a) = kb_smoke_edge(i);
     Request::KbApply {
         tenant: tenant.into(),
         program: KB_SMOKE_PROGRAM.into(),
         inserts: vec![crate::proto::WireFact {
             pred: "E".into(),
-            args: vec![i, i + 1],
+            args: vec![a, a + 1],
         }],
         retracts: Vec::new(),
     }
@@ -268,18 +286,23 @@ pub fn run_kb_drive(addr: &str, tenant: &str, batches: u32) -> Result<String, St
 
 /// Verifies a (possibly crash-recovered) knowledge base against the
 /// closed form of the chain workload: reads the recovered sequence number
-/// `k` from a query response, then checks that `E(0,j)` holds iff
-/// `j <= k`. Any deviation — a lost acknowledged batch, a resurrected
-/// truncated one, an inverted membership — is a failure.
+/// `k` from a query response, then checks, for every driven batch `i`,
+/// that the fact `E(s, a+1)` from the start of its segment to the head of
+/// its edge ([`kb_smoke_edge`]) holds iff `i < k`. Any deviation — a lost
+/// acknowledged batch, a resurrected truncated one, an inverted
+/// membership — is a failure.
 pub fn run_kb_verify(addr: &str, tenant: &str, batches: u32) -> Result<String, String> {
     let addr: std::net::SocketAddr = addr
         .parse()
         .map_err(|e| format!("bad server address {addr:?}: {e}"))?;
     let client = Client::new(addr);
-    let facts = (1..=batches)
-        .map(|j| crate::proto::WireFact {
-            pred: "E".into(),
-            args: vec![0, j],
+    let facts = (0..batches)
+        .map(|i| {
+            let (s, a) = kb_smoke_edge(i);
+            crate::proto::WireFact {
+                pred: "E".into(),
+                args: vec![s, a + 1],
+            }
         })
         .collect();
     let response = client
@@ -298,13 +321,14 @@ pub fn run_kb_verify(addr: &str, tenant: &str, batches: u32) -> Result<String, S
             "recovered seq {seq} exceeds the {batches} driven batches"
         ));
     }
-    for (idx, &held) in holds.iter().enumerate() {
-        let j = idx as u64 + 1;
-        let expected = j <= seq;
+    for (i, &held) in (0..batches).zip(&holds) {
+        let expected = u64::from(i) < seq;
         if held != expected {
+            let (s, a) = kb_smoke_edge(i);
             return Err(format!(
-                "E(0,{j}) held={held} but recovered seq {seq} implies {expected} — \
-                 recovery diverged from the acknowledged prefix"
+                "E({s},{}) held={held} but recovered seq {seq} implies {expected} — \
+                 recovery diverged from the acknowledged prefix",
+                a + 1
             ));
         }
     }
@@ -378,6 +402,30 @@ mod tests {
         let addr = server.addr().to_string();
         let report = run_kb_verify(&addr, "acme", 5).expect("verify after restart");
         assert!(report.contains("seq 5/5"), "{report}");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn kb_smoke_edges_lay_disjoint_segments() {
+        let edges: Vec<(u32, u32)> = (0..10).map(kb_smoke_edge).collect();
+        assert_eq!(edges[..2], [(0, 0), (0, 1)]);
+        assert_eq!(edges[7..], [(0, 7), (9, 9), (9, 10)]);
+    }
+
+    /// The CI kill-and-recover smoke drives 500 batches: every one is
+    /// acknowledged under the default fold budget, and the closed form
+    /// verifies.
+    #[test]
+    fn kb_drive_of_500_batches_is_acknowledged_and_verifies() {
+        let dir = std::env::temp_dir().join(format!("tgdkit-serve-kb-500-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = kb_server(&dir);
+        let addr = server.addr().to_string();
+        let drive = run_kb_drive(&addr, "acme", 500).expect("every batch fits the budget");
+        assert!(drive.contains("500 batches acknowledged"), "{drive}");
+        let report = run_kb_verify(&addr, "acme", 500).expect("verify");
+        assert!(report.contains("seq 500/500"), "{report}");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,11 +1,14 @@
 //! Allocation counts of the tuple store and the index over it.
 //!
-//! A relation keeps its tuples in columns and finds them through a flat row
-//! set, and the hom index adds only postings and bits keyed by the
-//! relation's rows, so storing a tuple costs no allocation of its own: what
-//! remains is the amortized growth of a few vectors (and, in the index, the
-//! per-element postings lists). A per-tuple allocation anywhere on these
-//! paths shows here as thousands of extra calls.
+//! A relation keeps its tuples in columns and finds them through its dense
+//! membership bits or a flat row set, and the hom index adds only postings
+//! keyed by the relation's rows, so storing a tuple costs no allocation of
+//! its own: what remains is the amortized growth of a few vectors (and, in
+//! the index, the per-element postings lists). A per-tuple allocation
+//! anywhere on these paths shows here as thousands of extra calls. Where
+//! the bits are on, the tests also check that no row set was kept: an
+//! insert there is a bit test-and-set, and a regression to hashing every
+//! tuple would grow one.
 //!
 //! The binary installs a counting global allocator, so it holds only these
 //! tests. Counts are kept per thread, so the harness's own threads add
@@ -83,6 +86,10 @@ fn relation_inserts_allocate_per_growth_not_per_tuple() {
     });
     assert_eq!(rel.len(), 10_000);
     assert!(n < 100, "{n} allocations for 10,000 relation inserts");
+    // Side 128 holds the 100 × 100 ids: the bits are on from row 128 on,
+    // and the row set kept before then is gone.
+    assert_eq!(rel.dense_side(), Some(128));
+    assert!(!rel.has_row_set(), "the dense inserts kept a row set");
 }
 
 #[test]
@@ -125,4 +132,9 @@ fn full_tgd_chase_allocates_under_one_buffer_per_three_added_facts() {
     let added = result.stats.facts_added as u64;
     assert_eq!(added, 48 * 48 - 48);
     assert!(n < added / 3, "{n} allocations for {added} added facts");
+    // The closure's ids stay below side 64, so E's bits are on throughout
+    // and no step of the chase asked for a row set.
+    let closure = result.instance.relation(e);
+    assert_eq!(closure.dense_side(), Some(64));
+    assert!(!closure.has_row_set(), "the dense chase kept a row set");
 }

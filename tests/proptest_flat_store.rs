@@ -313,7 +313,7 @@ proptest! {
                 // P and R, the predicates with dense bits, twice as often.
                 let pred = preds[[0, 1, 2, 3, 1, 2][rng.random_range(0..6)]];
                 let args: Vec<Elem> = (0..schema.arity(pred))
-                    .map(|_| match rng.random_range(0u32..400) {
+                    .map(|_| match rng.random_range(0u32..1000) {
                         0 => Elem(rng.random_range(200u32..300)),
                         _ => Elem(rng.random_range(0..bound)),
                     })
@@ -423,6 +423,134 @@ proptest! {
             clone.iter().map(|t| t.to_vec()).collect::<Vec<_>>(),
             rel.iter().map(|t| t.to_vec()).collect::<Vec<_>>()
         );
+    }
+
+    /// A [`Relation`] under random interleavings of every operation —
+    /// `insert`, `remove`, `truncate`, `find_row` (with `contains_below`),
+    /// `contains`, `contains_row`, `clone` and `==` — answers as a
+    /// `BTreeSet` model and as a fresh relation holding the model's tuples
+    /// do, after every step, over arities 1–3. Ids are mostly drawn below a
+    /// bound that grows with the step, now and then far past it, so the row
+    /// count crosses 32 and the powers of two while the ids cross the dense
+    /// side: unary and binary relations switch their bits on and off, with
+    /// and without a row set, and a row-id request lands in every regime.
+    #[test]
+    fn relation_ops_match_a_btreeset_model_across_the_density_rule(
+        seed in 0u64..1000,
+        arity in 1usize..4,
+        steps in 60usize..400,
+        busy in 0u8..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rel = Relation::new(arity);
+        let mut model: BTreeSet<Vec<Elem>> = BTreeSet::new();
+        // Weights of insert, remove, truncate, find_row, contains_row, clone
+        // and ==. Row-id requests build the row set, so a busy case mostly
+        // meets dense bits with one beside them, a quiet case without.
+        let weights: [u32; 7] = if busy == 1 {
+            [60, 15, 3, 10, 4, 4, 4]
+        } else {
+            [86, 2, 1, 3, 3, 2, 3]
+        };
+        for step in 0..steps {
+            let bound = 40 + step as u32 / 4;
+            let draw = |rng: &mut StdRng| -> Vec<Elem> {
+                (0..arity)
+                    .map(|_| match rng.random_range(0u32..1000) {
+                        0 => Elem(u32::MAX - rng.random_range(0u32..2)),
+                        1 => Elem(rng.random_range(200u32..300)),
+                        _ => Elem(rng.random_range(0..bound)),
+                    })
+                    .collect()
+            };
+            // A held tuple half of the time, else a drawn one.
+            let probe = |rng: &mut StdRng, model: &BTreeSet<Vec<Elem>>| -> Vec<Elem> {
+                if model.is_empty() || rng.random_bool(0.5) {
+                    draw(rng)
+                } else {
+                    let k = rng.random_range(0..model.len());
+                    model.iter().nth(k).cloned().expect("k < len")
+                }
+            };
+            let mut roll = rng.random_range(0..weights.iter().sum::<u32>());
+            let op = weights
+                .iter()
+                .position(|&w| {
+                    let hit = roll < w;
+                    roll = roll.saturating_sub(w);
+                    hit
+                })
+                .expect("the roll is below the total");
+            match op {
+                0 => {
+                    let t = draw(&mut rng);
+                    prop_assert_eq!(rel.insert(&t), model.insert(t.clone()), "insert {:?}", t);
+                }
+                1 => {
+                    let t = probe(&mut rng, &model);
+                    prop_assert_eq!(rel.remove(&t), model.remove(&t), "remove {:?}", t);
+                }
+                2 => {
+                    let keep = rng.random_range(0..rel.len() + 1);
+                    for row in keep..rel.len() {
+                        let t: Vec<Elem> = (0..arity).map(|pos| rel.column(pos)[row]).collect();
+                        prop_assert!(model.remove(&t), "row {} {:?} is not held", row, t);
+                    }
+                    rel.truncate(keep);
+                }
+                3 => {
+                    let t = probe(&mut rng, &model);
+                    let row = rel.find_row(|pos| t[pos]);
+                    prop_assert_eq!(row.is_some(), model.contains(&t), "find_row {:?}", t);
+                    if let Some(row) = row {
+                        for (pos, &e) in t.iter().enumerate() {
+                            prop_assert_eq!(rel.column(pos)[row as usize], e);
+                        }
+                    }
+                    let limit = rng.random_range(0..rel.len() + 1);
+                    prop_assert_eq!(
+                        rel.contains_below(|pos| t[pos], limit),
+                        row.is_some_and(|r| (r as usize) < limit),
+                        "contains_below {:?} {}",
+                        t,
+                        limit
+                    );
+                }
+                4 => {
+                    let t = probe(&mut rng, &model);
+                    let mut other = Relation::new(arity);
+                    other.insert(&t);
+                    let view = other.iter().next().expect("one tuple");
+                    prop_assert_eq!(rel.contains_row(view), model.contains(&t));
+                }
+                5 => {
+                    let copy = rel.clone();
+                    prop_assert!(copy == rel);
+                    rel = copy;
+                }
+                _ => {
+                    let t = draw(&mut rng);
+                    let mut grown = rel.clone();
+                    grown.insert(&t);
+                    prop_assert_eq!(grown == rel, model.contains(&t));
+                }
+            }
+            let mut fresh = Relation::new(arity);
+            for t in &model {
+                fresh.insert(t);
+            }
+            prop_assert_eq!(rel.len(), model.len());
+            prop_assert_eq!(&rel, &fresh, "step {}", step);
+            prop_assert_eq!(&fresh, &rel, "step {}", step);
+            prop_assert_eq!(rel.heap_bytes(), fresh.heap_bytes());
+            let listed: Vec<Vec<Elem>> = rel.iter().map(|t| t.to_vec()).collect();
+            prop_assert!(listed.iter().eq(model.iter()), "iteration order");
+            for _ in 0..8 {
+                let t = probe(&mut rng, &model);
+                prop_assert_eq!(rel.contains(&t), model.contains(&t), "contains {:?}", t);
+                prop_assert_eq!(fresh.contains(&t), model.contains(&t));
+            }
+        }
     }
 
     /// The accountant-facing byte figures of the columnar layout depend only
